@@ -22,8 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SingularityError, ValidationError
-from .mtl import CableSpec, FrequencyGrid, MatrixSpectrum
+from .errors import ValidationError
+from .mtl import CableSpec, FrequencyGrid, MatrixSpectrum, _rdiv
 from .network import AdmittanceSpec, Branch, NetworkTopology
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 REFLECTION_CHAIN_WARNING = (
     "chain deltas of reflection spectra are jagged where the baseline "
     "crosses zero; prefer the superposition model for reflection sensing")
+
+_SINGULAR_BASELINE = "baseline response is singular"
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,23 +218,11 @@ def _check_pair(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> str:
     return baseline.kind
 
 
-def _right_divide(num: np.ndarray, den: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    try:
-        return np.swapaxes(
-            np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)),
-            -1, -2)
-    except np.linalg.LinAlgError as exc:
-        with np.errstate(all="ignore"):
-            dets = np.nan_to_num(np.abs(np.linalg.det(den)), nan=0.0)
-        k = int(np.argmin(dets))
-        raise SingularityError("baseline response is singular",
-                               frequency_hz=float(grid.frequencies[k])) from exc
-
-
 def delta_chain(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> DeltaSpectrum:
     """Multiplicative anomaly factor X_a X^-1 per frequency."""
     quantity = _check_pair(perturbed, baseline)
-    vals = _right_divide(perturbed.values, baseline.values, baseline.grid)
+    vals = _rdiv(perturbed.values, baseline.values, baseline.grid.frequencies,
+                 _SINGULAR_BASELINE)
     warning = REFLECTION_CHAIN_WARNING if quantity == "reflection" else None
     return DeltaSpectrum(model="chain", quantity=quantity,
                          values=MatrixSpectrum(baseline.grid, vals, "delta"),
@@ -246,7 +236,8 @@ def delta_superposition(perturbed: MatrixSpectrum, baseline: MatrixSpectrum,
     quantity = _check_pair(perturbed, baseline)
     diff = perturbed.values - baseline.values
     if normalize:
-        vals = _right_divide(diff, baseline.values, baseline.grid)
+        vals = _rdiv(diff, baseline.values, baseline.grid.frequencies,
+                     _SINGULAR_BASELINE)
         model = "superposition_normalized"
     else:
         vals = diff

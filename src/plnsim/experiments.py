@@ -19,6 +19,7 @@ distributed (aged-cable) faults from one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -60,6 +61,9 @@ def default_grid() -> FrequencyGrid:
     return FrequencyGrid(1e5, 1e5, 800)
 
 
+_DEFAULT_CABLES = itemgetter("pl-std", "pl-lowloss", "pl-lossy")(builtin_cable_library())
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything a random ensemble depends on.  The seed fully determines
@@ -76,10 +80,10 @@ class EnsembleConfig:
     seed: int = 0
 
     def cable_set(self) -> tuple:
-        if self.cables:
-            return self.cables
-        lib = builtin_cable_library()
-        return (lib["pl-std"], lib["pl-lowloss"], lib["pl-lossy"])
+        """The configured cables, or the default library set.  The default
+        set is built once per process, so its decompositions are cached
+        across every network and ensemble."""
+        return self.cables or _DEFAULT_CABLES
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:

@@ -156,26 +156,42 @@ def _worst(mats: np.ndarray) -> int:
     return int(np.argmin(dets))
 
 
+def _singular(context: str, f: np.ndarray | None, k: int) -> SingularityError:
+    return SingularityError(context, frequency_hz=None if f is None else float(f[k]),
+                            index=k)
+
+
+def _scalar_divide(num: np.ndarray, den: np.ndarray, f: np.ndarray | None,
+                   context: str) -> np.ndarray:
+    """num / den for a 1 x 1 divisor stack; like LAPACK, only an exactly zero
+    entry counts as singular."""
+    zero = den == 0
+    if np.any(zero):
+        raise _singular(context, f, int(np.flatnonzero(zero)[0]))
+    return num / den
+
+
 def _solve(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
-    """a^-1 b with singularities reported against the frequency grid."""
+    """a^-1 b with singularities reported against the frequency grid.  A
+    1 x 1 system is an elementwise division, any other a batched solve."""
+    if a.shape[-1] == 1:
+        return _scalar_divide(b, a, f, context)
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        k = _worst(a)
-        raise SingularityError(context, frequency_hz=None if f is None else float(f[k]),
-                               index=k) from exc
+        raise _singular(context, f, _worst(a)) from exc
 
 
 def _rdiv(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
-    """a b^-1 via a transposed solve."""
+    """a b^-1: an elementwise division for 1 x 1 b, else a transposed solve."""
+    if b.shape[-1] == 1:
+        return _scalar_divide(a, b, f, context)
     bt = np.swapaxes(b, -1, -2)
     at = np.swapaxes(a, -1, -2)
     try:
         return np.swapaxes(np.linalg.solve(bt, at), -1, -2)
     except np.linalg.LinAlgError as exc:
-        k = _worst(b)
-        raise SingularityError(context, frequency_hz=None if f is None else float(f[k]),
-                               index=k) from exc
+        raise _singular(context, f, _worst(b)) from exc
 
 
 def _sandwich(e: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -239,7 +255,7 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     Re(gamma) >= 0 branch, tracks mode order across the sweep so per-mode
     curves stay continuous, and derives Z_C = Z T Gamma^-1 T^-1, Y_C = Z_C^-1.
     Results are cached per (cable, grid) pair; the returned object is shared
-    and must be treated as read-only.
+    and its arrays are returned read-only.
     """
     f = grid.frequencies
     mats = tuple(np.asarray(m, dtype=float) for m in cable.rlgc(f))
@@ -302,6 +318,8 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             f"cable {cable.label!r}: characteristic impedance is singular",
             frequency_hz=float(f[k])) from exc
 
+    for arr in (gamma, v, t_inv, yc, zc):
+        arr.flags.writeable = False
     return PropagationParams(grid=grid, gamma=gamma, t=v, t_inv=t_inv, yc=yc, zc=zc)
 
 

@@ -7,8 +7,8 @@ from plnsim.experiments import (EnsembleConfig, bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
                                 run_distance_sweep, run_scenario_suite)
 from plnsim.errors import ValidationError
-from plnsim.mtl import FrequencyGrid
-from plnsim.network import validate_topology
+from plnsim.mtl import FrequencyGrid, line_propagation_params
+from plnsim.network import reduce_to_port, validate_topology
 from plnsim.topofile import topology_to_dict
 
 
@@ -38,6 +38,18 @@ def test_generator_property_sweep():
         probe = net.ports["probe"].node
         assert probe in net.loads  # probe leaf doubles as receiver
         assert net.ports["tx"].node != probe
+
+
+def test_default_cables_decomposed_once(grid):
+    cables = EnsembleConfig(seed=2).cable_set()
+    assert EnsembleConfig(seed=3).cable_set() is cables
+    for cable in cables:
+        line_propagation_params(cable, grid)
+    misses = line_propagation_params.cache_info().misses
+    for i in range(6):
+        net = generate_random_network(EnsembleConfig(seed=2), i)
+        reduce_to_port(net, "probe", grid)
+    assert line_propagation_params.cache_info().misses == misses
 
 
 def test_generator_range_validation():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import SingularityError, ValidationError
-from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, ctf_line, echo_voltage,
-                        input_admittance_line, input_reflection,
+from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _rdiv, _solve, ctf_line,
+                        echo_voltage, input_admittance_line, input_reflection,
                         input_reflection_modal, line_input_reflection,
                         line_propagation_params, load_reflection,
                         modal_transform, series_truncated_responses)
@@ -83,6 +83,57 @@ def test_cable_validation_errors(grid):
     bad_c = constant_rlgc_cable(0.1, 5e-7, 0.0, -1e-10)
     with pytest.raises(ValidationError, match="positive"):
         line_propagation_params(bad_c, grid)
+
+
+def test_cached_params_are_read_only(grid, std_cable):
+    p = line_propagation_params(std_cable, grid)
+    before = [a.copy() for a in (p.gamma, p.t, p.t_inv, p.yc, p.zc)]
+    for arr in (p.gamma, p.t, p.t_inv, p.yc, p.zc):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    again = line_propagation_params(std_cable, grid)
+    for a, b in zip((again.gamma, again.t, again.t_inv, again.yc, again.zc), before):
+        np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# 1 x 1 kernel: an elementwise division in place of a batched solve
+
+def _complex_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def entry_rel_err(a, b):
+    return np.max(np.abs(a - b) / np.abs(b))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_scalar_kernel_matches_lapack(grid, width):
+    rng = np.random.default_rng(width)
+    f = grid.frequencies
+    den = _complex_stack(rng, (grid.n_points, 1, 1))
+    rows = _complex_stack(rng, (grid.n_points, 1, width))
+    ref = np.linalg.solve(den, rows)
+    assert entry_rel_err(_solve(den, rows, f, "ctx"), ref) < 1e-14
+    cols = np.swapaxes(rows, -1, -2)
+    ref_r = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), rows), -1, -2)
+    assert entry_rel_err(_rdiv(cols, den, f, "ctx"), ref_r) < 1e-14
+
+
+@pytest.mark.parametrize("helper", ["solve", "rdiv"])
+def test_scalar_kernel_zero_denominator(grid, helper):
+    f = grid.frequencies
+    den = np.ones((grid.n_points, 1, 1), complex)
+    den[[37, 80]] = 0.0
+    den[20] = 1e-300  # tiny but nonzero: LAPACK does not raise on it either
+    num = np.ones_like(den)
+    with pytest.raises(SingularityError, match="ctx") as info:
+        if helper == "solve":
+            _solve(den, num, f, "ctx")
+        else:
+            _rdiv(num, den, f, "ctx")
+    assert info.value.index == 37
+    assert info.value.frequency_hz == f[37]
 
 
 # ---------------------------------------------------------------------------
