@@ -4,10 +4,11 @@ Subcommands: validate, simulate, tdr, ctf, inject, delta, locate, sweep,
 scenarios.  Exit status is 0 on success, 1 on validation/parse failure,
 2 on numerical failure (singularities), 64 on usage errors.
 
-Outputs are CSV/JSON files in the --out directory with deterministic
-content; pass --no-timestamp to drop the one non-reproducible header field.
-The PLNSIM_CABLE_LIBRARY environment variable points at a JSON cable
-library that overrides the built-in one for sweeps and scenario runs.
+Each subcommand accepts only the flags its handler reads.  Outputs are
+CSV/JSON files in the --out directory with deterministic content; pass
+--no-timestamp to drop the one non-reproducible header field.  The
+PLNSIM_CABLE_LIBRARY environment variable points at a JSON cable library
+that overrides the built-in one for sweeps.
 """
 
 from __future__ import annotations
@@ -81,12 +82,11 @@ def _single_port(net, name):
     raise UsageError(f"topology has ports {sorted(net.ports)}; pick one with --port")
 
 
-def _velocity(args, net, branch_index=0) -> float:
+def _velocity(args, net) -> float:
     if args.velocity is not None:
         return args.velocity
-    cable = net.branches[branch_index].cable
-    grid = _parse_grid(args.grid)
-    return float(cable_velocities(cable, grid.f_start)[0])
+    f_start = _parse_grid(args.grid).f_start
+    return float(cable_velocities(net.branches[0].cable, f_start)[0])
 
 
 def _cable_library():
@@ -94,13 +94,6 @@ def _cable_library():
     if path:
         return topofile.read_cable_library(path)
     return builtin_cable_library()
-
-
-def _write_json(path: Path, payload: dict, timestamp: bool) -> None:
-    if timestamp:
-        from datetime import datetime, timezone
-        payload = dict(payload, written=datetime.now(timezone.utc).isoformat())
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +155,7 @@ def cmd_ctf(args) -> int:
     out = _outdir(args)
     ts = not args.no_timestamp
     if args.rx_port:
-        rx_node = net.ports[args.rx_port].node if args.rx_port in net.ports else None
-        if rx_node is None:
-            raise UsageError(f"no port named {args.rx_port!r}")
+        rx_node = net.ports[_single_port(net, args.rx_port)].node
     elif args.rx_node:
         rx_node = args.rx_node
     else:
@@ -187,7 +178,7 @@ def cmd_ctf(args) -> int:
         rep = check_peak_spacing_symmetry(trace, trace_rev,
                                           rel_threshold=args.threshold,
                                           min_separation=args.min_separation)
-        _write_json(out / "symmetry.json", {
+        topofile.write_json(out / "symmetry.json", {
             "symmetric": rep.symmetric,
             "inconclusive": rep.inconclusive,
             "max_spacing_error_samples": rep.max_spacing_error_samples,
@@ -272,7 +263,7 @@ def cmd_locate(args) -> int:
     payload = {"found": res.found, "distance_m": res.distance_m,
                "time_s": res.time_s, "confidence": res.confidence,
                "velocity_m_per_s": v}
-    _write_json(out / "locate.json", payload, ts)
+    topofile.write_json(out / "locate.json", payload, ts)
     if res.found:
         print(f"anomaly at {res.distance_m:.3f} m "
               f"(confidence {res.confidence:.3f})")
@@ -299,34 +290,9 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     ts = not args.no_timestamp
 
-    lines = ["# kind=sweep-records"]
-    if ts:
-        from datetime import datetime, timezone
-        lines.append(f"# written={datetime.now(timezone.utc).isoformat()}")
-    lines.append("network_index,distance_m,link_position,delta_y,delta_rho,"
-                 "delta_h,anomaly")
-    for r in result.records:
-        lines.append(f"{r.network_index},{r.distance_m:.17g},"
-                     f"{r.link_position:.17g},{r.delta_y:.17g},"
-                     f"{r.delta_rho:.17g},{r.delta_h:.17g},"
-                     f"{r.anomaly['type']}@{r.anomaly['branch']}")
-    (out / "records.csv").write_text("\n".join(lines) + "\n")
-
-    blines = ["# kind=sweep-bins",
-              "d_lo,d_hi,count,median_y,median_rho,median_h,"
-              "iqr_y,iqr_rho,iqr_h,mean_h"]
-    for b in result.bins:
-        if b.count == 0:
-            blines.append(f"{b.d_lo:.17g},{b.d_hi:.17g},0,,,,,,,")
-            continue
-        blines.append(
-            f"{b.d_lo:.17g},{b.d_hi:.17g},{b.count},"
-            f"{b.median['delta_y']:.17g},{b.median['delta_rho']:.17g},"
-            f"{b.median['delta_h']:.17g},{b.iqr['delta_y']:.17g},"
-            f"{b.iqr['delta_rho']:.17g},{b.iqr['delta_h']:.17g},"
-            f"{b.mean['delta_h']:.17g}")
-    (out / "bins.csv").write_text("\n".join(blines) + "\n")
-    _write_json(out / "summary.json", result.summary, ts)
+    topofile.write_sweep_records_csv(out / "records.csv", result.records, ts)
+    topofile.write_sweep_bins_csv(out / "bins.csv", result.bins, ts)
+    topofile.write_json(out / "summary.json", result.summary, ts)
     print(f"{len(result.records)} records, {len(result.skipped)} skipped; "
           f"summary: {json.dumps(result.summary, sort_keys=True)}")
     return EXIT_OK
@@ -334,9 +300,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_scenarios(args) -> int:
     grid = _parse_grid(args.grid)
-    if args.topology:
-        raise UsageError("custom scenario topologies are driven from the API; "
-                         "the CLI runs the bundled single-line suite")
     net, scenarios = bundled_single_line_scenarios()
     results = run_scenario_suite(net, scenarios, grid, window=args.window,
                                  rel_threshold=args.threshold,
@@ -354,7 +317,7 @@ def cmd_scenarios(args) -> int:
              "ambiguities": r.ambiguities}
             for r in results]
     }
-    _write_json(out / "scenarios.json", payload, ts)
+    topofile.write_json(out / "scenarios.json", payload, ts)
     ok = True
     for r in results:
         status = "ok" if r.passed else "MISMATCH"
@@ -370,27 +333,30 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="plnsim",
                      description="Power-line network propagation and anomaly "
                                  "simulation toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", default="1e5,1e5,800",
-                        help="f_start,f_step,n (Hz, Hz, count)")
-    common.add_argument("--window", default="hann", choices=["hann", "rect"])
-    common.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
-                        help="relative peak threshold")
-    common.add_argument("--min-separation", type=int,
-                        default=DEFAULT_MIN_SEPARATION,
-                        help="minimum peak separation, samples")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit the header timestamp for byte-stable output")
+    # small parents, so that each subcommand accepts only the flags it reads
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--grid", default="1e5,1e5,800",
+                     help="f_start,f_step,n (Hz, Hz, count)")
+    run.add_argument("--out", default="out", help="output directory")
+    stamped = argparse.ArgumentParser(add_help=False, parents=[run])
+    stamped.add_argument("--no-timestamp", action="store_true",
+                         help="omit the header timestamp for byte-stable output")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window", default="hann", choices=["hann", "rect"])
+    peaks = argparse.ArgumentParser(add_help=False, parents=[window])
+    peaks.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
+                       help="relative peak threshold")
+    peaks.add_argument("--min-separation", type=int,
+                       default=DEFAULT_MIN_SEPARATION,
+                       help="minimum peak separation, samples")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a topology file")
+    p = sub.add_parser("validate", help="check a topology file")
     p.add_argument("topology")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[stamped],
                        help="input admittance/reflection spectra (and transfer)")
     p.add_argument("topology")
     p.add_argument("--port", default=None)
@@ -398,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rx-node", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("tdr", parents=[common],
+    p = sub.add_parser("tdr", parents=[stamped, peaks],
                        help="reflectometric time trace, peaks and distances")
     p.add_argument("topology")
     p.add_argument("--port", default=None)
@@ -408,7 +374,7 @@ def build_parser() -> _Parser:
                    help="m/s; default from the first branch cable")
     p.set_defaults(func=cmd_tdr)
 
-    p = sub.add_parser("ctf", parents=[common],
+    p = sub.add_parser("ctf", parents=[stamped, peaks],
                        help="end-to-end transfer trace, optional symmetry check")
     p.add_argument("topology")
     p.add_argument("--tx-port", required=True)
@@ -417,13 +383,13 @@ def build_parser() -> _Parser:
     p.add_argument("--check-symmetry", action="store_true")
     p.set_defaults(func=cmd_ctf)
 
-    p = sub.add_parser("inject", parents=[common],
+    p = sub.add_parser("inject", parents=[run],
                        help="write the anomaly-perturbed topology")
     p.add_argument("topology")
     p.add_argument("--anomaly", required=True)
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("delta", parents=[common],
+    p = sub.add_parser("delta", parents=[stamped, window],
                        help="chain/superposition anomaly deltas, spectrum and trace")
     p.add_argument("topology")
     p.add_argument("--anomaly", required=True)
@@ -436,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rx-node", default=None)
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("locate", parents=[common],
+    p = sub.add_parser("locate", parents=[stamped, peaks],
                        help="anomaly distance from the reflectometric delta")
     p.add_argument("topology")
     p.add_argument("--anomaly", required=True)
@@ -444,8 +410,9 @@ def build_parser() -> _Parser:
     p.add_argument("--velocity", type=float, default=None)
     p.set_defaults(func=cmd_locate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[stamped],
                        help="random-network distance sweep")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-networks", type=int, default=200)
     p.add_argument("--n-nodes-min", type=int, default=4)
     p.add_argument("--n-nodes-max", type=int, default=12)
@@ -456,9 +423,8 @@ def build_parser() -> _Parser:
                    help="comma-separated cable names from the library")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("scenarios", parents=[common],
+    p = sub.add_parser("scenarios", parents=[stamped, peaks],
                        help="bundled anomaly signature scenarios")
-    p.add_argument("--topology", default=None)
     p.set_defaults(func=cmd_scenarios)
 
     return parser

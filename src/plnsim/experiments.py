@@ -79,6 +79,14 @@ class EnsembleConfig:
     cables: tuple = ()                          # CableSpec tuple; default library if empty
     seed: int = 0
 
+    def __post_init__(self):
+        lo, hi = self.n_nodes
+        if not 2 <= lo <= hi:
+            raise ValidationError("n_nodes range must satisfy 2 <= lo <= hi")
+        lo, hi = self.fault_severity_s
+        if not 0 <= lo <= hi:
+            raise ValidationError("fault_severity_s range must satisfy 0 <= lo <= hi")
+
     def cable_set(self) -> tuple:
         """The configured cables, or the default library set.  The default
         set is built once per process, so its decompositions are cached
@@ -99,10 +107,7 @@ def generate_random_network(cfg: EnsembleConfig, index: int) -> NetworkTopology:
     act as an end-to-end receiver.
     """
     rng = _rng(cfg.seed, index)
-    lo, hi = cfg.n_nodes
-    if not 2 <= lo <= hi:
-        raise ValidationError("n_nodes range must satisfy 2 <= lo <= hi")
-    n = int(rng.integers(lo, hi + 1))
+    n = int(rng.integers(cfg.n_nodes[0], cfg.n_nodes[1] + 1))
     cables = cfg.cable_set()
     L = cables[0].n_conductors
 
@@ -232,6 +237,8 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
     transmitter (it may sit deep on a side arm, far from both ends).
     Realizations that hit a numerical singularity are skipped and counted.
     """
+    if n_bins < 1:
+        raise ValidationError("n_bins must be >= 1")
     grid = grid or default_grid()
     records: list[SweepRecord] = []
     skipped: list[tuple[int, str]] = []
@@ -454,7 +461,6 @@ class BackboneLateralResult:
 def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
                                grid: FrequencyGrid | None = None,
                                severity_s: tuple[float, float] = (5e-3, 5e-2),
-                               cfg: EnsembleConfig | None = None,
                                ) -> BackboneLateralResult:
     """For each random network, place one mid-branch fault on the tx-rx
     backbone and one on a lateral branch, and compare the band-mean dB of the
@@ -462,14 +468,13 @@ def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
     transmission; lateral faults only perturb secondary echoes, so their
     band-mean stays near 0 dB."""
     grid = grid or default_grid()
-    cfg = cfg or EnsembleConfig(seed=seed)
+    cfg = EnsembleConfig(seed=seed)
     backbone_db: list[float] = []
     lateral_db: list[float] = []
     skipped = 0
-    index = 0
-    while len(backbone_db) < n_networks and index < 20 * n_networks:
-        i = index
-        index += 1
+    for i in range(20 * n_networks):
+        if len(backbone_db) >= n_networks:
+            break
         try:
             net = generate_random_network(cfg, i)
             probe = net.ports["probe"].node

@@ -2,7 +2,9 @@
 
 Per-frequency L x L matrices are stacked into complex arrays of shape
 (n_f, L, L) so every operation is vectorized across the grid and free of
-shared state.
+shared state.  Each response has one evaluation route here, built on exact
+solves; the closed-form and echo-series forms that cross-check them live in
+``plnsim.oracles``.
 
 Conventions used throughout the package:
 
@@ -38,12 +40,8 @@ __all__ = [
     "modal_transform",
     "input_admittance_line",
     "input_reflection",
-    "input_reflection_modal",
-    "line_input_reflection",
     "echo_voltage",
     "ctf_line",
-    "series_truncated_responses",
-    "SeriesApproximation",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -109,12 +107,6 @@ class PropagationParams:
     @property
     def n_conductors(self) -> int:
         return self.gamma.shape[1]
-
-    def n_matrix(self, y_r: np.ndarray) -> np.ndarray:
-        """Source mismatch prefactor (Y_R + Y_C) Y_C^-1 for a given source
-        admittance spectrum; only meaningful when a source is attached."""
-        return _rdiv(y_r + self.yc, self.yc, self.grid.frequencies,
-                     "characteristic admittance is singular")
 
 
 @dataclass(eq=False)
@@ -374,58 +366,6 @@ def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
     return y_r @ _solve(y_in + y_r, inner, f, "Y_in + Y_R is singular")
 
 
-def _source_mismatch_modal(params: PropagationParams, y_r: np.ndarray) -> np.ndarray:
-    """Modal line/source mismatch T^-1 Y_C (Y_C + Y_R)^-1 (Y_C - Y_R) Y_C^-1 T."""
-    f = params.grid.frequencies
-    m = _rdiv(y_r, params.yc, f, "characteristic admittance is singular")
-    i = _eye_like(m)
-    rho_g = _solve(i + m, i - m, f, "Y_C + Y_R is singular")
-    return modal_transform(rho_g, params.t, "to_modal", f)
-
-
-def input_reflection_modal(params: PropagationParams, length: float,
-                           rho_l_modal: np.ndarray, y_r: np.ndarray) -> np.ndarray:
-    """Input reflection of a line section straight from modal quantities.
-
-    Exact closed form equivalent to composing input_admittance_line with
-    input_reflection:
-
-        rho_in = Y_R (Y_R + Y_C)^-1 T (I + P rho_G)^-1 (rho_G + P)
-                 T^-1 (Y_R + Y_C) Y_R^-1
-
-    with P = E rho_l_modal E and rho_G the modal line/source mismatch.  The
-    operator order matters for coupled conductors; this is the ordering that
-    matches the admittance route exactly.
-    """
-    f = params.grid.frequencies
-    e = np.exp(-params.gamma * length)
-    p = _sandwich(e, rho_l_modal)
-    rho_g = _source_mismatch_modal(params, y_r)
-    i = _eye_like(p)
-    core = _solve(i + p @ rho_g, rho_g + p, f,
-                  "reflection resonance: I + P rho_G is singular")
-    s = y_r + params.yc
-    pre = _rdiv(y_r, s, f, "Y_R + Y_C is singular")
-    post = _rdiv(s, y_r, f, "source admittance is singular")
-    return pre @ params.t @ core @ params.t_inv @ post
-
-
-def line_input_reflection(params: PropagationParams, length: float,
-                          rho_l_modal: np.ndarray, y_r: np.ndarray,
-                          route: str = "admittance") -> np.ndarray:
-    """Input reflection with a selectable evaluation route, for cross-checks.
-
-    ``admittance`` composes input_admittance_line + input_reflection;
-    ``modal`` uses the closed form.  Both agree to tight tolerance.
-    """
-    if route == "admittance":
-        y_in = input_admittance_line(params, length, rho_l_modal)
-        return input_reflection(y_in, y_r, params.grid.frequencies)
-    if route == "modal":
-        return input_reflection_modal(params, length, rho_l_modal, y_r)
-    raise ValidationError(f"unknown route {route!r}")
-
-
 def echo_voltage(rho_in: np.ndarray, y_r: np.ndarray, v_source: np.ndarray,
                  f: np.ndarray | None = None) -> np.ndarray:
     """Echo returned to the source: V_echo = -Y_R^-1 rho_in Y_R V_source."""
@@ -456,69 +396,3 @@ def ctf_line(params: PropagationParams, length: float,
     inner = inner * e[:, None, :]
     return _solve(params.yc, params.t @ inner @ params.t_inv @ params.yc, f,
                   "characteristic admittance is singular")
-
-
-# ---------------------------------------------------------------------------
-# truncated-series verification forms
-
-@dataclass(eq=False)
-class SeriesApproximation:
-    """Truncated echo-series forms of the input responses, plus the spectral
-    radius of the round-trip operator E rho_L^M E that governs convergence."""
-
-    n_terms: int
-    y_in: np.ndarray            # (n_f, L, L)
-    rho_in: np.ndarray          # (n_f, L, L)
-    spectral_radius: np.ndarray  # (n_f,), real
-    converged: np.ndarray       # (n_f,) bool, radius < 1
-
-
-def series_truncated_responses(params: PropagationParams, length: float,
-                               rho_l_modal: np.ndarray, y_r: np.ndarray,
-                               n_terms: int) -> SeriesApproximation:
-    """Evaluate the input admittance and reflection as truncated echo series.
-
-    With P = E rho_L^M E and rho_G the modal source mismatch:
-
-        Y_in  ~ T [I + 2 sum_{n=1..k} P^n] T^-1 Y_C
-        rho_in ~ pre T [rho_G + sum_{n=0..k-1} (-1)^n P (rho_G P)^n
-                        (I - rho_G^2)] T^-1 post
-
-    k = n_terms counts echo terms beyond the leading mismatch term.  The
-    series exist for verification only; production paths use exact solves.
-    Convergence requires spectral radius < 1; radii >= 1 are flagged, never
-    raised.
-    """
-    if n_terms < 0:
-        raise ValidationError("n_terms must be >= 0")
-    f = params.grid.frequencies
-    e = np.exp(-params.gamma * length)
-    p = _sandwich(e, rho_l_modal)
-    radius = np.max(np.abs(np.linalg.eigvals(p)), axis=-1)
-
-    i = np.broadcast_to(_eye_like(p), p.shape).copy()
-    s_y = i.copy()
-    p_pow = i.copy()
-    for _ in range(n_terms):
-        p_pow = p_pow @ p
-        s_y = s_y + 2.0 * p_pow
-    y_in = params.t @ s_y @ params.t_inv @ params.yc
-
-    rho_g = _source_mismatch_modal(params, y_r)
-    s_r = rho_g.copy()
-    if n_terms > 0:
-        step = rho_g @ p
-        q = p.copy()
-        acc = q.copy()
-        for _ in range(n_terms - 1):
-            q = -(q @ step)
-            acc = acc + q
-        s_r = s_r + acc @ (i - rho_g @ rho_g)
-    s = y_r + params.yc
-    pre = _rdiv(y_r, s, f, "Y_R + Y_C is singular")
-    post = _rdiv(s, y_r, f, "source admittance is singular")
-    rho_in = pre @ params.t @ s_r @ params.t_inv @ post
-
-    return SeriesApproximation(n_terms=n_terms, y_in=y_in, rho_in=rho_in,
-                               spectral_radius=radius.real,
-                               converged=radius.real < 1.0)

@@ -9,7 +9,8 @@ The reduction walks the tree from the leaves toward a port, replacing each
 subtree by its equivalent admittance (carry-back).  The end-to-end transfer
 function is the ordered product of per-segment voltage transfers along the
 transmitter-receiver backbone, each segment terminated by the equivalent
-admittance of everything beyond it.
+admittance of everything beyond it.  The two-section closed form that
+cross-checks this reduction lives in ``plnsim.oracles``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, ctf_line,
                   echo_voltage, input_admittance_line, input_reflection,
-                  input_reflection_modal, line_propagation_params,
-                  load_reflection, modal_transform)
+                  line_propagation_params, load_reflection, modal_transform)
 
 __all__ = [
     "AdmittanceSpec",
@@ -44,8 +44,6 @@ __all__ = [
     "end_to_end_ctf",
     "PortSignal",
     "port_signals",
-    "TwoSectionResponse",
-    "two_section_oracle",
     "tree_path",
     "node_distances",
     "farthest_node",
@@ -458,56 +456,3 @@ def port_signals(net: NetworkTopology, tx_port: str, rx_node: str,
     v_load = (h.values @ v[..., None])[..., 0]
     v_echo = echo_voltage(rho.values, y_r, v, f)
     return PortSignal(v_source=v, v_load=v_load, v_echo=v_echo)
-
-
-# ---------------------------------------------------------------------------
-# two-section closed form (independent oracle for the recursive reduction)
-
-@dataclass(eq=False)
-class TwoSectionResponse:
-    y_in: MatrixSpectrum
-    rho_in: MatrixSpectrum
-
-
-def _admittance_values(obj, f: np.ndarray, n: int) -> np.ndarray:
-    if isinstance(obj, AdmittanceSpec):
-        return obj.evaluate(f)
-    a = np.asarray(obj, dtype=complex)
-    if a.shape == (f.size, n, n):
-        return a
-    return np.broadcast_to(_as_matrix(obj, n), (f.size, n, n)).copy()
-
-
-def two_section_oracle(cable1: CableSpec, l1: float, cable2: CableSpec,
-                       l2: float, y_l, y_r,
-                       grid: FrequencyGrid) -> TwoSectionResponse:
-    """Closed-form input responses of two cascaded sections with no junction
-    load: the far load is reflected to the junction through section 2 (the
-    junction mismatch referenced to section 1 plays the source role), and the
-    result terminates section 1 directly.
-
-    This composes reflections instead of carrying admittances back, so it is
-    an independent cross-check for reduce_to_port / network_input_reflection.
-    """
-    f = grid.frequencies
-    p1 = line_propagation_params(cable1, grid)
-    p2 = line_propagation_params(cable2, grid)
-    n = cable1.n_conductors
-    if cable2.n_conductors != n:
-        raise ValidationError("sections must share the conductor count")
-    y_l_vals = _admittance_values(y_l, f, n)
-    y_r_vals = _admittance_values(y_r, f, n)
-
-    rho_load = load_reflection(y_l_vals, p2.yc, f)
-    rho_load_m = modal_transform(rho_load, p2.t, "to_modal", f)
-    # junction reflection seen by section 1, via the modal closed form on
-    # section 2 with the first section's characteristic admittance as source
-    rho_1 = input_reflection_modal(p2, l2, rho_load_m, p1.yc)
-    rho_1_m = modal_transform(rho_1, p1.t, "to_modal", f)
-
-    y_in = input_admittance_line(p1, l1, rho_1_m)
-    rho_in = input_reflection_modal(p1, l1, rho_1_m, y_r_vals)
-    return TwoSectionResponse(
-        y_in=MatrixSpectrum(grid, y_in, "admittance"),
-        rho_in=MatrixSpectrum(grid, rho_in, "reflection"),
-    )

@@ -6,8 +6,10 @@ parametric models with parameters, or as frequency tables for admittances;
 complex entries are [re, im] pairs, all quantities in SI base units.
 
 Spectra and traces are CSV with columns f_or_t, entry_row, entry_col, re, im
-(im is 0 for traces); peak files carry time_s, distance_m, amplitude, entry.
-Every writer takes ``timestamp=False`` to produce byte-stable output.
+(im is 0 for traces); peak files carry time_s, distance_m, amplitude, entry;
+sweep records and bins are tables of their own.  Result payloads are JSON.
+Every CSV and JSON writer but ``write_topology`` takes ``timestamp=False`` to
+produce byte-stable output.
 """
 
 from __future__ import annotations
@@ -33,17 +35,36 @@ __all__ = [
     "topology_to_dict",
     "topology_from_dict",
     "read_anomaly",
-    "anomaly_to_dict",
     "read_cable_library",
     "write_spectrum_csv",
     "read_spectrum_csv",
     "write_trace_csv",
     "write_peaks_csv",
+    "write_sweep_records_csv",
+    "write_sweep_bins_csv",
+    "write_json",
 ]
 
 
 def _fail(context: str, message: str) -> ParseError:
     return ParseError(f"{context}: {message}")
+
+
+def _section(value, kind: type, context: str):
+    """``value`` if it is a ``kind`` (dict or list), else a ParseError."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise _fail(context, f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ParseError(f"{path}: no such file") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def _complex_from(pair, context: str) -> complex:
@@ -77,7 +98,7 @@ def admittance_from_dict(d: dict, n_conductors: int, context: str) -> Admittance
     if not isinstance(d, dict) or "model" not in d:
         raise _fail(context, "expected an object with a 'model' field")
     model = d["model"]
-    params = d.get("params", {})
+    params = _section(d.get("params", {}), dict, f"{context}.params")
     try:
         if model == "constant":
             return constant_admittance(_matrix_from(params["y_s"], n_conductors,
@@ -95,6 +116,8 @@ def admittance_from_dict(d: dict, n_conductors: int, context: str) -> Admittance
             return table_admittance(f_hz, y, n_conductors)
     except KeyError as exc:
         raise _fail(context, f"model {model!r} is missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
     raise _fail(context, f"unknown admittance model {model!r}")
 
 
@@ -108,7 +131,7 @@ def cable_from_dict(d: dict, context: str) -> CableSpec:
     if not isinstance(d, dict) or "model" not in d:
         raise _fail(context, "expected an object with a 'model' field")
     model = d["model"]
-    params = d.get("params", {})
+    params = _section(d.get("params", {}), dict, f"{context}.params")
     try:
         if model == "powerline":
             return powerline_cable(
@@ -126,6 +149,8 @@ def cable_from_dict(d: dict, context: str) -> CableSpec:
                                        label=d.get("label", "constant-rlgc"))
     except KeyError as exc:
         raise _fail(context, f"model {model!r} is missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
     raise _fail(context, f"unknown cable model {model!r}")
 
 
@@ -139,16 +164,21 @@ def cable_to_dict(cable: CableSpec, context: str) -> dict:
 # topology files
 
 def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology:
+    _section(data, dict, context)
     for section in ("nodes", "cables", "branches"):
         if section not in data:
             raise _fail(context, f"missing section {section!r}")
+    sections = {name: _section(data.get(name, kind()), kind, f"{context}.{name}")
+                for name, kind in (("nodes", list), ("cables", dict),
+                                   ("branches", list), ("loads", dict),
+                                   ("ports", dict))}
     cables = {name: cable_from_dict(d, f"{context}.cables[{name!r}]")
-              for name, d in data["cables"].items()}
-    if not data["branches"]:
+              for name, d in sections["cables"].items()}
+    if not sections["branches"]:
         raise _fail(context, "a network needs at least one branch")
 
     branches = []
-    for k, bd in enumerate(data["branches"]):
+    for k, bd in enumerate(sections["branches"]):
         ctx = f"{context}.branches[{k}]"
         try:
             cable_name = bd["cable"]
@@ -160,12 +190,14 @@ def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology
                                    length_m=float(bd["length_m"])))
         except KeyError as exc:
             raise _fail(ctx, f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise _fail(ctx, f"bad value: {exc}") from None
 
     n = branches[0].cable.n_conductors
     loads = {str(node): admittance_from_dict(d, n, f"{context}.loads[{node!r}]")
-             for node, d in data.get("loads", {}).items()}
+             for node, d in sections["loads"].items()}
     ports = {}
-    for name, pd in data.get("ports", {}).items():
+    for name, pd in sections["ports"].items():
         ctx = f"{context}.ports[{name!r}]"
         try:
             ports[str(name)] = Port(
@@ -173,7 +205,9 @@ def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology
                 source=admittance_from_dict(pd["source"], n, f"{ctx}.source"))
         except KeyError as exc:
             raise _fail(ctx, f"missing field {exc}") from exc
-    return NetworkTopology(nodes=tuple(str(x) for x in data["nodes"]),
+        except TypeError:
+            raise _fail(ctx, "expected an object with 'node' and 'source'") from None
+    return NetworkTopology(nodes=tuple(str(x) for x in sections["nodes"]),
                            branches=tuple(branches), loads=loads, ports=ports)
 
 
@@ -207,18 +241,18 @@ def topology_to_dict(net: NetworkTopology) -> dict:
 
 def read_topology(path: str | Path) -> NetworkTopology:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return topology_from_dict(data, context=str(path))
+    return topology_from_dict(_read_json(path), context=str(path))
 
 
 def write_topology(net: NetworkTopology, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(topology_to_dict(net), indent=2,
-                                     sort_keys=True) + "\n")
+    write_json(path, topology_to_dict(net), timestamp=False)
+
+
+def write_json(path: str | Path, payload: dict, timestamp: bool = True) -> None:
+    """Sorted, indented JSON; ``timestamp`` adds a top-level ``written``."""
+    if timestamp:
+        payload = dict(payload, written=datetime.now(timezone.utc).isoformat())
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +260,8 @@ def write_topology(net: NetworkTopology, path: str | Path) -> None:
 
 def read_anomaly(source: str | Path | dict, net: NetworkTopology) -> Anomaly:
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ParseError(f"{path}: no such file") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        context = str(path)
+        context = str(Path(source))
+        data = _read_json(Path(context))
     else:
         data = source
         context = "anomaly"
@@ -260,36 +288,15 @@ def read_anomaly(source: str | Path | dict, net: NetworkTopology) -> Anomaly:
                                                              f"{context}.degraded"))
     except KeyError as exc:
         raise _fail(context, f"anomaly type {kind!r} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _fail(context, f"anomaly type {kind!r} has a bad field: {exc}") from None
     raise _fail(context, f"unknown anomaly type {kind!r}")
-
-
-def anomaly_to_dict(anomaly: Anomaly) -> dict:
-    if isinstance(anomaly, LumpedFault):
-        return {"type": "lumped_fault", "branch": anomaly.branch_id,
-                "offset_m": anomaly.offset_m,
-                "y_f": admittance_to_dict(anomaly.y_f, "y_f"),
-                "active": anomaly.active}
-    if isinstance(anomaly, LoadChange):
-        return {"type": "load_change", "node": anomaly.node_id,
-                "load": admittance_to_dict(anomaly.new_load, "load")}
-    if isinstance(anomaly, DistributedFault):
-        return {"type": "distributed_fault", "branch": anomaly.branch_id,
-                "start_m": anomaly.start_m, "extent_m": anomaly.extent_m,
-                "degraded": cable_to_dict(anomaly.degraded, "degraded")}
-    raise ParseError(f"unknown anomaly type {type(anomaly).__name__}")
 
 
 def read_cable_library(path: str | Path) -> dict[str, CableSpec]:
     """Named cable collection: {"name": {cable model dict}, ...}."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object of named cables")
+    data = _section(_read_json(path), dict, str(path))
     return {name: cable_from_dict(d, f"{path}:cables[{name!r}]")
             for name, d in data.items()}
 
@@ -311,18 +318,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_table(path: str | Path, lines: list[str], columns: str, rows) -> None:
+    Path(path).write_text("\n".join([*lines, columns, *rows]) + "\n")
+
+
 def write_spectrum_csv(path: str | Path, spec: MatrixSpectrum,
                        timestamp: bool = True) -> None:
-    lines = _header_lines(spec.kind, timestamp)
-    lines.append("f_or_t,entry_row,entry_col,re,im")
-    f = spec.grid.frequencies
+    f, v = spec.grid.frequencies, spec.values
     L = spec.n_conductors
-    for k in range(spec.grid.n_points):
-        for r in range(L):
-            for c in range(L):
-                v = spec.values[k, r, c]
-                lines.append(f"{_fmt(f[k])},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, _header_lines(spec.kind, timestamp),
+                 "f_or_t,entry_row,entry_col,re,im",
+                 (f"{_fmt(f[k])},{r},{c},{_fmt(v[k, r, c].real)},"
+                  f"{_fmt(v[k, r, c].imag)}"
+                  for k in range(spec.grid.n_points) for r in range(L)
+                  for c in range(L)))
 
 
 def read_spectrum_csv(path: str | Path) -> MatrixSpectrum:
@@ -373,23 +382,45 @@ def write_trace_csv(path: str | Path, trace: TimeTrace,
     extra = {"quantity": trace.origin.quantity}
     if trace.origin.model:
         extra["model"] = trace.origin.model
-    lines = _header_lines("trace", timestamp, extra)
-    lines.append("f_or_t,entry_row,entry_col,re,im")
     t = trace.times
     L = trace.n_conductors
-    for k in range(trace.n_samples):
-        for r in range(L):
-            for c in range(L):
-                lines.append(f"{_fmt(t[k])},{r},{c},"
-                             f"{_fmt(trace.samples[k, r, c])},0")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, _header_lines("trace", timestamp, extra),
+                 "f_or_t,entry_row,entry_col,re,im",
+                 (f"{_fmt(t[k])},{r},{c},{_fmt(trace.samples[k, r, c])},0"
+                  for k in range(trace.n_samples) for r in range(L)
+                  for c in range(L)))
 
 
 def write_peaks_csv(path: str | Path, peaks: list[LocatedPeak],
                     timestamp: bool = True) -> None:
-    lines = _header_lines("peaks", timestamp)
-    lines.append("time_s,distance_m,amplitude,entry")
-    for p in peaks:
-        lines.append(f"{_fmt(p.time_s)},{_fmt(p.distance_m)},"
-                     f"{_fmt(p.amplitude)},{p.entry[0]}:{p.entry[1]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, _header_lines("peaks", timestamp),
+                 "time_s,distance_m,amplitude,entry",
+                 (f"{_fmt(p.time_s)},{_fmt(p.distance_m)},{_fmt(p.amplitude)},"
+                  f"{p.entry[0]}:{p.entry[1]}" for p in peaks))
+
+
+def write_sweep_records_csv(path: str | Path, records: list,
+                            timestamp: bool = True) -> None:
+    """One line per ``experiments.SweepRecord``."""
+    _write_table(path, _header_lines("sweep-records", timestamp),
+                 "network_index,distance_m,link_position,delta_y,delta_rho,"
+                 "delta_h,anomaly",
+                 (f"{r.network_index},{_fmt(r.distance_m)},"
+                  f"{_fmt(r.link_position)},{_fmt(r.delta_y)},"
+                  f"{_fmt(r.delta_rho)},{_fmt(r.delta_h)},"
+                  f"{r.anomaly['type']}@{r.anomaly['branch']}" for r in records))
+
+
+def write_sweep_bins_csv(path: str | Path, bins: list,
+                         timestamp: bool = True) -> None:
+    """One line per ``experiments.BinStat``; an empty bin has blank stats."""
+    qs = ("delta_y", "delta_rho", "delta_h")
+    rows = []
+    for b in bins:
+        stats = ([b.median[q] for q in qs] + [b.iqr[q] for q in qs]
+                 + [b.mean["delta_h"]]) if b.count else []
+        cells = [_fmt(v) for v in stats] or [""] * 7
+        rows.append(",".join([_fmt(b.d_lo), _fmt(b.d_hi), str(b.count), *cells]))
+    _write_table(path, _header_lines("sweep-bins", timestamp),
+                 "d_lo,d_hi,count,median_y,median_rho,median_h,"
+                 "iqr_y,iqr_rho,iqr_h,mean_h", rows)

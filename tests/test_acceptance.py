@@ -20,13 +20,13 @@ from plnsim.experiments import (EnsembleConfig, bundled_single_line_scenarios,
                                 run_backbone_lateral_study, run_distance_sweep,
                                 run_scenario_suite)
 from plnsim.mtl import (ctf_line, input_admittance_line,
-                        input_reflection_modal, line_propagation_params,
-                        load_reflection, modal_transform,
-                        series_truncated_responses)
+                        line_propagation_params, load_reflection,
+                        modal_transform)
 from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf,
                             network_input_reflection, open_circuit,
-                            parallel_rc_admittance, reduce_to_port, tree_path,
+                            parallel_rc_admittance, reduce_to_port, tree_path)
+from plnsim.oracles import (input_reflection_modal, series_truncated_responses,
                             two_section_oracle)
 from plnsim.timedomain import (check_peak_spacing_symmetry, detect_peaks,
                                segment_energy, to_time_domain)

@@ -13,6 +13,9 @@ from plnsim.topofile import (read_spectrum_csv, read_topology, write_topology,
                              topology_to_dict)
 
 BUNDLED = resources.files("plnsim") / "data"
+TWO_NODE = json.loads((BUNDLED / "two_node.json").read_text())
+FAULT = {"type": "lumped_fault", "branch": "b0", "offset_m": 40.0,
+         "y_f": {"model": "constant", "params": {"y_s": [0.05, 0.0]}}}
 
 
 @pytest.fixture()
@@ -75,6 +78,67 @@ def test_missing_field_reports_context(tmp_path, two_node, capsys):
     bad.write_text(json.dumps(data))
     assert main(["validate", str(bad)]) == 1
     assert "length_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role,content", [
+    ("topology", {**TWO_NODE, "cables": []}),
+    ("topology", {**TWO_NODE, "loads": []}),
+    ("topology", 5),
+    ("topology", {**TWO_NODE,
+                  "branches": [{**TWO_NODE["branches"][0], "length_m": "ten"}]}),
+    ("anomaly", {**FAULT, "offset_m": "ten"}),
+    ("anomaly", {**FAULT, "y_f": {"model": "constant", "params": []}}),
+    ("cables", {"c": {"model": "powerline", "params": {"r0_ohm_per_m": "ten"}}}),
+    ("cables", {"c": {"model": "powerline", "params": ["ten"]}}),
+], ids=["cables-list", "loads-list", "top-level-number", "length-text",
+        "offset-text", "params-list", "cable-param-text", "cable-params-list"])
+def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
+                                       role, content):
+    bad = tmp_path / f"bad_{role}.json"
+    bad.write_text(json.dumps(content))
+    out = str(tmp_path / "out")
+    if role == "topology":
+        argv = ["validate", str(bad)]
+    elif role == "anomaly":
+        argv = ["inject", str(two_node), "--anomaly", str(bad), "--out", out]
+    else:
+        monkeypatch.setenv("PLNSIM_CABLE_LIBRARY", str(bad))
+        argv = ["sweep", "--cables", "c", "--n-networks", "1", "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bins", "0"],
+    ["--n-nodes-min", "1"],
+    ["--severity-min", "-1", "--severity-max", "-0.5"],
+], ids=["no-bins", "one-node", "negative-severity"])
+def test_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
+    assert main(["sweep", "--n-networks", "2", "--grid", "1e5,4e5,80", *flags,
+                 "--out", str(tmp_path / "sw")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plnsim: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "TOPO", "--seed", "1", "--out", "OUT"],
+    ["validate", "TOPO", "--window", "rect"],
+    ["inject", "TOPO", "--anomaly", "a.json", "--threshold", "0.1",
+     "--out", "OUT"],
+    ["delta", "TOPO", "--anomaly", "a.json", "--min-separation", "2",
+     "--out", "OUT"],
+    ["scenarios", "--topology", "x", "--out", "OUT"],
+], ids=["simulate-seed", "validate-window", "inject-threshold",
+        "delta-min-separation", "scenarios-topology"])
+def test_unread_flags_are_usage_errors(two_node, tmp_path, argv):
+    argv = [{"TOPO": str(two_node), "OUT": str(tmp_path / "out")}.get(a, a)
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        raise SystemExit(main(argv))
+    assert exc.value.code == 64
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -206,8 +270,11 @@ def test_byte_identical_reruns(two_node, tmp_path):
 def test_timestamp_header_present_by_default(two_node, tmp_path):
     out = tmp_path / "ts"
     assert main(["tdr", str(two_node), "--out", str(out)]) == 0
-    head = (out / "trace.csv").read_text().splitlines()[:3]
-    assert any(line.startswith("# written=") for line in head)
+    assert main(["sweep", "--n-networks", "2", "--grid", "1e5,4e5,80",
+                 "--bins", "2", "--out", str(out / "sw")]) == 0
+    for rel in ("trace.csv", "sw/records.csv", "sw/bins.csv"):
+        head = (out / rel).read_text().splitlines()[:3]
+        assert any(line.startswith("# written=") for line in head), rel
 
 
 def test_custom_cable_library_env(tmp_path, monkeypatch):

@@ -10,9 +10,9 @@ from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import SingularityError, ValidationError
 from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _rdiv, _solve, ctf_line,
                         echo_voltage, input_admittance_line, input_reflection,
-                        input_reflection_modal, line_input_reflection,
                         line_propagation_params, load_reflection,
-                        modal_transform, series_truncated_responses)
+                        modal_transform)
+from plnsim.oracles import input_reflection_modal, series_truncated_responses
 
 from conftest import lossless_cable, random_passive_matrix, spectrum_const
 
@@ -290,17 +290,9 @@ def test_dual_route_agreement(grid, n_conductors):
     y_l = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
     y_r = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
     rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
-    via_y = line_input_reflection(p, 83.0, rho_m, y_r, route="admittance")
-    via_m = line_input_reflection(p, 83.0, rho_m, y_r, route="modal")
+    via_y = input_reflection(input_admittance_line(p, 83.0, rho_m), y_r)
+    via_m = input_reflection_modal(p, 83.0, rho_m, y_r)
     assert rel_err(via_m, via_y) < 1e-9
-
-
-def test_input_reflection_bad_route(grid, std_cable):
-    p = line_propagation_params(std_cable, grid)
-    zero = np.zeros((grid.n_points, 1, 1), complex)
-    with pytest.raises(ValidationError):
-        line_input_reflection(p, 10.0, zero, spectrum_const(0.02, grid),
-                              route="auto")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +385,7 @@ def test_series_leading_terms(grid):
     res = series_truncated_responses(p, 30.0, rho_m, y_r, 0)
     assert rel_err(res.y_in, p.yc) < 1e-12
     # leading reflection term: N T rho_G^M T^-1 N^-1
-    n = p.n_matrix(y_r)
+    n = (y_r + p.yc) @ np.linalg.inv(p.yc)
     m = y_r @ np.linalg.inv(p.yc)
     rho_g = np.linalg.solve(np.eye(1) + m, np.eye(1) - m)
     ref = n @ rho_g @ np.linalg.inv(n)

@@ -15,7 +15,8 @@ from plnsim.network import (Branch, NetworkTopology, Port,
                             network_input_reflection, node_distances,
                             open_circuit, parallel_rc_admittance, port_signals,
                             reduce_to_port, table_admittance, tree_path,
-                            two_section_oracle, validate_topology)
+                            validate_topology)
+from plnsim.oracles import two_section_oracle
 
 from conftest import lossless_cable, matched_load, single_line_net
 
