@@ -14,7 +14,6 @@ that overrides the built-in one for sweeps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -294,7 +293,7 @@ def cmd_sweep(args) -> int:
     topofile.write_sweep_bins_csv(out / "bins.csv", result.bins, ts)
     topofile.write_json(out / "summary.json", result.summary, ts)
     print(f"{len(result.records)} records, {len(result.skipped)} skipped; "
-          f"summary: {json.dumps(result.summary, sort_keys=True)}")
+          f"summary: {topofile._dumps(result.summary)}")
     return EXIT_OK
 
 

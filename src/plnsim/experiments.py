@@ -80,6 +80,8 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_networks < 1:
+            raise ValidationError("n_networks must be >= 1")
         lo, hi = self.n_nodes
         if not 2 <= lo <= hi:
             raise ValidationError("n_nodes range must satisfy 2 <= lo <= hi")
@@ -284,7 +286,7 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
     summary: dict = {
         "n_records": len(records),
         "n_skipped": len(skipped),
-        "skip_rate": len(skipped) / max(cfg.n_networks, 1),
+        "skip_rate": len(skipped) / cfg.n_networks,
     }
     if len(filled) >= 3:
         centers = [0.5 * (b.d_lo + b.d_hi) for b in filled]

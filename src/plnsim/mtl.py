@@ -13,7 +13,8 @@ Conventions used throughout the package:
   so an open end gives -I and a short gives +I;
 * the modal frame of a line is the similarity transform T that diagonalizes
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
-  counterpart of a matrix A is A_m = T^-1 A T;
+  counterpart of a matrix A is A_m = T^-1 A T.  Line functions take their
+  far-end reflection in the natural frame and make this change themselves;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
 """
@@ -21,7 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -68,9 +69,12 @@ class FrequencyGrid:
         if self.n_points < 2:
             raise ValidationError("a frequency grid needs at least 2 points")
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        return self.f_start + self.f_step * np.arange(self.n_points)
+        """The grid points, built once per grid and returned read-only."""
+        f = self.f_start + self.f_step * np.arange(self.n_points)
+        f.flags.writeable = False
+        return f
 
     @property
     def f_max(self) -> float:
@@ -326,34 +330,28 @@ def load_reflection(y_l: np.ndarray, y_c: np.ndarray,
                         "matched-degenerate load: Y_L + Y_C is singular")
 
 
-def modal_transform(a: np.ndarray, t: np.ndarray, direction: str,
+def modal_transform(a: np.ndarray, t: np.ndarray,
                     f: np.ndarray | None = None) -> np.ndarray:
-    """Similarity transform between natural and modal frames.
-
-    ``to_modal`` returns T^-1 A T, ``from_modal`` returns T A T^-1.
-    """
-    if direction == "to_modal":
-        return _solve(t, a @ t, f, "transformation matrix is singular")
-    if direction == "from_modal":
-        return _rdiv(t @ a, t, f, "transformation matrix is singular")
-    raise ValidationError(f"unknown direction {direction!r}")
+    """Modal counterpart T^-1 A T of a natural-frame matrix A."""
+    return _solve(t, a @ t, f, "transformation matrix is singular")
 
 
 def input_admittance_line(params: PropagationParams, length: float,
-                          rho_l_modal: np.ndarray) -> np.ndarray:
+                          rho_l: np.ndarray) -> np.ndarray:
     """Input admittance of one line section of given length whose far end has
-    modal reflection rho_l_modal:
+    natural-frame reflection rho_l:
 
-        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C,   P = E rho_l_modal E,
-        E = exp(-Gamma length).
+        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C,   P = E rho^M E,
 
-    The middle inverse is evaluated with an exact linear solve.
+    with rho^M = T^-1 rho_l T and E = exp(-Gamma length).  The middle
+    inverse is evaluated with an exact linear solve.
     """
     if length < 0:
         raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
+    rho_m = modal_transform(rho_l, params.t, f)
     e = np.exp(-params.gamma * length)
-    p = _sandwich(e, rho_l_modal)
+    p = _sandwich(e, rho_m)
     i = _eye_like(p)
     w = _rdiv(i + p, i - p, f, "reflection resonance: I - E rho E is singular")
     return params.t @ w @ params.t_inv @ params.yc
@@ -387,7 +385,7 @@ def ctf_line(params: PropagationParams, length: float,
     if length < 0:
         raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
-    rho_m = modal_transform(rho_l, params.t, "to_modal", f)
+    rho_m = modal_transform(rho_l, params.t, f)
     e = np.exp(-params.gamma * length)
     i = _eye_like(rho_m)
     den = i - (e * e)[:, :, None] * rho_m

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, ctf_line,
                   echo_voltage, input_admittance_line, input_reflection,
-                  line_propagation_params, load_reflection, modal_transform)
+                  line_propagation_params, load_reflection)
 
 __all__ = [
     "AdmittanceSpec",
@@ -335,6 +335,14 @@ def farthest_node(net: NetworkTopology, origin: str) -> str:
 # ---------------------------------------------------------------------------
 # reduction
 
+def _located(prefix: str, exc: SingularityError) -> SingularityError:
+    """``exc`` re-raised with a branch or segment prefix on its message; the
+    offending frequency and grid index carry over."""
+    err = SingularityError(f"{prefix}: {exc}")
+    err.frequency_hz, err.index = exc.frequency_hz, exc.index
+    return err
+
+
 def _carry_back(cable: CableSpec, grid: FrequencyGrid, length: float,
                 y_far: np.ndarray, branch_id: str) -> np.ndarray:
     """Equivalent admittance at the near end of one branch whose far end is
@@ -343,10 +351,9 @@ def _carry_back(cable: CableSpec, grid: FrequencyGrid, length: float,
     f = grid.frequencies
     try:
         rho = load_reflection(y_far, params.yc, f)
-        rho_m = modal_transform(rho, params.t, "to_modal", f)
-        return input_admittance_line(params, length, rho_m)
+        return input_admittance_line(params, length, rho)
     except SingularityError as exc:
-        raise SingularityError(f"branch {branch_id!r}: {exc}") from exc
+        raise _located(f"branch {branch_id!r}", exc) from exc
 
 
 @dataclass(eq=False)
@@ -429,7 +436,7 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
             rho = load_reflection(y_eq, params.yc, f)
             h = ctf_line(params, br.length_m, rho) @ h
         except SingularityError as exc:
-            raise SingularityError(f"segment {br.id!r}: {exc}") from exc
+            raise _located(f"segment {br.id!r}", exc) from exc
     return MatrixSpectrum(grid, h, "ctf")
 
 

@@ -1,8 +1,9 @@
 """Verification-only forms, each computing a quantity that ``mtl`` or
 ``network`` computes another way, so tests can check one against the other:
 the modal closed-form input reflection of one section, its truncated echo
-series, and two cascaded sections by composed reflections.  No production
-path calls into this module.
+series, and two cascaded sections by composed reflections.  Like the ``mtl``
+line functions, each takes its far-end reflection in the natural frame.  No
+production path calls into this module.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ def _source_mismatch_modal(params: PropagationParams, y_r: np.ndarray) -> np.nda
     m = _rdiv(y_r, params.yc, f, "characteristic admittance is singular")
     i = _eye_like(m)
     rho_g = _solve(i + m, i - m, f, "Y_C + Y_R is singular")
-    return modal_transform(rho_g, params.t, "to_modal", f)
+    return modal_transform(rho_g, params.t, f)
 
 
 def input_reflection_modal(params: PropagationParams, length: float,
-                           rho_l_modal: np.ndarray, y_r: np.ndarray) -> np.ndarray:
+                           rho_l: np.ndarray, y_r: np.ndarray) -> np.ndarray:
     """Input reflection of a line section straight from modal quantities.
 
     Exact closed form equivalent to composing input_admittance_line with
@@ -48,13 +49,13 @@ def input_reflection_modal(params: PropagationParams, length: float,
         rho_in = Y_R (Y_R + Y_C)^-1 T (I + P rho_G)^-1 (rho_G + P)
                  T^-1 (Y_R + Y_C) Y_R^-1
 
-    with P = E rho_l_modal E and rho_G the modal line/source mismatch.  The
-    operator order matters for coupled conductors; this is the ordering that
-    matches the admittance route exactly.
+    with P = E (T^-1 rho_l T) E and rho_G the modal line/source mismatch.
+    The operator order matters for coupled conductors; this is the ordering
+    that matches the admittance route exactly.
     """
     f = params.grid.frequencies
     e = np.exp(-params.gamma * length)
-    p = _sandwich(e, rho_l_modal)
+    p = _sandwich(e, modal_transform(rho_l, params.t, f))
     rho_g = _source_mismatch_modal(params, y_r)
     i = _eye_like(p)
     core = _solve(i + p @ rho_g, rho_g + p, f,
@@ -81,11 +82,11 @@ class SeriesApproximation:
 
 
 def series_truncated_responses(params: PropagationParams, length: float,
-                               rho_l_modal: np.ndarray, y_r: np.ndarray,
+                               rho_l: np.ndarray, y_r: np.ndarray,
                                n_terms: int) -> SeriesApproximation:
     """Evaluate the input admittance and reflection as truncated echo series.
 
-    With P = E rho_L^M E and rho_G the modal source mismatch:
+    With P = E (T^-1 rho_l T) E and rho_G the modal source mismatch:
 
         Y_in  ~ T [I + 2 sum_{n=1..k} P^n] T^-1 Y_C
         rho_in ~ pre T [rho_G + sum_{n=0..k-1} (-1)^n P (rho_G P)^n
@@ -99,7 +100,7 @@ def series_truncated_responses(params: PropagationParams, length: float,
         raise ValidationError("n_terms must be >= 0")
     f = params.grid.frequencies
     e = np.exp(-params.gamma * length)
-    p = _sandwich(e, rho_l_modal)
+    p = _sandwich(e, modal_transform(rho_l, params.t, f))
     radius = np.max(np.abs(np.linalg.eigvals(p)), axis=-1)
 
     i = np.broadcast_to(_eye_like(p), p.shape).copy()
@@ -169,14 +170,11 @@ def two_section_oracle(cable1: CableSpec, l1: float, cable2: CableSpec,
     y_r_vals = _admittance_values(y_r, f, n)
 
     rho_load = load_reflection(y_l_vals, p2.yc, f)
-    rho_load_m = modal_transform(rho_load, p2.t, "to_modal", f)
     # junction reflection seen by section 1, via the modal closed form on
     # section 2 with the first section's characteristic admittance as source
-    rho_1 = input_reflection_modal(p2, l2, rho_load_m, p1.yc)
-    rho_1_m = modal_transform(rho_1, p1.t, "to_modal", f)
-
-    y_in = input_admittance_line(p1, l1, rho_1_m)
-    rho_in = input_reflection_modal(p1, l1, rho_1_m, y_r_vals)
+    rho_1 = input_reflection_modal(p2, l2, rho_load, p1.yc)
+    y_in = input_admittance_line(p1, l1, rho_1)
+    rho_in = input_reflection_modal(p1, l1, rho_1, y_r_vals)
     return TwoSectionResponse(
         y_in=MatrixSpectrum(grid, y_in, "admittance"),
         rho_in=MatrixSpectrum(grid, rho_in, "reflection"),

@@ -7,7 +7,8 @@ complex entries are [re, im] pairs, all quantities in SI base units.
 
 Spectra and traces are CSV with columns f_or_t, entry_row, entry_col, re, im
 (im is 0 for traces); peak files carry time_s, distance_m, amplitude, entry;
-sweep records and bins are tables of their own.  Result payloads are JSON.
+sweep records and bins are tables of their own.  Result payloads are strict
+JSON: a non-finite float is written as null.
 Every CSV and JSON writer but ``write_topology`` takes ``timestamp=False`` to
 produce byte-stable output.
 """
@@ -15,6 +16,7 @@ produce byte-stable output.
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -248,11 +250,30 @@ def write_topology(net: NetworkTopology, path: str | Path) -> None:
     write_json(path, topology_to_dict(net), timestamp=False)
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float (an empty bin's NaN mean, an
+    infinite spacing error) replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _dumps(payload, indent: int | None = None) -> str:
+    """Strict, key-sorted JSON text: non-finite floats become ``null``."""
+    return json.dumps(_finite_or_null(payload), indent=indent, sort_keys=True,
+                      allow_nan=False)
+
+
 def write_json(path: str | Path, payload: dict, timestamp: bool = True) -> None:
-    """Sorted, indented JSON; ``timestamp`` adds a top-level ``written``."""
+    """Sorted, indented, strict JSON; ``timestamp`` adds a top-level
+    ``written``."""
     if timestamp:
         payload = dict(payload, written=datetime.now(timezone.utc).isoformat())
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from plnsim.experiments import (EnsembleConfig, bundled_single_line_scenarios,
                                 run_backbone_lateral_study, run_distance_sweep,
                                 run_scenario_suite)
 from plnsim.mtl import (ctf_line, input_admittance_line,
-                        line_propagation_params, load_reflection,
-                        modal_transform)
+                        line_propagation_params, load_reflection)
 from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf,
                             network_input_reflection, open_circuit,
@@ -73,9 +72,9 @@ def test_c02_identities():
     p = line_propagation_params(cab, GRID)
     rng = np.random.default_rng(1)
     y_l = spectrum_const(random_passive_matrix(rng, 2), GRID)
-    rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
-    assert rel_err(input_admittance_line(p, 0.0, rho_m), y_l) < 1e-9
-    zero = np.zeros_like(rho_m)
+    rho = load_reflection(y_l, p.yc)
+    assert rel_err(input_admittance_line(p, 0.0, rho), y_l) < 1e-9
+    zero = np.zeros_like(rho)
     assert rel_err(input_admittance_line(p, 140.0, zero), p.yc) < 1e-9
     ps = line_propagation_params(LIB["pl-std"], GRID)
     h = ctf_line(ps, 140.0, np.zeros((GRID.n_points, 1, 1), complex))
@@ -102,10 +101,8 @@ def test_c03_tanh_oracle():
         th = np.tanh(gamma * length)
         z_in_ref = z_c * (z_l + z_c * th) / (z_c + z_l * th)
         p = line_propagation_params(constant_rlgc_cable(r, l, g, c), GRID)
-        rho_m = modal_transform(
-            load_reflection(spectrum_const(1 / z_l, GRID), p.yc),
-            p.t, "to_modal")
-        y_in = input_admittance_line(p, length, rho_m)
+        rho = load_reflection(spectrum_const(1 / z_l, GRID), p.yc)
+        y_in = input_admittance_line(p, length, rho)
         assert rel_err(1.0 / y_in[:, 0, 0], z_in_ref) < 1e-9
 
 
@@ -141,12 +138,12 @@ def test_c05_series_convergence():
     for scale, radius in ((3.0, 0.5), (37 / 3, 0.85)):
         p = line_propagation_params(lossless_cable(), GRID)
         y_l = spectrum_const(scale, GRID) * p.yc
-        rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
-        exact_y = input_admittance_line(p, 30.0, rho_m)
-        exact_r = input_reflection_modal(p, 30.0, rho_m, y_r)
+        rho = load_reflection(y_l, p.yc)
+        exact_y = input_admittance_line(p, 30.0, rho)
+        exact_r = input_reflection_modal(p, 30.0, rho, y_r)
         errs = []
         for n in (1, 2, 5, 10, 50):
-            res = series_truncated_responses(p, 30.0, rho_m, y_r, n)
+            res = series_truncated_responses(p, 30.0, rho, y_r, n)
             assert np.max(res.spectral_radius) < 0.9
             errs.append(max(rel_err(res.y_in, exact_y),
                             rel_err(res.rho_in, exact_r)))

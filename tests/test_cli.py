@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from plnsim.cli import main
-from plnsim.topofile import (read_spectrum_csv, read_topology, write_topology,
-                             topology_to_dict)
+from plnsim.topofile import (read_spectrum_csv, read_topology, write_json,
+                             write_topology, topology_to_dict)
 
 BUNDLED = resources.files("plnsim") / "data"
 TWO_NODE = json.loads((BUNDLED / "two_node.json").read_text())
@@ -114,7 +114,10 @@ def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
     ["--bins", "0"],
     ["--n-nodes-min", "1"],
     ["--severity-min", "-1", "--severity-max", "-0.5"],
-], ids=["no-bins", "one-node", "negative-severity"])
+    ["--n-networks", "0"],
+    ["--n-networks", "-3"],
+], ids=["no-bins", "one-node", "negative-severity", "no-networks",
+        "negative-networks"])
 def test_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
     assert main(["sweep", "--n-networks", "2", "--grid", "1e5,4e5,80", *flags,
                  "--out", str(tmp_path / "sw")]) == 1
@@ -239,7 +242,11 @@ def test_scenarios_pass(tmp_path, capsys):
     assert all(s["passed"] for s in rep["scenarios"])
 
 
-def test_sweep_small_run(tmp_path):
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sweep_small_run(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", "--n-networks", "6", "--seed", "3",
                  "--grid", "1e5,4e5,100", "--bins", "3",
@@ -247,7 +254,20 @@ def test_sweep_small_run(tmp_path):
     records = (out / "records.csv").read_text().splitlines()
     assert len([l for l in records if not l.startswith("#")
                 and not l.startswith("network_index")]) == 6
-    assert (out / "summary.json").exists()
+    # the middle of the 3 link-position bins stays empty: its mean is null
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["h_bin_means"][1] is None
+    printed = capsys.readouterr().out.strip().split("summary: ", 1)[1]
+    assert json.loads(printed, parse_constant=_reject_constant) == summary
+
+
+def test_write_json_nonfinite_as_null(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"err": float("inf"), "means": (1.5, float("nan"))},
+               timestamp=False)
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        "err": None, "means": [1.5, None]}
 
 
 def test_byte_identical_reruns(two_node, tmp_path):

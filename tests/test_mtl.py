@@ -170,7 +170,7 @@ def test_load_reflection_degenerate_error(grid, std_cable):
 def test_modal_transform_identity(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     eye = spectrum_const(np.eye(2), grid)
-    out = modal_transform(eye, p.t, "to_modal")
+    out = modal_transform(eye, p.t)
     assert rel_err(out, eye) < 1e-12
 
 
@@ -181,7 +181,7 @@ def test_modal_round_trip(seed):
     a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     t = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     t += 3.0 * np.eye(3)  # keep well-conditioned
-    back = modal_transform(modal_transform(a, t, "to_modal"), t, "from_modal")
+    back = t @ modal_transform(a, t) @ np.linalg.inv(t)
     assert rel_err(back, a) < 1e-12
 
 
@@ -190,15 +190,9 @@ def test_modal_transform_diagonalizes(grid):
     d = np.diag(rng.uniform(1.0, 2.0, size=3)).astype(complex)
     t = rng.normal(size=(3, 3)) + 0.1j * rng.normal(size=(3, 3))
     a = t @ d @ np.linalg.inv(t)  # T diagonalizes a by construction
-    out = modal_transform(a[None], t[None], "to_modal")[0]
+    out = modal_transform(a[None], t[None])[0]
     off = out - np.diag(np.diag(out))
     assert np.max(np.abs(off)) < 1e-12
-
-
-def test_modal_transform_bad_direction(grid, coupled_cable):
-    p = line_propagation_params(coupled_cable, grid)
-    with pytest.raises(ValidationError):
-        modal_transform(p.yc, p.t, "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +206,8 @@ def test_zero_length_reproduces_load(seed):
     p = line_propagation_params(cab, grid)
     rng = np.random.default_rng(seed)
     y_l = spectrum_const(random_passive_matrix(rng, 2), grid)
-    rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
-    y0 = input_admittance_line(p, 0.0, rho_m)
+    rho = load_reflection(y_l, p.yc)
+    y0 = input_admittance_line(p, 0.0, rho)
     assert rel_err(y0, y_l) < 1e-9
 
 
@@ -233,8 +227,8 @@ def test_quarter_wave_impedance_transform():
     p = line_propagation_params(cab, grid)
     length = 2e8 / (4 * 1e7)
     y_l = spectrum_const(1.0 / 100.0, grid)
-    rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
-    y_in = input_admittance_line(p, length, rho_m)
+    rho = load_reflection(y_l, p.yc)
+    y_in = input_admittance_line(p, length, rho)
     assert abs(y_in[0, 0, 0] - 0.04) / 0.04 < 1e-9
 
 
@@ -258,9 +252,8 @@ def test_scalar_tanh_oracle(grid):
 
         cab = constant_rlgc_cable(r, l, g, c)
         p = line_propagation_params(cab, grid)
-        rho_m = modal_transform(load_reflection(spectrum_const(1 / z_l, grid),
-                                                p.yc), p.t, "to_modal")
-        y_in = input_admittance_line(p, length, rho_m)
+        rho = load_reflection(spectrum_const(1 / z_l, grid), p.yc)
+        y_in = input_admittance_line(p, length, rho)
         assert rel_err(1.0 / y_in[:, 0, 0], z_in_ref) < 1e-9
 
 
@@ -289,9 +282,9 @@ def test_dual_route_agreement(grid, n_conductors):
     rng = np.random.default_rng(42 + n_conductors)
     y_l = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
     y_r = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
-    rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
-    via_y = input_reflection(input_admittance_line(p, 83.0, rho_m), y_r)
-    via_m = input_reflection_modal(p, 83.0, rho_m, y_r)
+    rho = load_reflection(y_l, p.yc)
+    via_y = input_reflection(input_admittance_line(p, 83.0, rho), y_r)
+    via_m = input_reflection_modal(p, 83.0, rho, y_r)
     assert rel_err(via_m, via_y) < 1e-9
 
 
@@ -307,9 +300,8 @@ def test_echo_matched_is_zero(grid):
 def test_echo_scalar(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
     y_r = spectrum_const(0.02, grid)
-    rho_m = modal_transform(load_reflection(spectrum_const(0.001, grid), p.yc),
-                            p.t, "to_modal")
-    rho_in = input_reflection_modal(p, 50.0, rho_m, y_r)
+    rho = load_reflection(spectrum_const(0.001, grid), p.yc)
+    rho_in = input_reflection_modal(p, 50.0, rho, y_r)
     v = echo_voltage(rho_in, y_r, np.array([2.0]))
     assert rel_err(v[:, 0], -2.0 * rho_in[:, 0, 0]) < 1e-12
 
@@ -352,7 +344,7 @@ def test_ctf_matched_from_modal(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     h = ctf_line(p, 90.0, np.zeros((grid.n_points, 2, 2), complex))
     e = np.exp(-p.gamma * 90.0)
-    ref = modal_transform(e[:, :, None] * np.eye(2), p.t, "from_modal")
+    ref = p.t @ (e[:, :, None] * np.eye(2)) @ p.t_inv
     assert rel_err(h, ref) < 1e-9
 
 
@@ -375,14 +367,14 @@ def _series_setup(grid, y_l_scale=3.0):
     cab = lossless_cable()
     p = line_propagation_params(cab, grid)
     y_l = spectrum_const(y_l_scale, grid) * p.yc
-    rho_m = modal_transform(load_reflection(y_l, p.yc), p.t, "to_modal")
+    rho = load_reflection(y_l, p.yc)
     y_r = spectrum_const(0.02, grid)
-    return p, rho_m, y_r
+    return p, rho, y_r
 
 
 def test_series_leading_terms(grid):
-    p, rho_m, y_r = _series_setup(grid)
-    res = series_truncated_responses(p, 30.0, rho_m, y_r, 0)
+    p, rho, y_r = _series_setup(grid)
+    res = series_truncated_responses(p, 30.0, rho, y_r, 0)
     assert rel_err(res.y_in, p.yc) < 1e-12
     # leading reflection term: N T rho_G^M T^-1 N^-1
     n = (y_r + p.yc) @ np.linalg.inv(p.yc)
@@ -407,23 +399,23 @@ def test_series_matched_exact(grid, std_cable):
 def test_series_radius_half_converges(grid):
     # |rho_L| = 0.5 on a lossless line: radius 0.5 at every frequency, and
     # the tail bound 2 * 0.5^51 / (1 - 0.5) makes n = 50 far below 1e-6
-    p, rho_m, y_r = _series_setup(grid, y_l_scale=3.0)
-    res = series_truncated_responses(p, 30.0, rho_m, y_r, 50)
+    p, rho, y_r = _series_setup(grid, y_l_scale=3.0)
+    res = series_truncated_responses(p, 30.0, rho, y_r, 50)
     assert np.allclose(res.spectral_radius, 0.5, atol=1e-12)
-    exact_y = input_admittance_line(p, 30.0, rho_m)
-    exact_r = input_reflection_modal(p, 30.0, rho_m, y_r)
+    exact_y = input_admittance_line(p, 30.0, rho)
+    exact_r = input_reflection_modal(p, 30.0, rho, y_r)
     assert rel_err(res.y_in, exact_y) < 1e-6
     assert rel_err(res.rho_in, exact_r) < 1e-6
 
 
 @pytest.mark.parametrize("scale,radius", [(3.0, 0.5), (37 / 3, 0.85)])
 def test_series_error_monotone(grid, scale, radius):
-    p, rho_m, y_r = _series_setup(grid, y_l_scale=scale)
-    exact_y = input_admittance_line(p, 30.0, rho_m)
-    exact_r = input_reflection_modal(p, 30.0, rho_m, y_r)
+    p, rho, y_r = _series_setup(grid, y_l_scale=scale)
+    exact_y = input_admittance_line(p, 30.0, rho)
+    exact_r = input_reflection_modal(p, 30.0, rho, y_r)
     errs_y, errs_r = [], []
     for n in (1, 2, 5, 10, 50):
-        res = series_truncated_responses(p, 30.0, rho_m, y_r, n)
+        res = series_truncated_responses(p, 30.0, rho, y_r, n)
         assert np.max(res.spectral_radius) < 0.9
         assert np.allclose(res.spectral_radius, radius, atol=1e-9)
         errs_y.append(rel_err(res.y_in, exact_y))
@@ -437,9 +429,8 @@ def test_series_flags_divergence(grid):
     # the series reports radius >= 1 instead of raising
     cab = lossless_cable()
     p = line_propagation_params(cab, grid)
-    rho_m = modal_transform(
-        load_reflection(spectrum_const(-0.001, grid), p.yc), p.t, "to_modal")
-    res = series_truncated_responses(p, 30.0, rho_m,
+    rho = load_reflection(spectrum_const(-0.001, grid), p.yc)
+    res = series_truncated_responses(p, 30.0, rho,
                                      spectrum_const(0.02, grid), 3)
     assert np.all(res.spectral_radius > 1.0)
     assert not np.any(res.converged)
@@ -457,6 +448,17 @@ def test_matrix_spectrum_validation(grid):
     vals2[3, 0, 0] = np.nan
     with pytest.raises(ValidationError, match="finite"):
         MatrixSpectrum(grid, vals2, "admittance")
+
+
+def test_frequency_grid_points_built_once():
+    grid = FrequencyGrid(1e5, 2e5, 6)
+    f = grid.frequencies
+    assert grid.frequencies is f
+    assert not f.flags.writeable
+    assert np.array_equal(f, 1e5 + 2e5 * np.arange(6))
+    twin = FrequencyGrid(1e5, 2e5, 6)
+    assert twin == grid and hash(twin) == hash(grid)
+    assert twin.frequencies is not f
 
 
 def test_frequency_grid_validation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from plnsim.cables import powerline_cable
 from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.mtl import (line_propagation_params, input_admittance_line,
-                        load_reflection, modal_transform)
+                        load_reflection)
 from plnsim.network import (Branch, NetworkTopology, Port,
                             constant_admittance, end_to_end_ctf, farthest_node,
                             network_input_reflection, node_distances,
@@ -127,8 +127,8 @@ def test_junction_additivity(grid, std_cable, lib):
         br = net.branch(bid)
         pp = line_propagation_params(br.cable, grid)
         y_leaf = net.loads[br.node_b].evaluate(f)
-        rho_m = modal_transform(load_reflection(y_leaf, pp.yc), pp.t, "to_modal")
-        total += input_admittance_line(pp, br.length_m, rho_m)
+        rho = load_reflection(y_leaf, pp.yc)
+        total += input_admittance_line(pp, br.length_m, rho)
     assert rel_err(red.node_equivalents["j"].values, total) < 1e-12
 
 
@@ -158,8 +158,10 @@ def test_reduction_error_carries_branch_id(grid, std_cable):
     # a load equal to -Y_C makes the branch reflection degenerate
     bad = table_admittance(grid.frequencies, -p.yc[:, 0, 0])
     net = single_line_net(std_cable, 30.0, bad)
-    with pytest.raises(SingularityError, match="branch 's'"):
+    with pytest.raises(SingularityError, match="branch 's'") as info:
         reduce_to_port(net, "p", grid)
+    assert info.value.frequency_hz == grid.f_start
+    assert info.value.index == 0
 
 
 def test_reduce_invalid_topology_rejected(grid, std_cable):
