@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .anomalies import (Anomaly, DistributedFault, LoadChange, LumpedFault,
                         apply_anomaly, delta_chain, delta_superposition,
@@ -172,6 +171,29 @@ def band_mean_db(values: np.ndarray) -> float:
     return float(np.mean(20.0 * np.log10(np.maximum(mag, 1e-300))))
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def _spearman(x, y) -> float:
+    """Spearman rank correlation: the Pearson correlation of average-tie
+    ranks, NaN when an input is constant or holds NaN (the statistic of
+    ``scipy.stats.spearmanr``, computed in the same order)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if (np.all(x == x[0]) or np.all(y == y[0])
+            or np.isnan(x).any() or np.isnan(y).any()):
+        return float("nan")
+    return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     network_index: int
@@ -292,10 +314,8 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
         centers = [0.5 * (b.d_lo + b.d_hi) for b in filled]
         med_y = [b.median["delta_y"] for b in filled]
         med_rho = [b.median["delta_rho"] for b in filled]
-        rho_s, _ = spearmanr(centers, med_y)
-        summary["spearman_y_vs_d"] = float(rho_s)
-        rho_s2, _ = spearmanr(centers, med_rho)
-        summary["spearman_rho_vs_d"] = float(rho_s2)
+        summary["spearman_y_vs_d"] = _spearman(centers, med_y)
+        summary["spearman_rho_vs_d"] = _spearman(centers, med_rho)
         rel_iqr = lambda b, q: b.iqr[q] / b.median[q] if b.median[q] > 0 else np.nan
         summary["rel_iqr_rho"] = float(np.nanmedian([rel_iqr(b, "delta_rho") for b in filled]))
         summary["rel_iqr_y"] = float(np.nanmedian([rel_iqr(b, "delta_y") for b in filled]))

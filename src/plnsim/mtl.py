@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DecompositionError, SingularityError, ValidationError
 
@@ -270,6 +269,10 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
 
     n_f, L = gamma.shape
     if L > 1:
+        # scipy is loaded only for coupled cables; its tie-break between
+        # degenerate modes is part of the recorded mode order
+        from scipy.optimize import linear_sum_assignment
+
         order0 = np.lexsort((gamma[0].real, gamma[0].imag))
         v[0] = v[0][:, order0]
         gamma[0] = gamma[0][order0]

@@ -9,14 +9,30 @@ Reflectometric peak times map to distance as d = v t / 2, end-to-end peaks
 as d = v t.  Velocity is treated as constant per mode (taken from the
 low-frequency inductance and capacitance); dispersion corrections are out of
 scope here.
+
+Peaks are picked with the rules of ``scipy.signal.find_peaks`` and
+``peak_widths`` (which the tests use as the oracle), in numpy so the one-shot
+path never imports scipy:
+
+* a local maximum is a sample, or a run of equal samples, higher than both
+  neighbours; a flat peak sits at its plateau midpoint ``(left + right) // 2``
+  and a plateau that touches either end of the trace is not a peak;
+* a peak passes the height gate when ``x[peak] >= height``;
+* spacing is enforced by height priority (``np.argsort`` order, highest
+  first): every peak closer than ``ceil(distance)`` samples to a kept,
+  higher-priority peak is dropped;
+* the width is measured at ``x[peak] - 0.5 * prominence``, where the
+  prominence bases are the lowest samples between the peak and the nearest
+  higher sample (or the trace end) on each side, searched over the whole
+  trace, and the crossings are linearly interpolated between samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .anomalies import DeltaSpectrum
 from .errors import UsageError, ValidationError
@@ -165,6 +181,64 @@ class PeakList:
         return merged
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of ``x``: runs of equal samples higher
+    than the runs on both sides, reported at the run midpoint."""
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, x.size - 1]
+    v = x[starts]
+    top = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    return (starts[1:-1][top] + ends[1:-1][top]) // 2
+
+
+def _find_peaks(x: np.ndarray, height: float, distance: float) -> np.ndarray:
+    """Local maxima with ``x >= height``, thinned by height priority so that
+    no two kept peaks lie closer than ``ceil(distance)`` samples."""
+    peaks = _local_maxima(x)
+    peaks = peaks[x[peaks] >= height]
+    d = math.ceil(distance)
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            lo = np.searchsorted(peaks, peaks[j] - d, side="right")
+            hi = np.searchsorted(peaks, peaks[j] + d, side="left")
+            keep[lo:hi] = False
+            keep[j] = True
+    return peaks[keep]
+
+
+def _half_height_widths(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Width in samples of each peak at half its prominence."""
+    widths = np.empty(peaks.size)
+    for n, p in enumerate(peaks):
+        top = x[p]
+        # bases: lowest samples out to the nearest higher sample on each side
+        # (rightmost on the left, leftmost on the right)
+        higher = np.flatnonzero(~(x[:p] <= top))
+        lo = higher[-1] + 1 if higher.size else 0
+        higher = np.flatnonzero(~(x[p:] <= top))
+        hi = p + higher[0] if higher.size else x.size
+        left_base = p - int(np.argmin(x[lo:p + 1][::-1]))
+        right_base = p + int(np.argmin(x[p:hi]))
+        prominence = top - max(x[left_base], x[right_base])
+        height = top - prominence * 0.5
+
+        # crossings: first sample at or below the height walking outwards,
+        # stopping at the base, then interpolated towards the peak
+        below = np.flatnonzero(~(height < x[left_base + 1:p + 1]))
+        i = left_base + 1 + below[-1] if below.size else left_base
+        left_ip = float(i)
+        if x[i] < height:
+            left_ip += (height - x[i]) / (x[i + 1] - x[i])
+        below = np.flatnonzero(~(height < x[p:right_base]))
+        i = p + below[0] if below.size else right_base
+        right_ip = float(i)
+        if x[i] < height:
+            right_ip -= (height - x[i]) / (x[i - 1] - x[i])
+        widths[n] = right_ip - left_ip
+    return widths
+
+
 def detect_peaks(trace: TimeTrace,
                  rel_threshold: float = DEFAULT_REL_THRESHOLD,
                  min_separation: int = DEFAULT_MIN_SEPARATION) -> PeakList:
@@ -186,13 +260,9 @@ def detect_peaks(trace: TimeTrace,
             if gmax <= 0.0:
                 entries[(r, c)] = []
                 continue
-            idx, _ = find_peaks(x, height=rel_threshold * gmax,
-                                distance=min_separation)
+            idx = _find_peaks(x, rel_threshold * gmax, min_separation)
             idx = idx[(idx >= min_separation) & (idx < n_t - min_separation)]
-            if idx.size:
-                w = peak_widths(x, idx, rel_height=0.5)[0]
-            else:
-                w = np.empty(0)
+            w = _half_height_widths(x, idx)
             entries[(r, c)] = [
                 Peak(time_s=float(i * trace.t_step), amplitude=float(x[i]),
                      width_s=float(wi * trace.t_step))
@@ -210,12 +280,17 @@ class LocatedPeak:
     amplitude: float
 
 
+def _check_velocity(velocity: float) -> None:
+    if not (math.isfinite(velocity) and velocity > 0):
+        raise ValidationError(
+            f"velocity must be finite and positive, got {velocity:g}")
+
+
 def time_to_distance(peaks: PeakList, velocity: float,
                      mode: str = "reflectometric") -> list[LocatedPeak]:
     """Map peak times to distances: d = v t / 2 for reflectometric sensing
     (round trip), d = v t end-to-end."""
-    if velocity <= 0:
-        raise ValidationError("velocity must be positive")
+    _check_velocity(velocity)
     if mode == "reflectometric":
         scale = 0.5 * velocity
     elif mode == "end_to_end":
@@ -252,6 +327,7 @@ def locate_anomaly_reflectometric(delta_trace: TimeTrace, velocity: float,
             "localization expects a trace of an admittance delta "
             f"(got quantity={delta_trace.origin.quantity!r}, "
             f"model={delta_trace.origin.model!r})")
+    _check_velocity(velocity)
     peaks = detect_peaks(delta_trace, rel_threshold, min_separation).merged()
     if not peaks:
         return LocateResult(found=False)

@@ -2,12 +2,16 @@
 reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plnsim
 from plnsim.cli import main
 from plnsim.topofile import (read_spectrum_csv, read_topology, write_json,
                              write_topology, topology_to_dict)
@@ -168,6 +172,21 @@ def test_tdr_distance_on_bundled_line(two_node, tmp_path):
     assert (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("velocity", ["0", "-3", "nan"])
+@pytest.mark.parametrize("command", ["tdr", "locate"])
+def test_bad_velocity_is_invalid(two_node, tmp_path, capsys, command, velocity):
+    out = tmp_path / "out"
+    argv = [command, str(two_node), f"--velocity={velocity}", "--out", str(out),
+            "--no-timestamp"]
+    if command == "locate":
+        anomaly = tmp_path / "anomaly.json"
+        anomaly.write_text(json.dumps(FAULT))
+        argv += ["--anomaly", str(anomaly)]
+    assert main(argv) == 1
+    assert "velocity must be finite and positive" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_emits_spectra(two_node, tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", str(two_node), "--out", str(out),
@@ -318,3 +337,42 @@ def test_bundled_topologies_are_valid():
     for name in ("two_node.json", "single_line_200m.json", "star3.json"):
         net = read_topology(str(BUNDLED / name))
         assert topology_to_dict(net)  # serializable both ways
+
+
+IMPORT_GUARD = """
+import json, sys
+import plnsim.cli
+data, out, fault = sys.argv[1:]
+codes = [
+    plnsim.cli.main(["tdr", f"{data}/single_line_200m.json", "--quantity",
+                     "admittance", "--out", f"{out}/tdr-y", "--no-timestamp"]),
+    plnsim.cli.main(["tdr", f"{data}/star3.json", "--port", "probe",
+                     "--quantity", "reflection", "--out", f"{out}/tdr-rho",
+                     "--no-timestamp"]),
+    plnsim.cli.main(["locate", f"{data}/single_line_200m.json", "--anomaly",
+                     fault, "--out", f"{out}/locate", "--no-timestamp"]),
+]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from plnsim.cables import powerline_cable
+from plnsim.mtl import FrequencyGrid, line_propagation_params
+p = line_propagation_params(powerline_cable(n_conductors=3),
+                            FrequencyGrid(1e5, 1e5, 20))
+print(json.dumps({"codes": codes, "scipy": scipy,
+                  "l3_gamma_shape": list(p.gamma.shape)}))
+"""
+
+
+def test_one_shot_path_imports_no_scipy(tmp_path):
+    # a fresh interpreter: scipy must stay unloaded through tdr and locate on
+    # the bundled single-conductor topologies, and load for a coupled cable
+    fault = tmp_path / "fault.json"
+    fault.write_text(json.dumps({**FAULT, "offset_m": 120.0}))
+    src = str(Path(plnsim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(BUNDLED), str(tmp_path), str(fault)],
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": [], "l3_gamma_shape": [20, 3]}

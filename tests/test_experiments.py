@@ -1,9 +1,12 @@
 """Random ensembles, the distance sweep and the scenario signatures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from plnsim.experiments import (EnsembleConfig, bundled_single_line_scenarios,
+from plnsim.experiments import (EnsembleConfig, _spearman,
+                                bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
                                 run_distance_sweep, run_scenario_suite)
 from plnsim.errors import ValidationError
@@ -96,3 +99,23 @@ def test_scenario_suite_classifications():
     # distributed fault must actually move an existing reflection
     assert any(abs(a - b) > dist.baseline_trace.t_step
                for a, b in dist.shifted_pairs_s)
+
+
+@pytest.mark.parametrize("x,y", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 0.2, 0.2, 0.9, 0.1]),        # tie in y
+    ([3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),  # ties in both
+    ([0.1, 0.4, 0.2, 0.9], [0.3, 0.8, 0.4, 1.2]),                   # monotone
+    ([1.0, 2.0, 3.0], [0.7, 0.7, 0.7]),                              # constant
+    ([2.0, 2.0, 2.0, 2.0], [0.1, 0.3, 0.2, 0.4]),                    # constant
+])
+def test_spearman_matches_scipy(x, y):
+    from scipy.stats import spearmanr  # the oracle only
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on constant input
+        expected = float(spearmanr(x, y)[0])
+    got = _spearman(x, y)
+    if np.isnan(expected):
+        assert np.isnan(got)
+    else:
+        assert got == expected

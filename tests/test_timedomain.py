@@ -3,6 +3,8 @@ forward/reverse peak-spacing symmetry check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plnsim.anomalies import LumpedFault, apply_anomaly, delta_superposition
 from plnsim.cables import cable_velocities
@@ -11,7 +13,8 @@ from plnsim.mtl import FrequencyGrid, MatrixSpectrum
 from plnsim.network import (NetworkTopology, Branch, Port, conductance,
                             constant_admittance, end_to_end_ctf, open_circuit,
                             parallel_rc_admittance, reduce_to_port)
-from plnsim.timedomain import (TimeTrace, TraceOrigin,
+from plnsim.timedomain import (TimeTrace, TraceOrigin, _find_peaks,
+                               _half_height_widths,
                                check_peak_spacing_symmetry, detect_peaks,
                                locate_anomaly_reflectometric, segment_energy,
                                time_to_distance, to_time_domain)
@@ -119,6 +122,37 @@ def test_detect_peaks_parameter_validation():
         detect_peaks(make_trace(np.zeros(16)), rel_threshold=1.5)
     with pytest.raises(ValidationError):
         detect_peaks(make_trace(np.zeros(16)), min_separation=0)
+
+
+def _uniform_trace(n, seed):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n).tolist()
+
+
+# subnormal samples can round a half prominence to 0, a zero width on both sides
+@pytest.mark.filterwarnings("ignore:some peaks have a width of 0")
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=80),
+                   st.builds(_uniform_trace, st.integers(3, 2000),
+                             st.integers(0, 2**32 - 1))),
+       rounded=st.booleans(),
+       height=st.floats(0.0, 1.0),
+       distance=st.one_of(st.integers(1, 8), st.floats(1.0, 8.0)))
+def test_peak_helpers_match_scipy(x, rounded, height, distance):
+    # scipy is the oracle only; rounding to one decimal makes plateaus and
+    # equal heights, which exercise the midpoint and priority tie rules (long
+    # traces hold enough tied peaks for argsort to leave insertion sort)
+    from scipy.signal import find_peaks, peak_widths
+
+    x = np.array(x)
+    if rounded:
+        x = np.round(x, 1)
+    height = x.min() + height * (x.max() - x.min())
+    expected, _ = find_peaks(x, height=height, distance=distance)
+    np.testing.assert_array_equal(_find_peaks(x, height, distance), expected)
+    every, _ = find_peaks(x)
+    np.testing.assert_allclose(_half_height_widths(x, every),
+                               peak_widths(x, every, rel_height=0.5)[0],
+                               rtol=1e-15, atol=0.0)
 
 
 def test_open_line_echo_train(grid_wide, lib):
