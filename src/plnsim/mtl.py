@@ -6,6 +6,15 @@ shared state.  Each response has one evaluation route here, built on exact
 solves; the closed-form and echo-series forms that cross-check them live in
 ``plnsim.oracles``.
 
+Every matrix product and solve goes through two small-matrix kernels that
+work entry by entry: a product is L broadcast multiply-adds over (n_f,)
+columns, and a solve is Gaussian elimination with partial pivoting, each
+step one vectorized operation over the grid.  The pivot is the first
+candidate of largest |re| + |im|, as LAPACK izamax picks it, and only an
+exactly zero pivot counts as singular, as in LAPACK getrf: it raises
+SingularityError at the first frequency that has one.  Above L = 4 a
+batched LAPACK solve takes over.
+
 Conventions used throughout the package:
 
 * current-wave reflection: a load Y_L on a line with characteristic
@@ -56,15 +65,16 @@ DIAGONALIZATION_RTOL = 1e-9
 class FrequencyGrid:
     """Uniform grid f_k = f_start + k * f_step, k = 0 .. n_points-1."""
 
-    f_start: float  # Hz, > 0
-    f_step: float   # Hz, > 0
+    f_start: float  # Hz, finite, > 0
+    f_step: float   # Hz, finite, > 0
     n_points: int   # >= 2
 
     def __post_init__(self):
-        if self.f_start <= 0.0:
-            raise ValidationError("f_start must be positive (grids start above DC)")
-        if self.f_step <= 0.0:
-            raise ValidationError("f_step must be positive")
+        if not (np.isfinite(self.f_start) and self.f_start > 0.0):
+            raise ValidationError(
+                "f_start must be finite and positive (grids start above DC)")
+        if not (np.isfinite(self.f_step) and self.f_step > 0.0):
+            raise ValidationError("f_step must be finite and positive")
         if self.n_points < 2:
             raise ValidationError("a frequency grid needs at least 2 points")
 
@@ -142,13 +152,45 @@ class MatrixSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# batched linear algebra helpers
+# small-matrix kernels
+#
+# Inside this module a stack of per-frequency L x M matrices is held as entry
+# columns, an (L, M, n_f) array whose entry (i, j) is one contiguous (n_f,)
+# column.  A product or an elimination is then a few elementwise operations
+# over the grid instead of n_f tiny BLAS or LAPACK calls.  Public functions
+# take and return (n_f, L, M) stacks; the stacks they return (and the arrays
+# of PropagationParams) are transposed views of entry columns, so handing one
+# to the next line function costs no copy.
 
-def _worst(mats: np.ndarray) -> int:
-    with np.errstate(all="ignore"):
-        dets = np.abs(np.linalg.det(mats))
-    dets = np.nan_to_num(dets, nan=0.0)
-    return int(np.argmin(dets))
+_ELIMINATION_MAX_L = 4  # above this L a batched LAPACK solve is faster
+
+
+def _cols(a: np.ndarray) -> np.ndarray:
+    """(n_f, L, M) stack -> (L, M, n_f) entry columns, copied only when the
+    frequency axis is not already contiguous."""
+    c = a.transpose(1, 2, 0)
+    return c if c.strides[-1] == c.itemsize else np.ascontiguousarray(c)
+
+
+def _stack(c: np.ndarray) -> np.ndarray:
+    """(L, M, n_f) entry columns -> (n_f, L, M) stack (a view)."""
+    return c.transpose(2, 0, 1)
+
+
+def _frequency_last(a: np.ndarray) -> np.ndarray:
+    """``a`` (frequency first) as a view of a frequency-last array, so _cols
+    and ``.T`` of it cost no copy."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+def _t(c: np.ndarray) -> np.ndarray:
+    """Per-frequency transpose of entry columns (a view)."""
+    return c.transpose(1, 0, 2)
+
+
+def _eye(n: int) -> np.ndarray:
+    """Identity as entry columns, broadcasting over the grid."""
+    return np.eye(n)[:, :, None]
 
 
 def _singular(context: str, f: np.ndarray | None, k: int) -> SingularityError:
@@ -156,46 +198,96 @@ def _singular(context: str, f: np.ndarray | None, k: int) -> SingularityError:
                             index=k)
 
 
-def _scalar_divide(num: np.ndarray, den: np.ndarray, f: np.ndarray | None,
-                   context: str) -> np.ndarray:
-    """num / den for a 1 x 1 divisor stack; like LAPACK, only an exactly zero
-    entry counts as singular."""
-    zero = den == 0
-    if np.any(zero):
-        raise _singular(context, f, int(np.flatnonzero(zero)[0]))
-    return num / den
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-frequency product a b of entry columns (L, K, n_f) x (K, M, n_f):
+    K broadcast products of a column of ``a`` with a row of ``b``."""
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+def _gauss(a: np.ndarray, b: np.ndarray, f: np.ndarray | None,
+           context: str) -> np.ndarray:
+    """a^-1 b for entry columns a (L, L, n_f) and b (L, M, n_f).
+
+    Gaussian elimination with partial pivoting, each step vectorized over
+    the grid.  The pivot of column k is the first candidate row of largest
+    |re| + |im| (the LAPACK izamax rule), swapped in per frequency with
+    np.where.  As in LAPACK getrf, only an exactly zero pivot is singular:
+    it raises SingularityError at the first frequency that has one.  For
+    L > 4 a batched LAPACK solve is used, and the elimination only runs to
+    locate the frequency when LAPACK reports a singular matrix.
+    """
+    L = a.shape[0]
+    if L > _ELIMINATION_MAX_L:
+        try:
+            return np.linalg.solve(_stack(a), _stack(b)).transpose(1, 2, 0)
+        except np.linalg.LinAlgError:
+            pass
+    aug = np.concatenate((a, b), axis=1)  # (L, L + M, n_f), eliminated in place
+    zero = None
+    for k in range(L):
+        if k < L - 1:
+            col = aug[k:, k]
+            mag = np.abs(col.real) + np.abs(col.imag)
+            best = mag[0]
+            for j in range(1, L - k):
+                swap = mag[j] > best  # strict: the first largest candidate wins
+                if swap.any():
+                    best = np.maximum(best, mag[j])
+                    top, other = aug[k, k:], aug[k + j, k:]
+                    aug[k, k:], aug[k + j, k:] = (np.where(swap, other, top),
+                                                  np.where(swap, top, other))
+        d = aug[k, k]
+        if not d.all():
+            # every candidate is zero there; a unit pivot lets the other
+            # frequencies finish without warnings before the error is raised
+            hit = d == 0
+            zero = hit if zero is None else zero | hit
+            d[hit] = 1.0
+        if k < L - 1:
+            aug[k + 1:, k + 1:] -= (aug[k + 1:, k] / d)[:, None] * aug[k, None, k + 1:]
+    if zero is not None:
+        raise _singular(context, f, int(np.argmax(zero)))
+    x = aug[:, L:]
+    for i in range(L - 1, -1, -1):
+        for j in range(i + 1, L):
+            x[i] -= aug[i, j] * x[j]
+        x[i] /= aug[i, i]
+    return x
+
+
+def _right(a: np.ndarray, b: np.ndarray, f: np.ndarray | None,
+           context: str) -> np.ndarray:
+    """a b^-1 for entry columns: the solve b^T X^T = a^T, with transposes
+    taken by swapping indices."""
+    return _t(_gauss(_t(b), _t(a), f, context))
+
+
+# the kernels on (n_f, L, M) stacks, for the decomposition and other modules
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b per frequency."""
+    return _stack(_mul(_cols(a), _cols(b)))
 
 
 def _solve(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
-    """a^-1 b with singularities reported against the frequency grid.  A
-    1 x 1 system is an elementwise division, any other a batched solve."""
-    if a.shape[-1] == 1:
-        return _scalar_divide(b, a, f, context)
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(context, f, _worst(a)) from exc
+    """a^-1 b per frequency, singularities reported against the grid."""
+    return _stack(_gauss(_cols(a), _cols(b), f, context))
 
 
 def _rdiv(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
-    """a b^-1: an elementwise division for 1 x 1 b, else a transposed solve."""
-    if b.shape[-1] == 1:
-        return _scalar_divide(a, b, f, context)
-    bt = np.swapaxes(b, -1, -2)
-    at = np.swapaxes(a, -1, -2)
-    try:
-        return np.swapaxes(np.linalg.solve(bt, at), -1, -2)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(context, f, _worst(b)) from exc
+    """a b^-1 per frequency, singularities reported against the grid."""
+    return _stack(_right(_cols(a), _cols(b), f, context))
 
 
-def _sandwich(e: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """diag(e) @ a @ diag(e) for per-frequency diagonals e of shape (n_f, L)."""
-    return e[:, :, None] * a * e[:, None, :]
-
-
-def _eye_like(a: np.ndarray) -> np.ndarray:
-    return np.eye(a.shape[-1])
+def _worst(mats: np.ndarray) -> int:
+    """Grid index of the smallest |det|, to place a failed inversion."""
+    with np.errstate(all="ignore"):
+        dets = np.abs(np.linalg.det(mats))
+    dets = np.nan_to_num(dets, nan=0.0)
+    return int(np.argmin(dets))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +351,7 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     jw = 1j * TWO_PI * f[:, None, None]
     z = r + jw * l
     y = g + jw * c
-    a = y @ z
+    a = _matmul(y, z)
 
     w, v = np.linalg.eig(a)
     gamma = np.sqrt(w.astype(complex))
@@ -290,7 +382,7 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             f"cable {cable.label!r}: eigenvector matrix is singular "
             "(defective propagation operator)", frequency_hz=float(f[k])) from exc
 
-    resid = t_inv @ a @ v
+    resid = _matmul(_matmul(t_inv, a), v)
     diag = np.arange(L)
     off = resid.copy()
     off[:, diag, diag] = 0.0
@@ -308,7 +400,7 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             f"cable {cable.label!r}: zero propagation constant",
             frequency_hz=float(f[k]))
 
-    zc = z @ (v / gamma[:, None, :]) @ t_inv
+    zc = _matmul(_matmul(z, v / gamma[:, None, :]), t_inv)
     try:
         yc = np.linalg.inv(zc)
     except np.linalg.LinAlgError as exc:
@@ -317,6 +409,7 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             f"cable {cable.label!r}: characteristic impedance is singular",
             frequency_hz=float(f[k])) from exc
 
+    gamma, v, t_inv, yc, zc = map(_frequency_last, (gamma, v, t_inv, yc, zc))
     for arr in (gamma, v, t_inv, yc, zc):
         arr.flags.writeable = False
     return PropagationParams(grid=grid, gamma=gamma, t=v, t_inv=t_inv, yc=yc, zc=zc)
@@ -328,15 +421,17 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
 def load_reflection(y_l: np.ndarray, y_c: np.ndarray,
                     f: np.ndarray | None = None) -> np.ndarray:
     """rho_L = Y_C (Y_L + Y_C)^-1 (Y_L - Y_C) Y_C^-1 (current convention)."""
-    inner = _rdiv(y_l - y_c, y_c, f, "characteristic admittance is singular")
-    return y_c @ _solve(y_l + y_c, inner, f,
-                        "matched-degenerate load: Y_L + Y_C is singular")
+    y_l, y_c = _cols(y_l), _cols(y_c)
+    inner = _right(y_l - y_c, y_c, f, "characteristic admittance is singular")
+    return _stack(_mul(y_c, _gauss(y_l + y_c, inner, f,
+                                   "matched-degenerate load: Y_L + Y_C is singular")))
 
 
 def modal_transform(a: np.ndarray, t: np.ndarray,
                     f: np.ndarray | None = None) -> np.ndarray:
     """Modal counterpart T^-1 A T of a natural-frame matrix A."""
-    return _solve(t, a @ t, f, "transformation matrix is singular")
+    t = _cols(t)
+    return _stack(_gauss(t, _mul(_cols(a), t), f, "transformation matrix is singular"))
 
 
 def input_admittance_line(params: PropagationParams, length: float,
@@ -352,28 +447,31 @@ def input_admittance_line(params: PropagationParams, length: float,
     if length < 0:
         raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
-    rho_m = modal_transform(rho_l, params.t, f)
-    e = np.exp(-params.gamma * length)
-    p = _sandwich(e, rho_m)
-    i = _eye_like(p)
-    w = _rdiv(i + p, i - p, f, "reflection resonance: I - E rho E is singular")
-    return params.t @ w @ params.t_inv @ params.yc
+    rho_m = _cols(modal_transform(rho_l, params.t, f))
+    e = np.exp(-params.gamma.T * length)
+    p = e[:, None] * rho_m * e[None]
+    i = _eye(p.shape[0])
+    w = _right(i + p, i - p, f, "reflection resonance: I - E rho E is singular")
+    return _stack(_mul(_mul(_mul(_cols(params.t), w), _cols(params.t_inv)),
+                       _cols(params.yc)))
 
 
 def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
                      f: np.ndarray | None = None) -> np.ndarray:
     """rho_in = Y_R (Y_in + Y_R)^-1 (Y_in - Y_R) Y_R^-1."""
-    inner = _rdiv(y_in - y_r, y_r, f, "source admittance is singular")
-    return y_r @ _solve(y_in + y_r, inner, f, "Y_in + Y_R is singular")
+    y_in, y_r = _cols(y_in), _cols(y_r)
+    inner = _right(y_in - y_r, y_r, f, "source admittance is singular")
+    return _stack(_mul(y_r, _gauss(y_in + y_r, inner, f, "Y_in + Y_R is singular")))
 
 
 def echo_voltage(rho_in: np.ndarray, y_r: np.ndarray, v_source: np.ndarray,
                  f: np.ndarray | None = None) -> np.ndarray:
     """Echo returned to the source: V_echo = -Y_R^-1 rho_in Y_R V_source."""
-    L = rho_in.shape[-1]
-    v = np.broadcast_to(np.asarray(v_source, dtype=complex), rho_in.shape[:-2] + (L,))
-    rhs = rho_in @ (y_r @ v[..., None])
-    return -_solve(y_r, rhs, f, "source admittance is singular")[..., 0]
+    n_f, L = rho_in.shape[:2]
+    v = np.broadcast_to(np.asarray(v_source, dtype=complex), (n_f, L))
+    y_r = _cols(y_r)
+    rhs = _mul(_cols(rho_in), _mul(y_r, v.T[:, None]))
+    return -_gauss(y_r, rhs, f, "source admittance is singular")[:, 0].T
 
 
 def ctf_line(params: PropagationParams, length: float,
@@ -388,12 +486,13 @@ def ctf_line(params: PropagationParams, length: float,
     if length < 0:
         raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
-    rho_m = modal_transform(rho_l, params.t, f)
-    e = np.exp(-params.gamma * length)
-    i = _eye_like(rho_m)
-    den = i - (e * e)[:, :, None] * rho_m
-    inner = _rdiv(i - rho_m, den, f,
-                  "transmission resonance: I - E^2 rho is singular")
-    inner = inner * e[:, None, :]
-    return _solve(params.yc, params.t @ inner @ params.t_inv @ params.yc, f,
-                  "characteristic admittance is singular")
+    rho_m = _cols(modal_transform(rho_l, params.t, f))
+    e = np.exp(-params.gamma.T * length)
+    i = _eye(rho_m.shape[0])
+    den = i - (e * e)[:, None] * rho_m
+    inner = _right(i - rho_m, den, f,
+                   "transmission resonance: I - E^2 rho is singular")
+    inner = _mul(_cols(params.t), inner * e[None])
+    yc = _cols(params.yc)
+    return _stack(_gauss(yc, _mul(_mul(inner, _cols(params.t_inv)), yc), f,
+                         "characteristic admittance is singular"))

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularityError, UsageError, ValidationError
-from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, ctf_line,
+from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _matmul, ctf_line,
                   echo_voltage, input_admittance_line, input_reflection,
                   line_propagation_params, load_reflection)
 
@@ -434,7 +434,7 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
         y_eq = red.node_equivalents[far].values
         try:
             rho = load_reflection(y_eq, params.yc, f)
-            h = ctf_line(params, br.length_m, rho) @ h
+            h = _matmul(ctf_line(params, br.length_m, rho), h)
         except SingularityError as exc:
             raise _located(f"segment {br.id!r}", exc) from exc
     return MatrixSpectrum(grid, h, "ctf")
@@ -460,6 +460,6 @@ def port_signals(net: NetworkTopology, tx_port: str, rx_node: str,
     L = net.n_conductors
     v = np.broadcast_to(np.asarray(v_source, dtype=complex),
                         (grid.n_points, L)).copy()
-    v_load = (h.values @ v[..., None])[..., 0]
+    v_load = _matmul(h.values, v[..., None])[..., 0]
     v_echo = echo_voltage(rho.values, y_r, v, f)
     return PortSignal(v_source=v, v_load=v_load, v_echo=v_echo)

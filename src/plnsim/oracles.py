@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
-                  _eye_like, _rdiv, _sandwich, _solve, input_admittance_line,
-                  line_propagation_params, load_reflection, modal_transform)
+                  _rdiv, _solve, input_admittance_line, line_propagation_params,
+                  load_reflection, modal_transform)
 from .network import AdmittanceSpec, _as_matrix
 
 __all__ = [
@@ -25,6 +25,15 @@ __all__ = [
     "TwoSectionResponse",
     "two_section_oracle",
 ]
+
+
+def _sandwich(e: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """diag(e) @ a @ diag(e) for per-frequency diagonals e of shape (n_f, L)."""
+    return e[:, :, None] * a * e[:, None, :]
+
+
+def _eye_like(a: np.ndarray) -> np.ndarray:
+    return np.eye(a.shape[-1])
 
 
 # ---------------------------------------------------------------------------

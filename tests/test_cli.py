@@ -148,6 +148,15 @@ def test_unread_flags_are_usage_errors(two_node, tmp_path, argv):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("grid", ["nan,1e5,10", "inf,1e5,10", "1e5,nan,10",
+                                  "1e5,inf,10"])
+def test_non_finite_grid_is_usage_error(two_node, tmp_path, capsys, grid):
+    assert main(["simulate", str(two_node), f"--grid={grid}",
+                 "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert "bad --grid value" in err and "Traceback" not in err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

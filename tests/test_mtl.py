@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import SingularityError, ValidationError
-from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _rdiv, _solve, ctf_line,
-                        echo_voltage, input_admittance_line, input_reflection,
-                        line_propagation_params, load_reflection,
-                        modal_transform)
+from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _matmul, _rdiv, _solve,
+                        ctf_line, echo_voltage, input_admittance_line,
+                        input_reflection, line_propagation_params,
+                        load_reflection, modal_transform)
 from plnsim.oracles import input_reflection_modal, series_truncated_responses
 
 from conftest import lossless_cable, random_passive_matrix, spectrum_const
@@ -134,6 +134,97 @@ def test_scalar_kernel_zero_denominator(grid, helper):
             _rdiv(num, den, f, "ctx")
     assert info.value.index == 37
     assert info.value.frequency_hz == f[37]
+
+
+# ---------------------------------------------------------------------------
+# L = 1..4 kernels: entry-wise product and pivoted elimination against numpy
+
+def _stack_of(data, shape):
+    """Complex stack with entries of random sign and magnitude 1e-3..1e3."""
+    mags = 10.0 ** data.draw(st.integers(-3, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return mags * _complex_stack(rng, shape)
+
+
+def _ill_conditioned(rng, n_f, L, cond):
+    """U diag(s) V with unitary U, V and singular values 1 .. 1/cond."""
+    u, _ = np.linalg.qr(_complex_stack(rng, (n_f, L, L)))
+    v, _ = np.linalg.qr(_complex_stack(rng, (n_f, L, L)))
+    s = np.logspace(0.0, -np.log10(cond), L)
+    return (u * s[None, None, :]) @ v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9))
+def test_product_matches_matmul(data, L, K, n_f):
+    a = _stack_of(data, (n_f, L, K))
+    b = _stack_of(data, (n_f, K, L))
+    ref = a @ b
+    scale = np.abs(a) @ np.abs(b)  # bound on the cancellation in each entry
+    assert np.all(np.abs(_matmul(a, b) - ref) <= 1e-14 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["random", "ill", "zero-lead", "tiny-lead"]))
+def test_solve_matches_lapack(data, L, M, kind):
+    n_f = 7
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = np.arange(1.0, n_f + 1.0)
+    b = _complex_stack(rng, (n_f, L, M))
+    if kind == "ill":
+        cond = 10.0 ** data.draw(st.floats(0.0, 12.0))
+        a = _ill_conditioned(rng, n_f, L, cond)
+    else:
+        a = _complex_stack(rng, (n_f, L, L))
+        if kind != "random" and L > 1:
+            # a zero or 1e-300 leading entry forces a row exchange
+            a[:, 0, 0] = 0.0 if kind == "zero-lead" else 1e-300
+    x = _solve(a, b, f, "ctx")
+    # backward error: what a stable solve guarantees whatever the conditioning
+    resid = np.linalg.norm(a @ x - b, axis=(1, 2))
+    scale = (np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2))
+             + np.linalg.norm(b, axis=(1, 2)))
+    assert np.all(resid <= 1e-13 * scale)
+    # forward error: within the conditioning of each system of LAPACK's answer
+    ref = np.linalg.solve(a, b)
+    err = np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.linalg.cond(a))
+    bt = np.swapaxes(b, -1, -2)
+    xr = _rdiv(bt, a, f, "ctx")  # bt a^-1 = (a^-T b)^T
+    resid_r = np.linalg.norm(xr @ a - bt, axis=(1, 2))
+    assert np.all(resid_r <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("L", [3, 5])
+def test_solve_exact_zero_pivot_reports_first_frequency(L):
+    # a zero column makes a pivot exactly zero: the first column at the first
+    # elimination step, the last column at the last step.  The error names the
+    # lowest such frequency, whichever step finds it; at L = 5 the batched
+    # LAPACK solve fails first and the elimination names the frequency.
+    rng = np.random.default_rng(11)
+    n_f = 9
+    f = 1e5 + 1e5 * np.arange(n_f)
+    a = _complex_stack(rng, (n_f, L, L))
+    b = _complex_stack(rng, (n_f, L, 2))
+    a[5, :, 0] = 0.0
+    a[3, :, L - 1] = 0.0
+    with pytest.raises(SingularityError, match="ctx") as info:
+        _solve(a, b, f, "ctx")
+    assert info.value.index == 3
+    assert info.value.frequency_hz == f[3]
+    a[3, :, L - 1] = 1.0
+    with pytest.raises(SingularityError, match="ctx") as info:
+        _rdiv(np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2), f, "ctx")
+    assert info.value.index == 5
+    assert info.value.frequency_hz == f[5]
+
+
+def test_solve_above_four_conductors_is_lapack():
+    rng = np.random.default_rng(12)
+    a = _complex_stack(rng, (5, 6, 6))
+    b = _complex_stack(rng, (5, 6, 3))
+    assert np.array_equal(_solve(a, b, None, "ctx"), np.linalg.solve(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +557,11 @@ def test_frequency_grid_validation():
         FrequencyGrid(0.0, 1e5, 10)
     with pytest.raises(ValidationError):
         FrequencyGrid(1e5, 1e5, 1)
+
+
+@pytest.mark.parametrize("field", ["f_start", "f_step"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_frequency_grid_rejects_non_finite(field, value):
+    kwargs = {"f_start": 1e5, "f_step": 1e5, "n_points": 10, field: value}
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        FrequencyGrid(**kwargs)

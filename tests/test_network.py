@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plnsim.anomalies import LumpedFault, apply_anomaly, delta_superposition
 from plnsim.cables import powerline_cable
 from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.mtl import (line_propagation_params, input_admittance_line,
                         load_reflection)
-from plnsim.network import (Branch, NetworkTopology, Port,
+from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf, farthest_node,
                             network_input_reflection, node_distances,
                             open_circuit, parallel_rc_admittance, port_signals,
@@ -265,6 +266,32 @@ def test_port_signals_scalar(grid, std_cable):
     rho = network_input_reflection(net, "p", grid)
     assert rel_err(sig.v_load[:, 0], 1.5 * h.values[:, 0, 0]) < 1e-12
     assert rel_err(sig.v_echo[:, 0], -1.5 * rho.values[:, 0, 0]) < 1e-12
+
+
+def test_coupled_path_makes_no_lapack_solve(grid, monkeypatch):
+    # every L = 3 solve on the reduction, transfer and delta path goes through
+    # the entry-wise elimination, never a batched LAPACK call
+    cab = powerline_cable(n_conductors=3, label="pl-3c-guard")
+    net = NetworkTopology(
+        nodes=("a", "j", "b", "c"),
+        branches=(Branch("s1", "a", "j", cab, 70.0),
+                  Branch("s2", "j", "b", cab, 40.0),
+                  Branch("s3", "j", "c", cab, 25.0)),
+        loads={"b": parallel_rc_admittance(200.0, 1e-9, n_conductors=3),
+               "c": constant_admittance(0.01, 3)},
+        ports={"p": Port("a", modem(n=3))})
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called on the coupled path")
+
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    faulty = apply_anomaly(net, LumpedFault("s2", 15.0, conductance(0.05, 3)), grid)
+    rho = network_input_reflection(net, "p", grid)
+    delta = delta_superposition(network_input_reflection(faulty, "p", grid), rho,
+                                normalize=True)
+    h = end_to_end_ctf(net, "p", "b", grid)
+    assert rho.values.shape == h.values.shape == (grid.n_points, 3, 3)
+    assert np.max(np.abs(delta.values.values)) > 0.0
 
 
 # ---------------------------------------------------------------------------
