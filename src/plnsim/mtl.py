@@ -12,8 +12,7 @@ columns, and a solve is Gaussian elimination with partial pivoting, each
 step one vectorized operation over the grid.  The pivot is the first
 candidate of largest |re| + |im|, as LAPACK izamax picks it, and only an
 exactly zero pivot counts as singular, as in LAPACK getrf: it raises
-SingularityError at the first frequency that has one.  Above L = 4 a
-batched LAPACK solve takes over.
+SingularityError at the first frequency that has one.
 
 Conventions used throughout the package:
 
@@ -162,9 +161,6 @@ class MatrixSpectrum:
 # of PropagationParams) are transposed views of entry columns, so handing one
 # to the next line function costs no copy.
 
-_ELIMINATION_MAX_L = 4  # above this L a batched LAPACK solve is faster
-
-
 def _cols(a: np.ndarray) -> np.ndarray:
     """(n_f, L, M) stack -> (L, M, n_f) entry columns, copied only when the
     frequency axis is not already contiguous."""
@@ -215,16 +211,9 @@ def _gauss(a: np.ndarray, b: np.ndarray, f: np.ndarray | None,
     the grid.  The pivot of column k is the first candidate row of largest
     |re| + |im| (the LAPACK izamax rule), swapped in per frequency with
     np.where.  As in LAPACK getrf, only an exactly zero pivot is singular:
-    it raises SingularityError at the first frequency that has one.  For
-    L > 4 a batched LAPACK solve is used, and the elimination only runs to
-    locate the frequency when LAPACK reports a singular matrix.
+    it raises SingularityError at the first frequency that has one.
     """
     L = a.shape[0]
-    if L > _ELIMINATION_MAX_L:
-        try:
-            return np.linalg.solve(_stack(a), _stack(b)).transpose(1, 2, 0)
-        except np.linalg.LinAlgError:
-            pass
     aug = np.concatenate((a, b), axis=1)  # (L, L + M, n_f), eliminated in place
     zero = None
     for k in range(L):

@@ -460,6 +460,6 @@ def port_signals(net: NetworkTopology, tx_port: str, rx_node: str,
     L = net.n_conductors
     v = np.broadcast_to(np.asarray(v_source, dtype=complex),
                         (grid.n_points, L)).copy()
-    v_load = _matmul(h.values, v[..., None])[..., 0]
+    v_load = (h.values @ v[..., None])[..., 0]
     v_echo = echo_voltage(rho.values, y_r, v, f)
     return PortSignal(v_source=v, v_load=v_load, v_echo=v_echo)

@@ -196,12 +196,11 @@ def test_solve_matches_lapack(data, L, M, kind):
     assert np.all(resid_r <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("L", [3, 5])
-def test_solve_exact_zero_pivot_reports_first_frequency(L):
+def test_solve_exact_zero_pivot_reports_first_frequency():
     # a zero column makes a pivot exactly zero: the first column at the first
     # elimination step, the last column at the last step.  The error names the
-    # lowest such frequency, whichever step finds it; at L = 5 the batched
-    # LAPACK solve fails first and the elimination names the frequency.
+    # lowest such frequency, whichever step finds it.
+    L = 3
     rng = np.random.default_rng(11)
     n_f = 9
     f = 1e5 + 1e5 * np.arange(n_f)
@@ -218,13 +217,6 @@ def test_solve_exact_zero_pivot_reports_first_frequency(L):
         _rdiv(np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2), f, "ctx")
     assert info.value.index == 5
     assert info.value.frequency_hz == f[5]
-
-
-def test_solve_above_four_conductors_is_lapack():
-    rng = np.random.default_rng(12)
-    a = _complex_stack(rng, (5, 6, 6))
-    b = _complex_stack(rng, (5, 6, 3))
-    assert np.array_equal(_solve(a, b, None, "ctx"), np.linalg.solve(a, b))
 
 
 # ---------------------------------------------------------------------------
