@@ -151,9 +151,9 @@ def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
     if isinstance(anomaly, DistributedFault):
         branch = net.branch(anomaly.branch_id)
         start, extent = anomaly.start_m, anomaly.extent_m
-        if extent <= 0:
+        if not extent > 0:
             raise ValidationError("distributed fault extent must be positive")
-        if start < 0 or start + extent > branch.length_m:
+        if not (start >= 0 and start + extent <= branch.length_m):
             raise ValidationError(
                 f"degraded section [{start:g}, {start + extent:g}] m outside "
                 f"branch {branch.id!r} of length {branch.length_m:g} m")

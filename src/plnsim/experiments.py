@@ -87,6 +87,10 @@ class EnsembleConfig:
         lo, hi = self.fault_severity_s
         if not 0 <= lo <= hi:
             raise ValidationError("fault_severity_s range must satisfy 0 <= lo <= hi")
+        counts = {c.n_conductors for c in self.cables}
+        if len(counts) > 1:
+            raise ValidationError(
+                f"cables must share one conductor count, got {sorted(counts)}")
 
     def cable_set(self) -> tuple:
         """The configured cables, or the default library set.  The default

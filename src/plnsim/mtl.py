@@ -12,7 +12,8 @@ columns, and a solve is Gaussian elimination with partial pivoting, each
 step one vectorized operation over the grid.  The pivot is the first
 candidate of largest |re| + |im|, as LAPACK izamax picks it, and only an
 exactly zero pivot counts as singular, as in LAPACK getrf: it raises
-SingularityError at the first frequency that has one.
+SingularityError at the first frequency that has one (DecompositionError
+for the two inverses of the modal decomposition).
 
 Conventions used throughout the package:
 
@@ -173,12 +174,6 @@ def _stack(c: np.ndarray) -> np.ndarray:
     return c.transpose(2, 0, 1)
 
 
-def _frequency_last(a: np.ndarray) -> np.ndarray:
-    """``a`` (frequency first) as a view of a frequency-last array, so _cols
-    and ``.T`` of it cost no copy."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
-
-
 def _t(c: np.ndarray) -> np.ndarray:
     """Per-frequency transpose of entry columns (a view)."""
     return c.transpose(1, 0, 2)
@@ -271,14 +266,6 @@ def _rdiv(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> n
     return _stack(_right(_cols(a), _cols(b), f, context))
 
 
-def _worst(mats: np.ndarray) -> int:
-    """Grid index of the smallest |det|, to place a failed inversion."""
-    with np.errstate(all="ignore"):
-        dets = np.abs(np.linalg.det(mats))
-    dets = np.nan_to_num(dets, nan=0.0)
-    return int(np.argmin(dets))
-
-
 # ---------------------------------------------------------------------------
 # cable validation and modal decomposition
 
@@ -296,6 +283,8 @@ def _validate_rlgc(cable: CableSpec, f: np.ndarray,
             raise ValidationError(
                 f"cable {cable.label!r}: {name}(f) has shape {m.shape}, "
                 f"expected {(f.size, L, L)}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError(f"cable {cable.label!r}: {name}(f) is not finite")
         _check_symmetric(f"cable {cable.label!r} {name}", m, float(np.max(np.abs(m))))
     r, l, g, c = mats
     diag = np.arange(L)
@@ -363,20 +352,25 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             v[k] = v[k][:, cols]
             gamma[k] = gamma[k][cols]
 
-    try:
-        t_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        k = _worst(v)
-        raise DecompositionError(
-            f"cable {cable.label!r}: eigenvector matrix is singular "
-            "(defective propagation operator)", frequency_hz=float(f[k])) from exc
+    eye = np.broadcast_to(_eye(L), (L, L, n_f))
 
-    resid = _matmul(_matmul(t_inv, a), v)
+    def inverse(c: np.ndarray, what: str) -> np.ndarray:
+        """c^-1 as entry columns of their own, not a view of the elimination's
+        wider work array, so the cached parameters hold no more than they need."""
+        try:
+            return np.ascontiguousarray(_gauss(c, eye, f, ""))
+        except SingularityError as exc:
+            raise DecompositionError(f"cable {cable.label!r}: {what}",
+                                     frequency_hz=exc.frequency_hz) from exc
+
+    t = _cols(v)
+    t_inv = inverse(t, "eigenvector matrix is singular (defective propagation operator)")
+
+    off = _mul(_mul(t_inv, _cols(a)), t)
     diag = np.arange(L)
-    off = resid.copy()
-    off[:, diag, diag] = 0.0
+    off[diag, diag] = 0.0
     scale = np.linalg.norm(a, axis=(1, 2)) + 1e-300
-    rel = np.linalg.norm(off, axis=(1, 2)) / scale
+    rel = np.linalg.norm(off, axis=(0, 1)) / scale
     if np.any(rel > DIAGONALIZATION_RTOL):
         k = int(np.argmax(rel))
         raise DecompositionError(
@@ -389,19 +383,14 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             f"cable {cable.label!r}: zero propagation constant",
             frequency_hz=float(f[k]))
 
-    zc = _matmul(_matmul(z, v / gamma[:, None, :]), t_inv)
-    try:
-        yc = np.linalg.inv(zc)
-    except np.linalg.LinAlgError as exc:
-        k = _worst(zc)
-        raise DecompositionError(
-            f"cable {cable.label!r}: characteristic impedance is singular",
-            frequency_hz=float(f[k])) from exc
+    gamma = np.ascontiguousarray(gamma.T)
+    zc = _mul(_mul(_cols(z), t / gamma[None]), t_inv)
+    yc = inverse(zc, "characteristic impedance is singular")
 
-    gamma, v, t_inv, yc, zc = map(_frequency_last, (gamma, v, t_inv, yc, zc))
-    for arr in (gamma, v, t_inv, yc, zc):
+    gamma, t, t_inv, yc, zc = gamma.T, *map(_stack, (t, t_inv, yc, zc))
+    for arr in (gamma, t, t_inv, yc, zc):
         arr.flags.writeable = False
-    return PropagationParams(grid=grid, gamma=gamma, t=v, t_inv=t_inv, yc=yc, zc=zc)
+    return PropagationParams(grid=grid, gamma=gamma, t=t, t_inv=t_inv, yc=yc, zc=zc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,18 @@ sources are frequency-dependent admittance evaluators so constant, RLC and
 tabulated models share one interface.  Junctions are ideal: voltages equal,
 currents sum, no parasitics.
 
-The reduction walks the tree from the leaves toward a port, replacing each
-subtree by its equivalent admittance (carry-back).  The end-to-end transfer
-function is the ordered product of per-segment voltage transfers along the
+Every rooted traversal is one breadth-first walk (``_walk``).  The reduction
+carries the tree from the leaves toward a port, replacing each subtree by its
+equivalent admittance (carry-back).  The end-to-end transfer function is the
+ordered product of per-segment voltage transfers along the
 transmitter-receiver backbone, each segment terminated by the equivalent
-admittance of everything beyond it.  The two-section closed form that
-cross-checks this reduction lives in ``plnsim.oracles``.
+admittance of everything beyond it; it reads that path and those equivalents
+from the port reduction.  The two-section closed form that cross-checks this
+reduction lives in ``plnsim.oracles``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -244,18 +245,10 @@ def validate_topology(net: NetworkTopology) -> ValidationReport:
             f"not a tree: {len(nodes)} nodes need {len(nodes) - 1} branches, "
             f"found {len(net.branches)}")
     if not problems:
-        adj = net.adjacency()
-        seen = {nodes[0]}
-        queue = deque([nodes[0]])
-        while queue:
-            u = queue.popleft()
-            for _, v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != len(nodes):
+        if len(_walk(net, nodes[0])[0]) != len(nodes):
             problems.append("not connected")
         else:
+            adj = net.adjacency()
             port_nodes = {p.node for p in net.ports.values()}
             for n in nodes:
                 if len(adj[n]) == 1 and n not in net.loads and n not in port_nodes:
@@ -279,51 +272,45 @@ def _require_valid(net: NetworkTopology) -> None:
 # ---------------------------------------------------------------------------
 # traversal helpers
 
-def _rooted_children(net: NetworkTopology, root: str):
-    """Parent map and post-order node list for the tree rooted at ``root``."""
+def _walk(net: NetworkTopology, root: str):
+    """Breadth-first walk from ``root``: the visit order of every reachable
+    node, and each one's (parent branch, parent node), None at the root."""
     adj = net.adjacency()
     parent: dict[str, tuple[Branch, str] | None] = {root: None}
     order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    for u in order:  # the loop runs on as the walk appends
         for b, v in adj[u]:
             if v not in parent:
                 parent[v] = (b, u)
                 order.append(v)
-                queue.append(v)
-    children: dict[str, list[tuple[Branch, str]]] = {n: [] for n in parent}
-    for v, pv in parent.items():
-        if pv is not None:
-            children[pv[1]].append((pv[0], v))
-    return parent, children, list(reversed(order))
+    return order, parent
+
+
+def _path(parent: dict, node: str) -> list[tuple[Branch, str, str]]:
+    """(branch, near_node, far_node) triples from a walk's root to ``node``."""
+    path = []
+    while parent[node] is not None:
+        br, up = parent[node]
+        path.append((br, up, node))
+        node = up
+    return path[::-1]
 
 
 def tree_path(net: NetworkTopology, a: str, b: str) -> list[tuple[Branch, str, str]]:
     """Branch sequence from a to b as (branch, near_node, far_node) triples."""
-    parent, _, _ = _rooted_children(net, a)
+    _, parent = _walk(net, a)
     if b not in parent:
         raise ValidationError(f"nodes {a!r} and {b!r} are not connected")
-    path = []
-    node = b
-    while node != a:
-        br, up = parent[node]
-        path.append((br, up, node))
-        node = up
-    return list(reversed(path))
+    return _path(parent, b)
 
 
 def node_distances(net: NetworkTopology, origin: str) -> dict[str, float]:
     """Path length in meters from ``origin`` to every node."""
-    adj = net.adjacency()
+    order, parent = _walk(net, origin)
     dist = {origin: 0.0}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        for b, v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + b.length_m
-                queue.append(v)
+    for v in order[1:]:
+        br, u = parent[v]
+        dist[v] = dist[u] + br.length_m
     return dist
 
 
@@ -360,16 +347,17 @@ def _carry_back(cable: CableSpec, grid: FrequencyGrid, length: float,
 class PortReduction:
     port: str
     y_in: MatrixSpectrum
-    node_equivalents: dict[str, MatrixSpectrum]
+    node_equivalents: dict[str, np.ndarray]  # node -> (n_f, L, L) admittance, S
+    parent: dict[str, tuple[Branch, str] | None]  # the walk from the port node
 
 
 def reduce_to_port(net: NetworkTopology, port: str,
                    grid: FrequencyGrid) -> PortReduction:
-    """Carry all terminations back to a port, depth-first from the leaves.
+    """Carry all terminations back to a port, from the leaves up.
 
     Every node's equivalent admittance (its own load plus the carried-back
     admittances of its child branches, seen from the port side) is returned
-    alongside the port input admittance.
+    alongside the port input admittance and the walk from the port node.
     """
     _require_valid(net)
     if port not in net.ports:
@@ -377,10 +365,14 @@ def reduce_to_port(net: NetworkTopology, port: str,
     root = net.ports[port].node
     f = grid.frequencies
     L = net.n_conductors
-    _, children, postorder = _rooted_children(net, root)
+    order, parent = _walk(net, root)
+    children: dict[str, list[tuple[Branch, str]]] = {n: [] for n in order}
+    for v in order[1:]:
+        br, u = parent[v]
+        children[u].append((br, v))
 
     equiv: dict[str, np.ndarray] = {}
-    for node in postorder:  # children come before parents
+    for node in reversed(order):  # children come before parents
         if node in net.loads:
             y = net.loads[node].evaluate(f)
             if y.shape != (f.size, L, L):
@@ -392,9 +384,8 @@ def reduce_to_port(net: NetworkTopology, port: str,
             y = y + _carry_back(br.cable, grid, br.length_m, equiv[child], br.id)
         equiv[node] = y
 
-    equivalents = {n: MatrixSpectrum(grid, v, "admittance") for n, v in equiv.items()}
-    return PortReduction(port=port, y_in=equivalents[root],
-                         node_equivalents=equivalents)
+    return PortReduction(port=port, y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
+                         node_equivalents=equiv, parent=parent)
 
 
 def network_input_reflection(net: NetworkTopology, port: str,
@@ -420,18 +411,16 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
         raise UsageError(f"no port named {tx_port!r}")
     if rx_node not in net.loads:
         raise UsageError(f"receiver node {rx_node!r} carries no load")
-    tx_node = net.ports[tx_port].node
-    if rx_node == tx_node:
+    if rx_node == net.ports[tx_port].node:
         raise UsageError("transmitter and receiver coincide")
 
     red = reduce_to_port(net, tx_port, grid)
     f = grid.frequencies
-    path = tree_path(net, tx_node, rx_node)
     L = net.n_conductors
     h = np.broadcast_to(np.eye(L, dtype=complex), (grid.n_points, L, L)).copy()
-    for br, _, far in path:
+    for br, _, far in _path(red.parent, rx_node):
         params = line_propagation_params(br.cable, grid)
-        y_eq = red.node_equivalents[far].values
+        y_eq = red.node_equivalents[far]
         try:
             rho = load_reflection(y_eq, params.yc, f)
             h = _matmul(ctf_line(params, br.length_m, rho), h)

@@ -61,8 +61,13 @@ def _section(value, kind: type, context: str):
 
 
 def _read_json(path: Path):
+    """Standard JSON only: the NaN and Infinity tokens Python's parser
+    accepts are rejected, as every writer here refuses them."""
+    def reject(token: str):
+        raise ParseError(f"{path}: non-standard JSON constant {token}")
+
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), parse_constant=reject)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:

@@ -98,6 +98,14 @@ def test_distributed_fault_boundary_cases(base_net, grid, std_cable):
         apply_anomaly(base_net, DistributedFault("s", 100.0, 50.0, degraded), grid)
 
 
+@pytest.mark.parametrize("start,extent", [(np.nan, 30.0), (30.0, np.nan)])
+def test_distributed_fault_rejects_non_finite_range(base_net, grid, std_cable,
+                                                    start, extent):
+    degraded = scaled_cable(std_cable, c_scale=1.3, label="aged")
+    with pytest.raises(ValidationError):
+        apply_anomaly(base_net, DistributedFault("s", start, extent, degraded), grid)
+
+
 def test_describe_anomaly(base_net):
     d = describe_anomaly(LumpedFault("s", 40.0, conductance(0.05)))
     assert d["type"] == "lumped_fault" and d["offset_m"] == 40.0

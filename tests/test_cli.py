@@ -20,6 +20,9 @@ BUNDLED = resources.files("plnsim") / "data"
 TWO_NODE = json.loads((BUNDLED / "two_node.json").read_text())
 FAULT = {"type": "lumped_fault", "branch": "b0", "offset_m": 40.0,
          "y_f": {"model": "constant", "params": {"y_s": [0.05, 0.0]}}}
+DIST_FAULT = {"type": "distributed_fault", "branch": "b0", "start_m": 30.0,
+              "extent_m": 20.0, "degraded": TWO_NODE["cables"]["fast"]}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.fixture()
@@ -94,8 +97,17 @@ def test_missing_field_reports_context(tmp_path, two_node, capsys):
     ("anomaly", {**FAULT, "y_f": {"model": "constant", "params": []}}),
     ("cables", {"c": {"model": "powerline", "params": {"r0_ohm_per_m": "ten"}}}),
     ("cables", {"c": {"model": "powerline", "params": ["ten"]}}),
+    # json.dumps writes NaN and Infinity, which are not standard JSON
+    ("anomaly", {**DIST_FAULT, "start_m": NAN}),
+    ("anomaly", {**DIST_FAULT, "extent_m": NAN}),
+    ("anomaly", {**FAULT, "y_f": {"model": "constant", "params": {"y_s": [NAN, 0]}}}),
+    ("cables", {"c": {"model": "powerline", "params": {"r0_ohm_per_m": NAN}}}),
+    ("topology", {**TWO_NODE,
+                  "branches": [{**TWO_NODE["branches"][0], "length_m": INF}]}),
 ], ids=["cables-list", "loads-list", "top-level-number", "length-text",
-        "offset-text", "params-list", "cable-param-text", "cable-params-list"])
+        "offset-text", "params-list", "cable-param-text", "cable-params-list",
+        "start-nan", "extent-nan", "admittance-nan", "cable-param-nan",
+        "length-infinity"])
 def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
                                        role, content):
     bad = tmp_path / f"bad_{role}.json"
@@ -120,8 +132,9 @@ def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
     ["--severity-min", "-1", "--severity-max", "-0.5"],
     ["--n-networks", "0"],
     ["--n-networks", "-3"],
+    ["--cables", "pl-std,pl-2c"],
 ], ids=["no-bins", "one-node", "negative-severity", "no-networks",
-        "negative-networks"])
+        "negative-networks", "mixed-conductors"])
 def test_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
     assert main(["sweep", "--n-networks", "2", "--grid", "1e5,4e5,80", *flags,
                  "--out", str(tmp_path / "sw")]) == 1

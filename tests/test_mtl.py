@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plnsim.cables import constant_rlgc_cable, powerline_cable
-from plnsim.errors import SingularityError, ValidationError
+from plnsim.errors import DecompositionError, SingularityError, ValidationError
 from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _matmul, _rdiv, _solve,
                         ctf_line, echo_voltage, input_admittance_line,
                         input_reflection, line_propagation_params,
@@ -83,6 +83,32 @@ def test_cable_validation_errors(grid):
     bad_c = constant_rlgc_cable(0.1, 5e-7, 0.0, -1e-10)
     with pytest.raises(ValidationError, match="positive"):
         line_propagation_params(bad_c, grid)
+
+
+def test_cable_validation_rejects_non_finite(grid):
+    # f_ref = 0 makes R(f) = r0 sqrt(f / 0) infinite at every frequency
+    cable = powerline_cable(f_ref_hz=0.0, label="no-ref")
+    with np.errstate(divide="ignore"), pytest.raises(ValidationError,
+                                                     match="'no-ref': R"):
+        line_propagation_params(cable, grid)
+    bad_l = constant_rlgc_cable(0.1, np.nan, 0.0, 1e-10, label="nan-l")
+    with pytest.raises(ValidationError, match="'nan-l': L"):
+        line_propagation_params(bad_l, grid)
+
+
+def test_defective_eigenvectors_raise_decomposition_error(grid, monkeypatch):
+    # two equal eigenvector columns at one grid index: T is singular there
+    eig, k = np.linalg.eig, 7
+
+    def defective(a):
+        w, v = eig(a)
+        v[k] = [[1.0, 1.0], [0.0, 0.0]]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", defective)
+    with pytest.raises(DecompositionError, match="eigenvector matrix is singular") as exc:
+        line_propagation_params(powerline_cable(2, label="defective"), grid)
+    assert exc.value.frequency_hz == grid.frequencies[k]
 
 
 def test_cached_params_are_read_only(grid, std_cable):
