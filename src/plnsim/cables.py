@@ -42,6 +42,10 @@ def powerline_cable(n_conductors: int = 1,
     if not 0.0 <= coupling < 1.0:
         raise ValidationError("coupling must be in [0, 1) to keep L and C positive definite")
     n = n_conductors
+    name = label or f"powerline-{n}c"
+    if not (np.isfinite(f_ref_hz) and f_ref_hz > 0.0):
+        raise ValidationError(
+            f"cable {name!r}: f_ref_hz must be finite and positive, got {f_ref_hz!r}")
     l_mat = _coupled(l_h_per_m, coupling, n)
     c_mat = _coupled(c_f_per_m, coupling, n)
     eye = np.eye(n)
@@ -63,7 +67,6 @@ def powerline_cable(n_conductors: int = 1,
         "coupling": coupling,
         "f_ref_hz": f_ref_hz,
     }
-    name = label or f"powerline-{n}c"
     return CableSpec(label=name, n_conductors=n, rlgc=rlgc,
                      meta={"model": "powerline", "params": params})
 

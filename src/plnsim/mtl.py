@@ -13,7 +13,7 @@ step one vectorized operation over the grid.  The pivot is the first
 candidate of largest |re| + |im|, as LAPACK izamax picks it, and only an
 exactly zero pivot counts as singular, as in LAPACK getrf: it raises
 SingularityError at the first frequency that has one (DecompositionError
-for the two inverses of the modal decomposition).
+for the one inverse of the modal decomposition, T^-1).
 
 Conventions used throughout the package:
 
@@ -317,8 +317,17 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     """Modal decomposition of one cable over one grid.
 
     Diagonalizes Y(f) Z(f) = T Gamma^2 T^-1 per frequency with a
-    Re(gamma) >= 0 branch, tracks mode order across the sweep so per-mode
-    curves stay continuous, and derives Z_C = Z T Gamma^-1 T^-1, Y_C = Z_C^-1.
+    Re(gamma) >= 0 branch and derives Z_C = Z T Gamma^-1 T^-1 and
+    Y_C = Z_C^-1 = T Gamma^-1 T^-1 Y, so T^-1 is the only inverse.
+
+    Mode order is tracked across the sweep so per-mode curves stay
+    continuous.  At f_0 the modes are sorted by Im(gamma), then Re(gamma).
+    Between neighbouring frequencies, the eigenvector pair of largest
+    overlap |v_{k-1}^H v_k| is matched first, then the largest pair among
+    the columns left, and so on.  Inside a degenerate cluster (equal gamma)
+    any order is equally valid: every response is a T ... T^-1 sandwich
+    and does not depend on the basis chosen there.
+
     Results are cached per (cable, grid) pair; the returned object is shared
     and its arrays are returned read-only.
     """
@@ -335,36 +344,38 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     gamma = np.sqrt(w.astype(complex))
     flip = (gamma.real < 0) | ((gamma.real == 0) & (gamma.imag < 0))
     gamma = np.where(flip, -gamma, gamma)
-    v = _normalize_columns(v)
+    t = _cols(_normalize_columns(v))
 
     n_f, L = gamma.shape
     if L > 1:
-        # scipy is loaded only for coupled cables; its tie-break between
-        # degenerate modes is part of the recorded mode order
-        from scipy.optimize import linear_sum_assignment
-
-        order0 = np.lexsort((gamma[0].real, gamma[0].imag))
-        v[0] = v[0][:, order0]
-        gamma[0] = gamma[0][order0]
+        # step[k, i] = j matches raw column i at f_k to raw column j at
+        # f_k+1: the pair of largest overlap goes first, then the largest
+        # among the rows and columns left, each pass over the whole grid
+        overlap = np.abs(_mul(_t(t[:, :, :-1]).conj(), t[:, :, 1:]))
+        flat = overlap.reshape(L * L, n_f - 1)
+        steps = np.arange(n_f - 1)
+        step = np.empty((n_f - 1, L), dtype=np.intp)
+        for _ in range(L):
+            i, j = np.divmod(np.argmax(flat, axis=0), L)
+            step[steps, i] = j
+            overlap[i, :, steps] = -1.0
+            overlap[:, j, steps] = -1.0
+        order = np.empty((n_f, L), dtype=np.intp)
+        order[0] = np.lexsort((gamma[0].real, gamma[0].imag))
         for k in range(1, n_f):
-            overlap = np.abs(v[k - 1].conj().T @ v[k])
-            _, cols = linear_sum_assignment(-overlap)
-            v[k] = v[k][:, cols]
-            gamma[k] = gamma[k][cols]
+            order[k] = step[k - 1, order[k - 1]]
+        gamma = np.take_along_axis(gamma, order, axis=1)
+        t = np.take_along_axis(t, order.T[None], axis=1)
 
-    eye = np.broadcast_to(_eye(L), (L, L, n_f))
-
-    def inverse(c: np.ndarray, what: str) -> np.ndarray:
-        """c^-1 as entry columns of their own, not a view of the elimination's
-        wider work array, so the cached parameters hold no more than they need."""
-        try:
-            return np.ascontiguousarray(_gauss(c, eye, f, ""))
-        except SingularityError as exc:
-            raise DecompositionError(f"cable {cable.label!r}: {what}",
-                                     frequency_hz=exc.frequency_hz) from exc
-
-    t = _cols(v)
-    t_inv = inverse(t, "eigenvector matrix is singular (defective propagation operator)")
+    try:
+        # a copy, not a view of the elimination's wider work array, so the
+        # cached parameters hold no more than they need
+        t_inv = np.ascontiguousarray(
+            _gauss(t, np.broadcast_to(_eye(L), (L, L, n_f)), f, ""))
+    except SingularityError as exc:
+        raise DecompositionError(
+            f"cable {cable.label!r}: eigenvector matrix is singular "
+            "(defective propagation operator)", frequency_hz=exc.frequency_hz) from exc
 
     off = _mul(_mul(t_inv, _cols(a)), t)
     diag = np.arange(L)
@@ -384,8 +395,9 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             frequency_hz=float(f[k]))
 
     gamma = np.ascontiguousarray(gamma.T)
-    zc = _mul(_mul(_cols(z), t / gamma[None]), t_inv)
-    yc = inverse(zc, "characteristic impedance is singular")
+    root_inv = _mul(t / gamma[None], t_inv)  # T Gamma^-1 T^-1 = (YZ)^-1/2
+    zc = _mul(_cols(z), root_inv)
+    yc = _mul(root_inv, _cols(y))
 
     gamma, t, t_inv, yc, zc = gamma.T, *map(_stack, (t, t_inv, yc, zc))
     for arr in (gamma, t, t_inv, yc, zc):

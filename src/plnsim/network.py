@@ -17,6 +17,7 @@ reduction lives in ``plnsim.oracles``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -248,10 +249,10 @@ def validate_topology(net: NetworkTopology) -> ValidationReport:
         if len(_walk(net, nodes[0])[0]) != len(nodes):
             problems.append("not connected")
         else:
-            adj = net.adjacency()
+            degree = Counter(n for b in net.branches for n in (b.node_a, b.node_b))
             port_nodes = {p.node for p in net.ports.values()}
             for n in nodes:
-                if len(adj[n]) == 1 and n not in net.loads and n not in port_nodes:
+                if degree[n] == 1 and n not in net.loads and n not in port_nodes:
                     problems.append(f"dangling leaf {n!r}: no load and no port")
 
     counts = {b.cable.n_conductors for b in net.branches}

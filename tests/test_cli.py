@@ -374,20 +374,23 @@ codes = [
     plnsim.cli.main(["locate", f"{data}/single_line_200m.json", "--anomaly",
                      fault, "--out", f"{out}/locate", "--no-timestamp"]),
 ]
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+scipy = loaded()
 
 from plnsim.cables import powerline_cable
 from plnsim.mtl import FrequencyGrid, line_propagation_params
 p = line_propagation_params(powerline_cable(n_conductors=3),
                             FrequencyGrid(1e5, 1e5, 20))
-print(json.dumps({"codes": codes, "scipy": scipy,
+print(json.dumps({"codes": codes, "scipy": scipy, "l3_scipy": loaded(),
                   "l3_gamma_shape": list(p.gamma.shape)}))
 """
 
 
 def test_one_shot_path_imports_no_scipy(tmp_path):
     # a fresh interpreter: scipy must stay unloaded through tdr and locate on
-    # the bundled single-conductor topologies, and load for a coupled cable
+    # the bundled single-conductor topologies, and through the decomposition
+    # of a coupled cable
     fault = tmp_path / "fault.json"
     fault.write_text(json.dumps({**FAULT, "offset_m": 120.0}))
     src = str(Path(plnsim.__file__).parents[1])
@@ -397,4 +400,19 @@ def test_one_shot_path_imports_no_scipy(tmp_path):
         [sys.executable, "-c", IMPORT_GUARD, str(BUNDLED), str(tmp_path), str(fault)],
         env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "scipy": [], "l3_gamma_shape": [20, 3]}
+    assert result == {"codes": [0, 0, 0], "scipy": [], "l3_scipy": [],
+                      "l3_gamma_shape": [20, 3]}
+
+
+@pytest.mark.parametrize("f_ref", [0.0, -1e6], ids=["zero", "negative"])
+def test_bad_reference_frequency_is_rejected(tmp_path, recwarn, capsys, f_ref):
+    # R(f) = r0 sqrt(f / f_ref) needs f_ref > 0; the cable is rejected when it
+    # is read, before any numpy warning
+    data = json.loads(json.dumps(TWO_NODE))
+    data["cables"]["fast"]["params"]["f_ref_hz"] = f_ref
+    path = tmp_path / "bad_ref.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("plnsim: ") and "f_ref_hz" in err
+    assert not recwarn.list

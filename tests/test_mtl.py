@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import DecompositionError, SingularityError, ValidationError
-from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _matmul, _rdiv, _solve,
-                        ctf_line, echo_voltage, input_admittance_line,
-                        input_reflection, line_propagation_params,
-                        load_reflection, modal_transform)
+from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _matmul,
+                        _normalize_columns, _rdiv, _solve, ctf_line,
+                        echo_voltage, input_admittance_line, input_reflection,
+                        line_propagation_params, load_reflection,
+                        modal_transform)
 from plnsim.oracles import input_reflection_modal, series_truncated_responses
 
 from conftest import lossless_cable, random_passive_matrix, spectrum_const
@@ -21,6 +22,15 @@ TWO_PI = 2.0 * np.pi
 
 def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def random_spd_cable(rng, L, label="random-spd"):
+    """Cable with random symmetric positive definite L and C, which do not
+    commute, so its modes are distinct and Y Z is not symmetric."""
+    a, b = rng.normal(size=(2, L, L))
+    return constant_rlgc_cable(0.1 * np.eye(L), 5e-7 * (a @ a.T / L + np.eye(L)),
+                               1e-6 * np.eye(L), 1e-10 * (b @ b.T / L + np.eye(L)),
+                               label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +84,56 @@ def test_mode_tracking_across_sweep(grid, coupled_cable):
     assert np.min(diag) > 0.9
 
 
+def test_mode_matching_matches_assignment_solver(grid, coupled_cable, monkeypatch):
+    # with distinct modes, matching the largest overlaps first picks the same
+    # mode order as an optimal assignment on every step of the sweep
+    from scipy.optimize import linear_sum_assignment  # the oracle only
+
+    rng = np.random.default_rng(8)
+    cables = [coupled_cable] + [random_spd_cable(rng, L, f"spd-{L}-{n}")
+                                for L in (2, 3, 4, 5) for n in range(3)]
+    eig, seen = np.linalg.eig, []
+
+    def recording(m):
+        w, v = eig(m)
+        seen.append((w.copy(), v.copy()))
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    for cable in cables:
+        seen.clear()
+        p = line_propagation_params.__wrapped__(cable, grid)  # past the cache
+        (w, v), = seen
+        gamma = np.sqrt(w.astype(complex))
+        gamma = np.where((gamma.real < 0) | ((gamma.real == 0) & (gamma.imag < 0)),
+                         -gamma, gamma)
+        v = _normalize_columns(v)
+        order = np.lexsort((gamma[0].real, gamma[0].imag))
+        v[0], gamma[0] = v[0][:, order], gamma[0][order]
+        for k in range(1, grid.n_points):
+            _, cols = linear_sum_assignment(-np.abs(v[k - 1].conj().T @ v[k]))
+            v[k], gamma[k] = v[k][:, cols], gamma[k][cols]
+        np.testing.assert_array_equal(p.gamma, gamma, err_msg=cable.label)
+        # distinct modes: inside a degenerate cluster any order is valid
+        gap = np.abs(gamma[:, :, None] - gamma[:, None, :]) + np.eye(cable.n_conductors)
+        assert np.min(gap / np.abs(gamma[:, :, None])) > 1e-3, cable.label
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_characteristic_admittance_non_commuting(grid, L):
+    # random L and C do not commute, so Y_C = T Gamma^-1 T^-1 Y must keep its
+    # factor order: Y_C = Z_C^-1, Y_C Z Y_C = Y, and Y_C is symmetric
+    cable = random_spd_cable(np.random.default_rng(L), L)
+    p = line_propagation_params(cable, grid)
+    f = grid.frequencies
+    r, l, g, c = cable.rlgc(f)
+    jw = 1j * TWO_PI * f[:, None, None]
+    z, y = r + jw * l, g + jw * c
+    assert rel_err(p.yc, np.linalg.inv(p.zc)) < 1e-10
+    assert rel_err(p.yc @ z @ p.yc, y) < 1e-10
+    assert rel_err(p.yc, np.swapaxes(p.yc, 1, 2)) < 1e-10
+
+
 def test_cable_validation_errors(grid):
     bad_sym = constant_rlgc_cable([[0.1, 0.0], [0.05, 0.1]],
                                   5e-7 * np.eye(2), np.zeros((2, 2)),
@@ -86,10 +146,8 @@ def test_cable_validation_errors(grid):
 
 
 def test_cable_validation_rejects_non_finite(grid):
-    # f_ref = 0 makes R(f) = r0 sqrt(f / 0) infinite at every frequency
-    cable = powerline_cable(f_ref_hz=0.0, label="no-ref")
-    with np.errstate(divide="ignore"), pytest.raises(ValidationError,
-                                                     match="'no-ref': R"):
+    cable = constant_rlgc_cable(np.inf, 5e-7, 0.0, 1e-10, label="no-ref")
+    with pytest.raises(ValidationError, match="'no-ref': R"):
         line_propagation_params(cable, grid)
     bad_l = constant_rlgc_cable(0.1, np.nan, 0.0, 1e-10, label="nan-l")
     with pytest.raises(ValidationError, match="'nan-l': L"):
