@@ -97,36 +97,25 @@ def scaled_cable(base: CableSpec, r_scale: float = 1.0, l_scale: float = 1.0,
                  g_scale: float = 1.0, c_scale: float = 1.0,
                  label: str | None = None) -> CableSpec:
     """Uniformly scaled copy of a cable, the usual way to model a degraded
-    (aged, wet) section.  Scaling preserves symmetry and definiteness for
-    positive factors."""
-    for s in (r_scale, l_scale, g_scale, c_scale):
-        if s < 0:
-            raise ValidationError("cable scale factors must be >= 0")
-    base_rlgc = base.rlgc
-
-    def rlgc(f: np.ndarray):
-        r, l, g, c = base_rlgc(f)
-        return r * r_scale, l * l_scale, g * g_scale, c * c_scale
-
+    (aged, wet) section, built through the base's own parametric model.
+    R and G factors must be >= 0, and L and C factors > 0 to keep those
+    matrices positive definite."""
+    if not (r_scale >= 0 and g_scale >= 0 and l_scale > 0 and c_scale > 0):
+        raise ValidationError(
+            "cable scale factors must be >= 0 for R and G and > 0 for L and C")
     name = label or f"{base.label}-degraded"
-    meta = None
-    if base.meta is not None and base.meta.get("model") == "powerline":
-        p = dict(base.meta["params"])
-        p["r0_ohm_per_m"] = p["r0_ohm_per_m"] * r_scale
-        p["l_h_per_m"] = p["l_h_per_m"] * l_scale
-        p["c_f_per_m"] = p["c_f_per_m"] * c_scale
-        if c_scale > 0:
-            p["g_factor"] = p["g_factor"] * g_scale / c_scale
-        meta = {"model": "powerline", "params": p}
-    elif base.meta is not None and base.meta.get("model") == "constant_rlgc":
-        p = base.meta["params"]
-        meta = {"model": "constant_rlgc", "params": {
-            "r": (np.asarray(p["r"]) * r_scale).tolist(),
-            "l": (np.asarray(p["l"]) * l_scale).tolist(),
-            "g": (np.asarray(p["g"]) * g_scale).tolist(),
-            "c": (np.asarray(p["c"]) * c_scale).tolist(),
-        }}
-    return CableSpec(label=name, n_conductors=base.n_conductors, rlgc=rlgc, meta=meta)
+    meta = base.meta or {}
+    p = meta.get("params")
+    if meta.get("model") == "powerline":
+        return powerline_cable(**dict(
+            p, r0_ohm_per_m=p["r0_ohm_per_m"] * r_scale,
+            l_h_per_m=p["l_h_per_m"] * l_scale, c_f_per_m=p["c_f_per_m"] * c_scale,
+            g_factor=p["g_factor"] * g_scale / c_scale), label=name)
+    if meta.get("model") == "constant_rlgc":
+        scales = (r_scale, l_scale, g_scale, c_scale)
+        return constant_rlgc_cable(*(np.asarray(p[k]) * s for k, s in zip("rlgc", scales)),
+                                   label=name)
+    raise ValidationError(f"cable {base.label!r} has no parametric form to scale")
 
 
 def builtin_cable_library() -> dict[str, CableSpec]:

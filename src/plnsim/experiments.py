@@ -221,7 +221,6 @@ class BinStat:
 
 @dataclass(eq=False)
 class SweepResult:
-    config: EnsembleConfig
     records: list[SweepRecord]
     skipped: list[tuple[int, str]]
     bins: list[BinStat]
@@ -337,7 +336,7 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
     if np.isfinite(u_means[0]) and np.isfinite(u_means[-1]) and np.isfinite(u_means[mid]):
         summary["h_u_shape"] = bool(u_means[0] > u_means[mid]
                                     and u_means[-1] > u_means[mid])
-    return SweepResult(config=cfg, records=records, skipped=skipped,
+    return SweepResult(records=records, skipped=skipped,
                        bins=bins, summary=summary)
 
 
@@ -359,11 +358,8 @@ class ScenarioResult:
     passed: bool
     new_peaks_s: list[float]
     shifted_pairs_s: list[tuple[float, float]]
-    amplitude_changes_s: list[float]
-    vanished_peaks_s: list[float]
     ambiguities: list[str]
     baseline_trace: TimeTrace
-    perturbed_trace: TimeTrace
 
 
 def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
@@ -379,7 +375,7 @@ def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
     pa = detect_peaks(baseline, rel_threshold, min_separation).merged(min_separation)
     pb = detect_peaks(perturbed, rel_threshold, min_separation).merged(min_separation)
 
-    matched, amp_changed = [], []
+    amp_changed = False
     un_a = list(pa)
     un_b = list(pb)
     for p in list(un_a):
@@ -387,11 +383,9 @@ def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
                 if abs(q.time_s - p.time_s) <= match_tol_samples * t_step]
         if cand:
             q = min(cand, key=lambda q: abs(q.time_s - p.time_s))
-            matched.append((p, q))
             un_a.remove(p)
             un_b.remove(q)
-            if abs(q.amplitude - p.amplitude) > amp_rel_change * p.amplitude:
-                amp_changed.append(p.time_s)
+            amp_changed |= abs(q.amplitude - p.amplitude) > amp_rel_change * p.amplitude
 
     shifted, ambig = [], []
     for p in list(un_a):
@@ -407,7 +401,6 @@ def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
             un_b.remove(q)
 
     new = [q.time_s for q in un_b]
-    vanished = [p.time_s for p in un_a]
     classification = set()
     if new:
         classification.add("new-peak")
@@ -415,7 +408,7 @@ def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
         classification.add("shifted-peak")
     if not new and not shifted and amp_changed:
         classification.add("amplitude-only")
-    return classification, new, shifted, amp_changed, vanished, ambig
+    return classification, new, shifted, ambig
 
 
 def run_scenario_suite(base_net: NetworkTopology, scenarios: list[Scenario],
@@ -434,15 +427,14 @@ def run_scenario_suite(base_net: NetworkTopology, scenarios: list[Scenario],
         net_a = apply_anomaly(base_net, sc.anomaly, grid)
         y1 = reduce_to_port(net_a, port, grid).y_in
         trace1 = to_time_domain(y1, window)
-        cls, new, shifted, amp, vanished, ambig = _classify_peak_diff(
+        cls, new, shifted, ambig = _classify_peak_diff(
             trace0, trace1, rel_threshold, min_separation)
         results.append(ScenarioResult(
             name=sc.name, classification=cls, expected=set(sc.expected),
             passed=set(sc.expected) <= cls if sc.expected != {"amplitude-only"}
             else cls == {"amplitude-only"},
-            new_peaks_s=new, shifted_pairs_s=shifted, amplitude_changes_s=amp,
-            vanished_peaks_s=vanished, ambiguities=ambig,
-            baseline_trace=trace0, perturbed_trace=trace1))
+            new_peaks_s=new, shifted_pairs_s=shifted, ambiguities=ambig,
+            baseline_trace=trace0))
     return results
 
 

@@ -85,10 +85,6 @@ class FrequencyGrid:
         f.flags.writeable = False
         return f
 
-    @property
-    def f_max(self) -> float:
-        return self.f_start + self.f_step * (self.n_points - 1)
-
 
 @dataclass(eq=False)
 class CableSpec:
@@ -146,9 +142,6 @@ class MatrixSpectrum:
     @property
     def n_conductors(self) -> int:
         return self.values.shape[1]
-
-    def entry(self, row: int, col: int) -> np.ndarray:
-        return self.values[:, row, col]
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +401,19 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
 # ---------------------------------------------------------------------------
 # reflection coefficients, admittances, transfer
 
+def _reflection(y: np.ndarray, y_ref: np.ndarray, f: np.ndarray | None,
+                ref_singular: str, sum_singular: str) -> np.ndarray:
+    """Y_ref (Y + Y_ref)^-1 (Y - Y_ref) Y_ref^-1."""
+    y, y_ref = _cols(y), _cols(y_ref)
+    inner = _right(y - y_ref, y_ref, f, ref_singular)
+    return _stack(_mul(y_ref, _gauss(y + y_ref, inner, f, sum_singular)))
+
+
 def load_reflection(y_l: np.ndarray, y_c: np.ndarray,
                     f: np.ndarray | None = None) -> np.ndarray:
     """rho_L = Y_C (Y_L + Y_C)^-1 (Y_L - Y_C) Y_C^-1 (current convention)."""
-    y_l, y_c = _cols(y_l), _cols(y_c)
-    inner = _right(y_l - y_c, y_c, f, "characteristic admittance is singular")
-    return _stack(_mul(y_c, _gauss(y_l + y_c, inner, f,
-                                   "matched-degenerate load: Y_L + Y_C is singular")))
+    return _reflection(y_l, y_c, f, "characteristic admittance is singular",
+                       "matched-degenerate load: Y_L + Y_C is singular")
 
 
 def modal_transform(a: np.ndarray, t: np.ndarray,
@@ -449,9 +448,8 @@ def input_admittance_line(params: PropagationParams, length: float,
 def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
                      f: np.ndarray | None = None) -> np.ndarray:
     """rho_in = Y_R (Y_in + Y_R)^-1 (Y_in - Y_R) Y_R^-1."""
-    y_in, y_r = _cols(y_in), _cols(y_r)
-    inner = _right(y_in - y_r, y_r, f, "source admittance is singular")
-    return _stack(_mul(y_r, _gauss(y_in + y_r, inner, f, "Y_in + Y_R is singular")))
+    return _reflection(y_in, y_r, f, "source admittance is singular",
+                       "Y_in + Y_R is singular")
 
 
 def echo_voltage(rho_in: np.ndarray, y_r: np.ndarray, v_source: np.ndarray,

@@ -346,7 +346,6 @@ def _carry_back(cable: CableSpec, grid: FrequencyGrid, length: float,
 
 @dataclass(eq=False)
 class PortReduction:
-    port: str
     y_in: MatrixSpectrum
     node_equivalents: dict[str, np.ndarray]  # node -> (n_f, L, L) admittance, S
     parent: dict[str, tuple[Branch, str] | None]  # the walk from the port node
@@ -385,7 +384,7 @@ def reduce_to_port(net: NetworkTopology, port: str,
             y = y + _carry_back(br.cable, grid, br.length_m, equiv[child], br.id)
         equiv[node] = y
 
-    return PortReduction(port=port, y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
+    return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
                          node_equivalents=equiv, parent=parent)
 
 

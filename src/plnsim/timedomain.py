@@ -10,9 +10,8 @@ as d = v t.  Velocity is treated as constant per mode (taken from the
 low-frequency inductance and capacitance); dispersion corrections are out of
 scope here.
 
-Peaks are picked with the rules of ``scipy.signal.find_peaks`` and
-``peak_widths`` (which the tests use as the oracle), in numpy so the one-shot
-path never imports scipy:
+Peaks are picked with the rules of ``scipy.signal.find_peaks`` (which the
+tests use as the oracle), in numpy so the one-shot path never imports scipy:
 
 * a local maximum is a sample, or a run of equal samples, higher than both
   neighbours; a flat peak sits at its plateau midpoint ``(left + right) // 2``
@@ -20,11 +19,7 @@ path never imports scipy:
 * a peak passes the height gate when ``x[peak] >= height``;
 * spacing is enforced by height priority (``np.argsort`` order, highest
   first): every peak closer than ``ceil(distance)`` samples to a kept,
-  higher-priority peak is dropped;
-* the width is measured at ``x[peak] - 0.5 * prominence``, where the
-  prominence bases are the lowest samples between the peak and the nearest
-  higher sample (or the trace end) on each side, searched over the whole
-  trace, and the crossings are linearly interpolated between samples.
+  higher-priority peak is dropped.
 """
 
 from __future__ import annotations
@@ -54,14 +49,12 @@ __all__ = [
     "segment_energy",
     "DEFAULT_REL_THRESHOLD",
     "DEFAULT_MIN_SEPARATION",
-    "DEFAULT_GUARD_SAMPLES",
 ]
 
 # tunable defaults; threshold sits above the first sidelobe of the hann
 # kernel (-31 dB ~ 0.027) so window leakage never registers as a peak
 DEFAULT_REL_THRESHOLD = 0.05
 DEFAULT_MIN_SEPARATION = 3
-DEFAULT_GUARD_SAMPLES = 3
 
 WINDOWS = ("rect", "hann")
 
@@ -144,7 +137,6 @@ def to_time_domain(source: MatrixSpectrum | DeltaSpectrum,
 class Peak:
     time_s: float
     amplitude: float  # |trace entry| at the peak
-    width_s: float    # half-height width
 
 
 @dataclass(eq=False)
@@ -157,9 +149,6 @@ class PeakList:
     """
 
     t_step: float
-    n_samples: int
-    rel_threshold: float
-    min_separation: int
     entries: dict[tuple[int, int], list[Peak]]
     launch_amplitude: dict[tuple[int, int], float]
 
@@ -207,38 +196,6 @@ def _find_peaks(x: np.ndarray, height: float, distance: float) -> np.ndarray:
     return peaks[keep]
 
 
-def _half_height_widths(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Width in samples of each peak at half its prominence."""
-    widths = np.empty(peaks.size)
-    for n, p in enumerate(peaks):
-        top = x[p]
-        # bases: lowest samples out to the nearest higher sample on each side
-        # (rightmost on the left, leftmost on the right)
-        higher = np.flatnonzero(~(x[:p] <= top))
-        lo = higher[-1] + 1 if higher.size else 0
-        higher = np.flatnonzero(~(x[p:] <= top))
-        hi = p + higher[0] if higher.size else x.size
-        left_base = p - int(np.argmin(x[lo:p + 1][::-1]))
-        right_base = p + int(np.argmin(x[p:hi]))
-        prominence = top - max(x[left_base], x[right_base])
-        height = top - prominence * 0.5
-
-        # crossings: first sample at or below the height walking outwards,
-        # stopping at the base, then interpolated towards the peak
-        below = np.flatnonzero(~(height < x[left_base + 1:p + 1]))
-        i = left_base + 1 + below[-1] if below.size else left_base
-        left_ip = float(i)
-        if x[i] < height:
-            left_ip += (height - x[i]) / (x[i + 1] - x[i])
-        below = np.flatnonzero(~(height < x[p:right_base]))
-        i = p + below[0] if below.size else right_base
-        right_ip = float(i)
-        if x[i] < height:
-            right_ip -= (height - x[i]) / (x[i - 1] - x[i])
-        widths[n] = right_ip - left_ip
-    return widths
-
-
 def detect_peaks(trace: TimeTrace,
                  rel_threshold: float = DEFAULT_REL_THRESHOLD,
                  min_separation: int = DEFAULT_MIN_SEPARATION) -> PeakList:
@@ -262,14 +219,9 @@ def detect_peaks(trace: TimeTrace,
                 continue
             idx = _find_peaks(x, rel_threshold * gmax, min_separation)
             idx = idx[(idx >= min_separation) & (idx < n_t - min_separation)]
-            w = _half_height_widths(x, idx)
-            entries[(r, c)] = [
-                Peak(time_s=float(i * trace.t_step), amplitude=float(x[i]),
-                     width_s=float(wi * trace.t_step))
-                for i, wi in zip(idx, w)]
-    return PeakList(t_step=trace.t_step, n_samples=n_t,
-                    rel_threshold=rel_threshold, min_separation=min_separation,
-                    entries=entries, launch_amplitude=launch)
+            entries[(r, c)] = [Peak(time_s=float(i * trace.t_step),
+                                    amplitude=float(x[i])) for i in idx]
+    return PeakList(t_step=trace.t_step, entries=entries, launch_amplitude=launch)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .anomalies import Anomaly, DistributedFault, LoadChange, LumpedFault
 from .cables import constant_rlgc_cable, powerline_cable
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .mtl import CableSpec, FrequencyGrid, MatrixSpectrum
 from .network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                       constant_admittance, open_circuit, parallel_rc_admittance,
@@ -101,11 +101,35 @@ def _matrix_from(obj, n: int, context: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # admittance and cable model registries
 
-def admittance_from_dict(d: dict, n_conductors: int, context: str) -> AdmittanceSpec:
+# the parameters each model takes; a model's defaults live in its constructor
+_MODEL_PARAMS = {
+    "constant": ("y_s",),
+    "parallel_rc": ("r_ohm", "c_farad"),
+    "open": (),
+    "table": ("f_hz", "y_s"),
+    "powerline": ("n_conductors", "r0_ohm_per_m", "l_h_per_m", "c_f_per_m",
+                  "g_factor", "coupling", "f_ref_hz"),
+    "constant_rlgc": ("r", "l", "g", "c"),
+}
+
+
+def _model_params(d, context: str) -> tuple[str, dict]:
+    """The model name and params object of a model dict; a params key that
+    a known model does not take is an error (the caller rejects an unknown
+    model)."""
     if not isinstance(d, dict) or "model" not in d:
         raise _fail(context, "expected an object with a 'model' field")
     model = d["model"]
     params = _section(d.get("params", {}), dict, f"{context}.params")
+    known = _MODEL_PARAMS.get(model, params) if isinstance(model, str) else params
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise _fail(context, f"model {model!r} has unknown parameter {unknown[0]!r}")
+    return model, params
+
+
+def admittance_from_dict(d: dict, n_conductors: int, context: str) -> AdmittanceSpec:
+    model, params = _model_params(d, context)
     try:
         if model == "constant":
             return constant_admittance(_matrix_from(params["y_s"], n_conductors,
@@ -123,7 +147,7 @@ def admittance_from_dict(d: dict, n_conductors: int, context: str) -> Admittance
             return table_admittance(f_hz, y, n_conductors)
     except KeyError as exc:
         raise _fail(context, f"model {model!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
     raise _fail(context, f"unknown admittance model {model!r}")
 
@@ -135,28 +159,19 @@ def admittance_to_dict(spec: AdmittanceSpec, context: str) -> dict:
 
 
 def cable_from_dict(d: dict, context: str) -> CableSpec:
-    if not isinstance(d, dict) or "model" not in d:
-        raise _fail(context, "expected an object with a 'model' field")
-    model = d["model"]
-    params = _section(d.get("params", {}), dict, f"{context}.params")
+    model, params = _model_params(d, context)
     try:
         if model == "powerline":
             return powerline_cable(
-                n_conductors=int(params.get("n_conductors", 1)),
-                r0_ohm_per_m=float(params.get("r0_ohm_per_m", 0.1)),
-                l_h_per_m=float(params.get("l_h_per_m", 5e-7)),
-                c_f_per_m=float(params.get("c_f_per_m", 1e-10)),
-                g_factor=float(params.get("g_factor", 5e-4)),
-                coupling=float(params.get("coupling", 0.3)),
-                f_ref_hz=float(params.get("f_ref_hz", 1e6)),
-                label=d.get("label"))
+                **{k: int(v) if k == "n_conductors" else float(v)
+                   for k, v in params.items()}, label=d.get("label"))
         if model == "constant_rlgc":
             return constant_rlgc_cable(params["r"], params["l"], params["g"],
                                        params["c"],
                                        label=d.get("label", "constant-rlgc"))
     except KeyError as exc:
         raise _fail(context, f"model {model!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
     raise _fail(context, f"unknown cable model {model!r}")
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -12,9 +13,14 @@ import numpy as np
 import pytest
 
 import plnsim
+from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
 from plnsim.cli import main
+from plnsim.errors import ValidationError
+from plnsim.network import open_circuit
 from plnsim.topofile import (read_spectrum_csv, read_topology, write_json,
-                             write_topology, topology_to_dict)
+                             write_topology, topology_from_dict, topology_to_dict)
+
+from conftest import single_line_net
 
 BUNDLED = resources.files("plnsim") / "data"
 TWO_NODE = json.loads((BUNDLED / "two_node.json").read_text())
@@ -104,10 +110,14 @@ def test_missing_field_reports_context(tmp_path, two_node, capsys):
     ("cables", {"c": {"model": "powerline", "params": {"r0_ohm_per_m": NAN}}}),
     ("topology", {**TWO_NODE,
                   "branches": [{**TWO_NODE["branches"][0], "length_m": INF}]}),
+    # a misspelled parameter must not fall back to the default silently
+    ("topology", {**TWO_NODE, "cables": {"fast": {
+        "model": "powerline", "params": {"r0_ohm_per_meter": 5.0}}}}),
+    ("topology", {**TWO_NODE, "cables": {"fast": {"model": ["powerline"]}}}),
 ], ids=["cables-list", "loads-list", "top-level-number", "length-text",
         "offset-text", "params-list", "cable-param-text", "cable-params-list",
         "start-nan", "extent-nan", "admittance-nan", "cable-param-nan",
-        "length-infinity"])
+        "length-infinity", "cable-param-misspelled", "cable-model-list"])
 def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
                                        role, content):
     bad = tmp_path / f"bad_{role}.json"
@@ -404,15 +414,56 @@ def test_one_shot_path_imports_no_scipy(tmp_path):
                       "l3_gamma_shape": [20, 3]}
 
 
-@pytest.mark.parametrize("f_ref", [0.0, -1e6], ids=["zero", "negative"])
-def test_bad_reference_frequency_is_rejected(tmp_path, recwarn, capsys, f_ref):
+@pytest.mark.parametrize("section,name,model,field", [
+    ("cables", "fast", {"model": "powerline", "params": {"f_ref_hz": 0.0}}, "f_ref_hz"),
+    ("cables", "fast", {"model": "powerline", "params": {"f_ref_hz": -1e6}}, "f_ref_hz"),
+    ("loads", "n1", {"model": "parallel_rc", "params": {"r_ohm": -5, "c_farad": 1e-9}},
+     "r_ohm"),
+    ("cables", "fast", {"model": "powerline", "params": {"r0_ohm_per_meter": 5.0}},
+     "unknown parameter 'r0_ohm_per_meter'"),
+], ids=["zero", "negative", "load-resistance", "misspelled"])
+def test_bad_reference_frequency_is_rejected(tmp_path, recwarn, capsys, section,
+                                             name, model, field):
     # R(f) = r0 sqrt(f / f_ref) needs f_ref > 0; the cable is rejected when it
-    # is read, before any numpy warning
+    # is read, before any numpy warning.  A value the model's constructor
+    # rejects, or a key it does not take, is reported with the file, field
+    # and model it came from.
     data = json.loads(json.dumps(TWO_NODE))
-    data["cables"]["fast"]["params"]["f_ref_hz"] = f_ref
-    path = tmp_path / "bad_ref.json"
+    data[section][name] = model
+    path = tmp_path / "bad_param.json"
     path.write_text(json.dumps(data))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("plnsim: ") and "f_ref_hz" in err
+    assert err.startswith(f"plnsim: {path}.{section}[{name!r}]: model {model['model']!r} ")
+    assert field in err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("base", [
+    powerline_cable(2, coupling=0.2, label="pl-2c"),
+    constant_rlgc_cable(0.1 * np.eye(2), [[5e-7, 1e-7], [1e-7, 5e-7]],
+                        1e-6 * np.eye(2), [[1e-10, -2e-11], [-2e-11, 1e-10]],
+                        label="rlgc-2c"),
+], ids=["powerline", "constant_rlgc"])
+def test_scaled_cable_round_trips(base):
+    scales = (2.0, 1.1, 3.0, 1.3)
+    aged = scaled_cable(base, *scales, label="aged")
+    net = single_line_net(aged, 50.0, open_circuit(2))
+    back = topology_from_dict(json.loads(json.dumps(topology_to_dict(net))))
+    assert back.branches[0].cable.label == "aged"
+    f = np.linspace(1e5, 8e7, 7)
+    for got, want, orig, scale in zip(back.branches[0].cable.rlgc(f), aged.rlgc(f),
+                                      base.rlgc(f), scales):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got, scale * orig, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("base,scales", [
+    (powerline_cable(), {"l_scale": 0.0}),
+    (powerline_cable(), {"c_scale": -1.0}),
+    (powerline_cable(), {"r_scale": float("nan")}),
+    (replace(powerline_cable(), meta=None), {}),
+], ids=["zero-l", "negative-c", "nan-r", "no-parametric-form"])
+def test_scaled_cable_rejects(base, scales):
+    with pytest.raises(ValidationError):
+        scaled_cable(base, **scales)
