@@ -38,14 +38,25 @@ def powerline_cable(n_conductors: int = 1,
                     f_ref_hz: float = 1e6,
                     label: str | None = None) -> CableSpec:
     """Default lossy cable: R(f) = r0 sqrt(f/f_ref) I, constant coupled L and
-    C, G(f) = 2 pi f * g_factor * C."""
+    C, G(f) = 2 pi f * g_factor * C.  Every parameter is checked here, so a
+    bad one is rejected when the cable is built, not at decomposition."""
     if not 0.0 <= coupling < 1.0:
         raise ValidationError("coupling must be in [0, 1) to keep L and C positive definite")
-    n = n_conductors
-    name = label or f"powerline-{n}c"
-    if not (np.isfinite(f_ref_hz) and f_ref_hz > 0.0):
+    if not (np.isfinite(n_conductors) and n_conductors >= 1
+            and n_conductors == int(n_conductors)):
         raise ValidationError(
-            f"cable {name!r}: f_ref_hz must be finite and positive, got {f_ref_hz!r}")
+            f"n_conductors must be a whole number >= 1, got {n_conductors!r}")
+    n = int(n_conductors)
+    name = label or f"powerline-{n}c"
+    for key, value, positive in (("r0_ohm_per_m", r0_ohm_per_m, False),
+                                 ("l_h_per_m", l_h_per_m, True),
+                                 ("c_f_per_m", c_f_per_m, True),
+                                 ("g_factor", g_factor, False),
+                                 ("f_ref_hz", f_ref_hz, True)):
+        if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            raise ValidationError(
+                f"cable {name!r}: {key} must be finite and "
+                f"{'positive' if positive else '>= 0'}, got {value!r}")
     l_mat = _coupled(l_h_per_m, coupling, n)
     c_mat = _coupled(c_f_per_m, coupling, n)
     eye = np.eye(n)

@@ -19,11 +19,14 @@ Conventions used throughout the package:
 
 * current-wave reflection: a load Y_L on a line with characteristic
   admittance Y_C reflects with rho_L = Y_C (Y_L + Y_C)^-1 (Y_L - Y_C) Y_C^-1,
-  so an open end gives -I and a short gives +I;
+  so an open end gives -I and a short gives +I.  It is evaluated as the
+  identical I - 2 Y_C (Y_L + Y_C)^-1, one solve per reflection;
 * the modal frame of a line is the similarity transform T that diagonalizes
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
   counterpart of a matrix A is A_m = T^-1 A T.  Line functions take their
-  far-end reflection in the natural frame and make this change themselves;
+  far-end reflection in the natural frame and make this change themselves,
+  as two products on the decomposition's cached T^-1 and T; the transfer's
+  closing Y_C^-1 is likewise its cached Z_C;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
 """
@@ -402,25 +405,25 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
 # reflection coefficients, admittances, transfer
 
 def _reflection(y: np.ndarray, y_ref: np.ndarray, f: np.ndarray | None,
-                ref_singular: str, sum_singular: str) -> np.ndarray:
-    """Y_ref (Y + Y_ref)^-1 (Y - Y_ref) Y_ref^-1."""
+                singular: str) -> np.ndarray:
+    """Y_ref (Y + Y_ref)^-1 (Y - Y_ref) Y_ref^-1, evaluated as the identical
+    I - 2 Y_ref (Y + Y_ref)^-1 (write Y - Y_ref = (Y + Y_ref) - 2 Y_ref): one
+    solve, and Y_ref itself is never inverted."""
     y, y_ref = _cols(y), _cols(y_ref)
-    inner = _right(y - y_ref, y_ref, f, ref_singular)
-    return _stack(_mul(y_ref, _gauss(y + y_ref, inner, f, sum_singular)))
+    return _stack(_eye(y.shape[0]) - 2.0 * _right(y_ref, y + y_ref, f, singular))
 
 
 def load_reflection(y_l: np.ndarray, y_c: np.ndarray,
                     f: np.ndarray | None = None) -> np.ndarray:
-    """rho_L = Y_C (Y_L + Y_C)^-1 (Y_L - Y_C) Y_C^-1 (current convention)."""
-    return _reflection(y_l, y_c, f, "characteristic admittance is singular",
-                       "matched-degenerate load: Y_L + Y_C is singular")
+    """rho_L = Y_C (Y_L + Y_C)^-1 (Y_L - Y_C) Y_C^-1 (current convention),
+    evaluated as I - 2 Y_C (Y_L + Y_C)^-1."""
+    return _reflection(y_l, y_c, f, "matched-degenerate load: Y_L + Y_C is singular")
 
 
-def modal_transform(a: np.ndarray, t: np.ndarray,
-                    f: np.ndarray | None = None) -> np.ndarray:
-    """Modal counterpart T^-1 A T of a natural-frame matrix A."""
-    t = _cols(t)
-    return _stack(_gauss(t, _mul(_cols(a), t), f, "transformation matrix is singular"))
+def modal_transform(a: np.ndarray, params: PropagationParams) -> np.ndarray:
+    """Modal counterpart T^-1 A T of a natural-frame matrix A, from the
+    decomposition's cached T and T^-1."""
+    return _stack(_mul(_mul(_cols(params.t_inv), _cols(a)), _cols(params.t)))
 
 
 def input_admittance_line(params: PropagationParams, length: float,
@@ -436,7 +439,7 @@ def input_admittance_line(params: PropagationParams, length: float,
     if length < 0:
         raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
-    rho_m = _cols(modal_transform(rho_l, params.t, f))
+    rho_m = _cols(modal_transform(rho_l, params))
     e = np.exp(-params.gamma.T * length)
     p = e[:, None] * rho_m * e[None]
     i = _eye(p.shape[0])
@@ -447,9 +450,10 @@ def input_admittance_line(params: PropagationParams, length: float,
 
 def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
                      f: np.ndarray | None = None) -> np.ndarray:
-    """rho_in = Y_R (Y_in + Y_R)^-1 (Y_in - Y_R) Y_R^-1."""
-    return _reflection(y_in, y_r, f, "source admittance is singular",
-                       "Y_in + Y_R is singular")
+    """rho_in = Y_R (Y_in + Y_R)^-1 (Y_in - Y_R) Y_R^-1, evaluated as
+    I - 2 Y_R (Y_in + Y_R)^-1; a zero source admittance gives I, the limit
+    of the form."""
+    return _reflection(y_in, y_r, f, "Y_in + Y_R is singular")
 
 
 def echo_voltage(rho_in: np.ndarray, y_r: np.ndarray, v_source: np.ndarray,
@@ -469,18 +473,18 @@ def ctf_line(params: PropagationParams, length: float,
 
         H = Y_C^-1 T (I - rho^M) (I - E^2 rho^M)^-1 E T^-1 Y_C
 
-    with rho^M = T^-1 rho_l T and E = exp(-Gamma length), all inverses exact.
+    with rho^M = T^-1 rho_l T and E = exp(-Gamma length).  The middle inverse
+    is an exact solve; Y_C^-1 is the decomposition's cached Z_C.
     """
     if length < 0:
         raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
-    rho_m = _cols(modal_transform(rho_l, params.t, f))
+    rho_m = _cols(modal_transform(rho_l, params))
     e = np.exp(-params.gamma.T * length)
     i = _eye(rho_m.shape[0])
     den = i - (e * e)[:, None] * rho_m
     inner = _right(i - rho_m, den, f,
                    "transmission resonance: I - E^2 rho is singular")
     inner = _mul(_cols(params.t), inner * e[None])
-    yc = _cols(params.yc)
-    return _stack(_gauss(yc, _mul(_mul(inner, _cols(params.t_inv)), yc), f,
-                         "characteristic admittance is singular"))
+    return _stack(_mul(_cols(params.zc),
+                       _mul(_mul(inner, _cols(params.t_inv)), _cols(params.yc))))

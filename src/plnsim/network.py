@@ -84,6 +84,8 @@ def _as_matrix(y, n: int) -> np.ndarray:
 
 def constant_admittance(y, n_conductors: int = 1, label: str = "") -> AdmittanceSpec:
     """Frequency-independent admittance.  A scalar y means y * identity."""
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("constant admittance y_s must be finite")
     mat = _as_matrix(y, n_conductors)
 
     def evaluate(f: np.ndarray) -> np.ndarray:
@@ -97,8 +99,9 @@ def constant_admittance(y, n_conductors: int = 1, label: str = "") -> Admittance
 def parallel_rc_admittance(r_ohm: float, c_farad: float,
                            n_conductors: int = 1) -> AdmittanceSpec:
     """Per-conductor parallel RC to the reference: Y = (1/R + j 2 pi f C) I."""
-    if r_ohm <= 0 or c_farad < 0:
-        raise ValidationError("parallel RC load needs r_ohm > 0 and c_farad >= 0")
+    if not (0.0 < r_ohm < np.inf and 0.0 <= c_farad < np.inf):
+        raise ValidationError("parallel RC load needs finite r_ohm > 0 and c_farad >= 0, "
+                              f"got r_ohm={r_ohm!r}, c_farad={c_farad!r}")
     n = n_conductors
 
     def evaluate(f: np.ndarray) -> np.ndarray:
@@ -132,6 +135,8 @@ def table_admittance(f_hz, y_s, n_conductors: int = 1) -> AdmittanceSpec:
     yt = np.asarray(y_s, dtype=complex)
     if ft.ndim != 1 or ft.size < 2 or np.any(np.diff(ft) <= 0):
         raise ValidationError("table frequencies must be increasing, length >= 2")
+    if not (np.all(np.isfinite(ft)) and np.all(np.isfinite(yt))):
+        raise ValidationError("table f_hz and y_s must be finite")
     n = n_conductors
     if yt.ndim == 1:
         yt = yt[:, None, None] * np.eye(n)
@@ -218,7 +223,7 @@ class ValidationReport:
 
 def validate_topology(net: NetworkTopology) -> ValidationReport:
     """Structural checks: tree shape, connectivity, terminated leaves,
-    positive lengths, one conductor count throughout."""
+    finite positive lengths, one conductor count throughout."""
     problems: list[str] = []
     nodes = list(net.nodes)
     if len(set(nodes)) != len(nodes):
@@ -232,8 +237,9 @@ def validate_topology(net: NetworkTopology) -> ValidationReport:
             problems.append(f"branch {b.id!r} references unknown nodes")
         if b.node_a == b.node_b:
             problems.append(f"branch {b.id!r} is a self-loop")
-        if not b.length_m > 0:
-            problems.append(f"branch {b.id!r} has non-positive length")
+        if not 0.0 < b.length_m < np.inf:
+            problems.append(f"branch {b.id!r} length must be finite and positive, "
+                            f"got {b.length_m!r}")
     for node in net.loads:
         if node not in node_set:
             problems.append(f"load references unknown node {node!r}")
@@ -331,17 +337,16 @@ def _located(prefix: str, exc: SingularityError) -> SingularityError:
     return err
 
 
-def _carry_back(cable: CableSpec, grid: FrequencyGrid, length: float,
-                y_far: np.ndarray, branch_id: str) -> np.ndarray:
-    """Equivalent admittance at the near end of one branch whose far end is
-    terminated by y_far."""
-    params = line_propagation_params(cable, grid)
-    f = grid.frequencies
+def _branch_step(line: Callable, kind: str, br: Branch, grid: FrequencyGrid,
+                 y_far: np.ndarray) -> np.ndarray:
+    """``line`` (``input_admittance_line`` or ``ctf_line``) of branch ``br``
+    with its far end terminated by y_far; a singularity names the branch."""
+    params = line_propagation_params(br.cable, grid)
     try:
-        rho = load_reflection(y_far, params.yc, f)
-        return input_admittance_line(params, length, rho)
+        rho = load_reflection(y_far, params.yc, grid.frequencies)
+        return line(params, br.length_m, rho)
     except SingularityError as exc:
-        raise _located(f"branch {branch_id!r}", exc) from exc
+        raise _located(f"{kind} {br.id!r}", exc) from exc
 
 
 @dataclass(eq=False)
@@ -381,7 +386,7 @@ def reduce_to_port(net: NetworkTopology, port: str,
         else:
             y = np.zeros((f.size, L, L), dtype=complex)
         for br, child in children[node]:
-            y = y + _carry_back(br.cable, grid, br.length_m, equiv[child], br.id)
+            y = y + _branch_step(input_admittance_line, "branch", br, grid, equiv[child])
         equiv[node] = y
 
     return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
@@ -415,17 +420,11 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
         raise UsageError("transmitter and receiver coincide")
 
     red = reduce_to_port(net, tx_port, grid)
-    f = grid.frequencies
     L = net.n_conductors
     h = np.broadcast_to(np.eye(L, dtype=complex), (grid.n_points, L, L)).copy()
     for br, _, far in _path(red.parent, rx_node):
-        params = line_propagation_params(br.cable, grid)
-        y_eq = red.node_equivalents[far]
-        try:
-            rho = load_reflection(y_eq, params.yc, f)
-            h = _matmul(ctf_line(params, br.length_m, rho), h)
-        except SingularityError as exc:
-            raise _located(f"segment {br.id!r}", exc) from exc
+        h = _matmul(_branch_step(ctf_line, "segment", br, grid,
+                                 red.node_equivalents[far]), h)
     return MatrixSpectrum(grid, h, "ctf")
 
 

@@ -45,7 +45,7 @@ def _source_mismatch_modal(params: PropagationParams, y_r: np.ndarray) -> np.nda
     m = _rdiv(y_r, params.yc, f, "characteristic admittance is singular")
     i = _eye_like(m)
     rho_g = _solve(i + m, i - m, f, "Y_C + Y_R is singular")
-    return modal_transform(rho_g, params.t, f)
+    return modal_transform(rho_g, params)
 
 
 def input_reflection_modal(params: PropagationParams, length: float,
@@ -64,7 +64,7 @@ def input_reflection_modal(params: PropagationParams, length: float,
     """
     f = params.grid.frequencies
     e = np.exp(-params.gamma * length)
-    p = _sandwich(e, modal_transform(rho_l, params.t, f))
+    p = _sandwich(e, modal_transform(rho_l, params))
     rho_g = _source_mismatch_modal(params, y_r)
     i = _eye_like(p)
     core = _solve(i + p @ rho_g, rho_g + p, f,
@@ -109,7 +109,7 @@ def series_truncated_responses(params: PropagationParams, length: float,
         raise ValidationError("n_terms must be >= 0")
     f = params.grid.frequencies
     e = np.exp(-params.gamma * length)
-    p = _sandwich(e, modal_transform(rho_l, params.t, f))
+    p = _sandwich(e, modal_transform(rho_l, params))
     radius = np.max(np.abs(np.linalg.eigvals(p)), axis=-1)
 
     i = np.broadcast_to(_eye_like(p), p.shape).copy()

@@ -87,7 +87,8 @@ def _matrix_from(obj, n: int, context: str) -> np.ndarray:
     if isinstance(obj, (int, float)) or (
             isinstance(obj, (list, tuple)) and len(obj) == 2
             and all(isinstance(v, (int, float)) for v in obj)):
-        return _complex_from(obj, context) * np.eye(n)
+        with np.errstate(invalid="ignore"):  # inf * 0; the model rejects the value
+            return _complex_from(obj, context) * np.eye(n)
     try:
         rows = [[_complex_from(v, context) for v in row] for row in obj]
         mat = np.array(rows, dtype=complex)
@@ -162,9 +163,8 @@ def cable_from_dict(d: dict, context: str) -> CableSpec:
     model, params = _model_params(d, context)
     try:
         if model == "powerline":
-            return powerline_cable(
-                **{k: int(v) if k == "n_conductors" else float(v)
-                   for k, v in params.items()}, label=d.get("label"))
+            return powerline_cable(**{k: float(v) for k, v in params.items()},
+                                   label=d.get("label"))
         if model == "constant_rlgc":
             return constant_rlgc_cable(params["r"], params["l"], params["g"],
                                        params["c"],

@@ -231,6 +231,18 @@ def test_simulate_emits_spectra(two_node, tmp_path):
     assert np.all(np.abs(rho.values) <= 1.0 + 1e-9)
 
 
+def test_simulate_zero_source_reflects_fully(tmp_path):
+    # a zero source admittance is the limit rho_in = I, not a singular Y_R
+    data = json.loads(json.dumps(TWO_NODE))
+    data["ports"]["probe"]["source"] = {"model": "constant",
+                                        "params": {"y_s": [[[0.0, 0.0]]]}}
+    path = tmp_path / "zero_source.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    assert np.all(read_spectrum_csv(out / "rhoin.csv").values == 1.0)
+
+
 def test_delta_zero_severity(two_node, tmp_path):
     anomaly = tmp_path / "anomaly.json"
     anomaly.write_text(json.dumps({
@@ -421,17 +433,38 @@ def test_one_shot_path_imports_no_scipy(tmp_path):
      "r_ohm"),
     ("cables", "fast", {"model": "powerline", "params": {"r0_ohm_per_meter": 5.0}},
      "unknown parameter 'r0_ohm_per_meter'"),
-], ids=["zero", "negative", "load-resistance", "misspelled"])
+    ("cables", "fast", {"model": "powerline", "params": {"n_conductors": 1.7}},
+     "n_conductors"),
+    ("cables", "fast", {"model": "powerline", "params": {"l_h_per_m": 0}}, "l_h_per_m"),
+    ("cables", "fast", {"model": "powerline", "params": {"r0_ohm_per_m": -1}},
+     "r0_ohm_per_m"),
+    ("cables", "fast", {"model": "powerline", "params": {"c_f_per_m": "1e400"}},
+     "c_f_per_m"),
+    ("cables", "fast", {"model": "powerline", "params": {"g_factor": -1e-4}}, "g_factor"),
+    ("loads", "n1", {"model": "constant", "params": {"y_s": [[["1e400", 0]]]}}, "y_s"),
+    ("loads", "n1", {"model": "parallel_rc", "params": {"r_ohm": 50, "c_farad": "1e400"}},
+     "c_farad"),
+    ("loads", "n1", {"model": "parallel_rc", "params": {"r_ohm": "1e400", "c_farad": 0}},
+     "r_ohm"),
+    ("loads", "n1", {"model": "table", "params": {"f_hz": [1e5, 1e6],
+                                                  "y_s": [[0.01, 0], ["1e400", 0]]}},
+     "y_s"),
+], ids=["zero", "negative", "load-resistance", "misspelled", "fractional-conductors",
+        "zero-inductance", "negative-resistance", "infinite-capacitance",
+        "negative-g-factor", "infinite-constant", "infinite-rc-capacitance",
+        "infinite-rc-resistance", "infinite-table"])
 def test_bad_reference_frequency_is_rejected(tmp_path, recwarn, capsys, section,
                                              name, model, field):
     # R(f) = r0 sqrt(f / f_ref) needs f_ref > 0; the cable is rejected when it
     # is read, before any numpy warning.  A value the model's constructor
     # rejects, or a key it does not take, is reported with the file, field
-    # and model it came from.
+    # and model it came from.  The string "1e400" stands for that JSON
+    # literal, which Python's parser reads as inf without any NaN/Infinity
+    # token.
     data = json.loads(json.dumps(TWO_NODE))
     data[section][name] = model
     path = tmp_path / "bad_param.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data).replace('"1e400"', "1e400"))
     assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"plnsim: {path}.{section}[{name!r}]: model {model['model']!r} ")

@@ -1,6 +1,8 @@
 """Line-level math: decomposition, reflections, admittances, transfer,
 series forms.  Closed-form oracles are evaluated independently in-test."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,13 +333,31 @@ def test_load_reflection_degenerate_error(grid, std_cable):
         load_reflection(-p.yc, p.yc)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_reflections_match_paper_form(L, seed):
+    # the one-solve I - 2 Y_ref (Y + Y_ref)^-1 against the paper's
+    # Y_ref (Y + Y_ref)^-1 (Y - Y_ref) Y_ref^-1, each inverse by LAPACK
+    rng = np.random.default_rng(seed)
+    y = np.stack([random_passive_matrix(rng, L) for _ in range(5)])
+    y_ref = np.stack([random_passive_matrix(rng, L, 0.02) for _ in range(5)])
+    want = y_ref @ np.linalg.solve(y + y_ref, y - y_ref) @ np.linalg.inv(y_ref)
+    assert rel_err(load_reflection(y, y_ref), want) < 1e-12
+    assert rel_err(input_reflection(y, y_ref), want) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # modal transforms
+
+def modal_frame(t):
+    """The cached T and T^-1 of a decomposition, built from a given T."""
+    return SimpleNamespace(t=t, t_inv=np.linalg.inv(t))
+
 
 def test_modal_transform_identity(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     eye = spectrum_const(np.eye(2), grid)
-    out = modal_transform(eye, p.t)
+    out = modal_transform(eye, p)
     assert rel_err(out, eye) < 1e-12
 
 
@@ -348,7 +368,7 @@ def test_modal_round_trip(seed):
     a = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     t = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     t += 3.0 * np.eye(3)  # keep well-conditioned
-    back = t @ modal_transform(a, t) @ np.linalg.inv(t)
+    back = t @ modal_transform(a, modal_frame(t)) @ np.linalg.inv(t)
     assert rel_err(back, a) < 1e-12
 
 
@@ -357,9 +377,17 @@ def test_modal_transform_diagonalizes(grid):
     d = np.diag(rng.uniform(1.0, 2.0, size=3)).astype(complex)
     t = rng.normal(size=(3, 3)) + 0.1j * rng.normal(size=(3, 3))
     a = t @ d @ np.linalg.inv(t)  # T diagonalizes a by construction
-    out = modal_transform(a[None], t[None])[0]
+    out = modal_transform(a[None], modal_frame(t[None]))[0]
     off = out - np.diag(np.diag(out))
     assert np.max(np.abs(off)) < 1e-12
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_modal_transform_matches_lapack(grid, L):
+    # the products on the cached T^-1 and T against a LAPACK solve by T
+    p = line_propagation_params(random_spd_cable(np.random.default_rng(L), L), grid)
+    a = _complex_stack(np.random.default_rng(10 + L), p.t.shape)
+    assert rel_err(modal_transform(a, p), np.linalg.solve(p.t, a @ p.t)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +468,13 @@ def test_input_reflection_extremes(grid, std_cable):
     assert np.max(np.abs(input_reflection(y_r, y_r))) < 1e-14
     rho = input_reflection(np.zeros_like(y_r), y_r)
     assert np.max(np.abs(rho + np.eye(1))) < 1e-12
+    # the one-solve form never inverts Y_R: a zero source gives I, the limit
+    # of the paper's form; the echo still divides by Y_R
+    zero = np.zeros_like(y_r)
+    rho = input_reflection(y_r, zero)
+    assert np.array_equal(rho, np.ones_like(rho))
+    with pytest.raises(SingularityError, match="source admittance is singular"):
+        echo_voltage(rho, zero, np.array([1.0]), grid.frequencies)
 
 
 @pytest.mark.parametrize("n_conductors", [1, 2])
@@ -524,6 +559,23 @@ def test_ctf_open_lossless_sech(grid):
     h = ctf_line(p, length, rho)
     ref = 1.0 / np.cosh(p.gamma[:, 0] * length)
     assert rel_err(h[:, 0, 0], ref) < 1e-9
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_ctf_matches_paper_form(grid, L):
+    # the closing Y_C^-1 is the cached Z_C; the paper's form solves by Y_C
+    rng = np.random.default_rng(20 + L)
+    p = line_propagation_params(random_spd_cable(rng, L), grid)
+    rho = load_reflection(spectrum_const(random_passive_matrix(rng, L), grid, L), p.yc)
+    length = 35.0
+    e = np.exp(-p.gamma * length)
+    rho_m = np.linalg.solve(p.t, rho @ p.t)
+    i = np.eye(L)
+    inner = np.linalg.solve(np.swapaxes(i - (e * e)[:, :, None] * rho_m, 1, 2),
+                            np.swapaxes(i - rho_m, 1, 2))  # (I - rho)(I - E^2 rho)^-1
+    want = np.linalg.solve(p.yc, p.t @ np.swapaxes(inner, 1, 2) @ (e[:, :, None] * p.t_inv)
+                           @ p.yc)
+    assert rel_err(ctf_line(p, length, rho), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,15 @@ def test_mixed_conductor_counts(std_cable, coupled_cable):
 
 
 def test_bad_lengths_and_references(std_cable):
-    net = NetworkTopology(
-        nodes=("a", "b"),
-        branches=(Branch("1", "a", "b", std_cable, -5.0),),
-        loads={"b": modem(), "zz": modem()},
-        ports={"p": Port("a", modem())})
-    report = validate_topology(net)
-    assert any("length" in p for p in report.problems)
-    assert any("unknown node" in p for p in report.problems)
+    for length in (-5.0, np.inf):  # json reads the literal 1e400 as inf
+        net = NetworkTopology(
+            nodes=("a", "b"),
+            branches=(Branch("1", "a", "b", std_cable, length),),
+            loads={"b": modem(), "zz": modem()},
+            ports={"p": Port("a", modem())})
+        report = validate_topology(net)
+        assert any("length" in p for p in report.problems)
+        assert any("unknown node" in p for p in report.problems)
 
 
 # ---------------------------------------------------------------------------
