@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .mtl import CableSpec
+from .mtl import CableSpec, _validate_rlgc
 
 __all__ = [
     "powerline_cable",
@@ -84,7 +84,9 @@ def powerline_cable(n_conductors: int = 1,
 
 def constant_rlgc_cable(r, l, g, c, label: str = "constant-rlgc") -> CableSpec:
     """Cable with frequency-independent R, L, G, C.  Scalars describe a
-    single-conductor line; full matrices are accepted as nested lists."""
+    single-conductor line; full matrices are accepted as nested lists.  The
+    matrices are checked here, as the decomposition checks every cable:
+    finite and symmetric, R and G diagonals >= 0, L and C positive definite."""
     mats = []
     for m in (r, l, g, c):
         a = np.atleast_2d(np.asarray(m, dtype=float))
@@ -100,8 +102,10 @@ def constant_rlgc_cable(r, l, g, c, label: str = "constant-rlgc") -> CableSpec:
 
     params = {"r": mats[0].tolist(), "l": mats[1].tolist(),
               "g": mats[2].tolist(), "c": mats[3].tolist()}
-    return CableSpec(label=label, n_conductors=n, rlgc=rlgc,
-                     meta={"model": "constant_rlgc", "params": params})
+    cable = CableSpec(label=label, n_conductors=n, rlgc=rlgc,
+                      meta={"model": "constant_rlgc", "params": params})
+    _validate_rlgc(cable, np.ones(1), tuple(a[None] for a in mats))
+    return cable
 
 
 def scaled_cable(base: CableSpec, r_scale: float = 1.0, l_scale: float = 1.0,

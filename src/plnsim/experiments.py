@@ -250,6 +250,42 @@ def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
     return out
 
 
+def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepRecord:
+    """Realization ``i`` of the distance sweep.  Its own frame, so the
+    networks and their reduction cache are freed before the next network is
+    built."""
+    net = generate_random_network(cfg, i)
+    rng = _rng(cfg.seed, i, 1)
+    branch, offset = _fault_position(net, rng)
+    severity = float(rng.uniform(*cfg.fault_severity_s))
+    fault = LumpedFault(branch.id, offset, conductance(severity, net.n_conductors))
+    probe = net.ports["probe"].node
+    tx = net.ports["tx"].node
+    d = _fault_distance(net, probe, branch, offset)
+    d_tx = _fault_distance(net, tx, branch, offset)
+
+    y0 = reduce_to_port(net, "probe", grid).y_in
+    rho0 = network_input_reflection(net, "probe", grid)
+    h0 = end_to_end_ctf(net, "tx", probe, grid)
+    net_a = apply_anomaly(net, fault, grid)
+    y1 = reduce_to_port(net_a, "probe", grid).y_in
+    rho1 = network_input_reflection(net_a, "probe", grid)
+    h1 = end_to_end_ctf(net_a, "tx", probe, grid)
+
+    return SweepRecord(
+        network_index=i,
+        anomaly=describe_anomaly(fault),
+        distance_m=d,
+        link_position=d / (d + d_tx),
+        delta_y=band_mean_magnitude(
+            delta_superposition(y1, y0, normalize=True).values.values),
+        delta_rho=band_mean_magnitude(
+            delta_superposition(rho1, rho0, normalize=True).values.values),
+        delta_h=band_mean_magnitude(
+            delta_superposition(h1, h0, normalize=True).values.values),
+    )
+
+
 def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
                        n_bins: int = 5) -> SweepResult:
     """One lumped fault per random network; band-aggregated normalized
@@ -271,38 +307,7 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
     skipped: list[tuple[int, str]] = []
     for i in range(cfg.n_networks):
         try:
-            net = generate_random_network(cfg, i)
-            rng = _rng(cfg.seed, i, 1)
-            branch, offset = _fault_position(net, rng)
-            severity = float(rng.uniform(*cfg.fault_severity_s))
-            fault = LumpedFault(branch.id, offset,
-                                conductance(severity, net.n_conductors))
-            probe = net.ports["probe"].node
-            tx = net.ports["tx"].node
-            d = _fault_distance(net, probe, branch, offset)
-            d_tx = _fault_distance(net, tx, branch, offset)
-
-            y0 = reduce_to_port(net, "probe", grid).y_in
-            rho0 = network_input_reflection(net, "probe", grid)
-            h0 = end_to_end_ctf(net, "tx", probe, grid)
-            net_a = apply_anomaly(net, fault, grid)
-            y1 = reduce_to_port(net_a, "probe", grid).y_in
-            rho1 = network_input_reflection(net_a, "probe", grid)
-            h1 = end_to_end_ctf(net_a, "tx", probe, grid)
-
-            rec = SweepRecord(
-                network_index=i,
-                anomaly=describe_anomaly(fault),
-                distance_m=d,
-                link_position=d / (d + d_tx),
-                delta_y=band_mean_magnitude(
-                    delta_superposition(y1, y0, normalize=True).values.values),
-                delta_rho=band_mean_magnitude(
-                    delta_superposition(rho1, rho0, normalize=True).values.values),
-                delta_h=band_mean_magnitude(
-                    delta_superposition(h1, h0, normalize=True).values.values),
-            )
-            records.append(rec)
+            records.append(_sweep_record(cfg, i, grid))
         except PlnsimError as exc:
             skipped.append((i, str(exc)))
 

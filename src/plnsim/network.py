@@ -13,12 +13,24 @@ transmitter-receiver backbone, each segment terminated by the equivalent
 admittance of everything beyond it; it reads that path and those equivalents
 from the port reduction.  The two-section closed form that cross-checks this
 reduction lives in ``plnsim.oracles``.
+
+A reduction reuses the subtrees it shares with the one before it.  Each node
+gets a structural key, built from the leaves up before any numeric work: the
+grid, the conductor count, the node's load object and its (branch, child key)
+pairs.  Branches and loads are frozen and hash by identity, so a key names one
+whole subtree exactly, and equal keys have bit-identical equivalents.  A
+topology holds the last reduction's equivalents by key in one slot, which the
+copies ``dataclasses.replace`` makes (``with_port``, the anomaly layer) share.
+So a second reduction at the same port computes nothing, one at another port
+recomputes only the path between the two, and a perturbed copy recomputes only
+the nodes whose subtree the anomaly changed.  Cached equivalents are
+read-only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -178,12 +190,20 @@ class Port:
 @dataclass(eq=False)
 class NetworkTopology:
     """Immutable-by-convention tree network.  Use dataclasses.replace or the
-    anomaly layer to derive modified copies."""
+    anomaly layer to derive modified copies.
+
+    ``_equivalents`` is the reduction cache: the node equivalents of the last
+    ``reduce_to_port`` on this topology or on a copy sharing it, keyed by
+    subtree structure (see the module docstring).  Copies made with
+    ``dataclasses.replace`` share it; a topology built from its fields starts
+    empty.  Replacing a load or branch changes the keys that hold it, so the
+    cache never serves a stale subtree."""
 
     nodes: tuple[str, ...]
     branches: tuple[Branch, ...]
     loads: dict[str, AdmittanceSpec]
     ports: dict[str, Port]
+    _equivalents: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_conductors(self) -> int:
@@ -351,6 +371,10 @@ def _branch_step(line: Callable, kind: str, br: Branch, grid: FrequencyGrid,
 
 @dataclass(eq=False)
 class PortReduction:
+    """A port's input admittance, every node's equivalent admittance seen
+    from the port side (all read-only, and shared with the topology's
+    reduction cache) and the walk from the port node."""
+
     y_in: MatrixSpectrum
     node_equivalents: dict[str, np.ndarray]  # node -> (n_f, L, L) admittance, S
     parent: dict[str, tuple[Branch, str] | None]  # the walk from the port node
@@ -363,6 +387,8 @@ def reduce_to_port(net: NetworkTopology, port: str,
     Every node's equivalent admittance (its own load plus the carried-back
     admittances of its child branches, seen from the port side) is returned
     alongside the port input admittance and the walk from the port node.
+    Subtrees whose equivalents the topology's cache holds are reused; the
+    rest are computed, and become the cache.
     """
     _require_valid(net)
     if port not in net.ports:
@@ -376,8 +402,17 @@ def reduce_to_port(net: NetworkTopology, port: str,
         br, u = parent[v]
         children[u].append((br, v))
 
-    equiv: dict[str, np.ndarray] = {}
+    key: dict[str, tuple] = {}
     for node in reversed(order):  # children come before parents
+        key[node] = (grid, L, net.loads.get(node),
+                     tuple((br, key[child]) for br, child in children[node]))
+    cache = net._equivalents
+    by_key = {k: y for k in key.values() if (y := cache.get(k)) is not None}
+    cache.clear()  # free what this reduction does not reuse before computing
+
+    for node in reversed(order):
+        if key[node] in by_key:
+            continue
         if node in net.loads:
             y = net.loads[node].evaluate(f)
             if y.shape != (f.size, L, L):
@@ -386,9 +421,14 @@ def reduce_to_port(net: NetworkTopology, port: str,
         else:
             y = np.zeros((f.size, L, L), dtype=complex)
         for br, child in children[node]:
-            y = y + _branch_step(input_admittance_line, "branch", br, grid, equiv[child])
-        equiv[node] = y
+            y = y + _branch_step(input_admittance_line, "branch", br, grid,
+                                 by_key[key[child]])
+        y = y.view()  # read-only without touching an evaluator's own array
+        y.flags.writeable = False
+        by_key[key[node]] = y
+    cache.update(by_key)
 
+    equiv = {node: by_key[key[node]] for node in reversed(order)}
     return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
                          node_equivalents=equiv, parent=parent)
 

@@ -449,10 +449,18 @@ def test_one_shot_path_imports_no_scipy(tmp_path):
     ("loads", "n1", {"model": "table", "params": {"f_hz": [1e5, 1e6],
                                                   "y_s": [[0.01, 0], ["1e400", 0]]}},
      "y_s"),
+    ("cables", "fast", {"model": "constant_rlgc",
+                        "params": {"r": 0.1, "l": 0.0, "g": 0.0, "c": 1e-10}},
+     "L diagonal must be strictly positive"),
+    ("cables", "fast", {"model": "constant_rlgc",
+                        "params": {"r": [[0.1, 0.0], [0.05, 0.1]], "l": [[5e-7, 0], [0, 5e-7]],
+                                   "g": [[0, 0], [0, 0]], "c": [[1e-10, 0], [0, 1e-10]]}},
+     "R matrix is not symmetric"),
 ], ids=["zero", "negative", "load-resistance", "misspelled", "fractional-conductors",
         "zero-inductance", "negative-resistance", "infinite-capacitance",
         "negative-g-factor", "infinite-constant", "infinite-rc-capacitance",
-        "infinite-rc-resistance", "infinite-table"])
+        "infinite-rc-resistance", "infinite-table", "constant-rlgc-zero-inductance",
+        "constant-rlgc-asymmetric"])
 def test_bad_reference_frequency_is_rejected(tmp_path, recwarn, capsys, section,
                                              name, model, field):
     # R(f) = r0 sqrt(f / f_ref) needs f_ref > 0; the cable is rejected when it

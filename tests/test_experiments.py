@@ -1,10 +1,14 @@
 """Random ensembles, the distance sweep and the scenario signatures."""
 
 import warnings
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import plnsim.experiments as experiments
+import plnsim.network as network
 from plnsim.experiments import (EnsembleConfig, _spearman,
                                 bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
@@ -119,3 +123,43 @@ def test_spearman_matches_scipy(x, y):
         assert np.isnan(got)
     else:
         assert got == expected
+
+
+def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
+    # a realization reduces the probe port twice and the tx port once, on the
+    # baseline and the perturbed network; the reduction cache recomputes only
+    # the subtrees that changed (249 carry-back steps here without it)
+    steps = Counter()
+    step = network._branch_step
+
+    def counting(line, kind, *args):
+        steps[kind] += 1
+        return step(line, kind, *args)
+
+    monkeypatch.setattr(network, "_branch_step", counting)
+    result = run_distance_sweep(EnsembleConfig(n_networks=5, seed=1000), default_grid())
+    assert len(result.records) == 5
+    assert steps["branch"] <= 149
+    assert steps["segment"] == 45
+
+
+def test_sweep_frees_each_realization_before_the_next(monkeypatch):
+    alive = []
+    generate, apply = experiments.generate_random_network, experiments.apply_anomaly
+
+    def tracked(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            alive.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    def checked_generate(cfg, index):
+        assert not [ref for ref in alive if ref() is not None], index
+        return tracked(generate)(cfg, index)
+
+    monkeypatch.setattr(experiments, "generate_random_network", checked_generate)
+    monkeypatch.setattr(experiments, "apply_anomaly", tracked(apply))
+    result = run_distance_sweep(EnsembleConfig(n_networks=4, seed=5),
+                                FrequencyGrid(1e5, 1e5, 40))
+    assert len(result.records) == 4 and len(alive) == 8

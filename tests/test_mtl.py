@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import DecompositionError, SingularityError, ValidationError
-from plnsim.mtl import (FrequencyGrid, MatrixSpectrum, _matmul,
+from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _matmul,
                         _normalize_columns, _rdiv, _solve, ctf_line,
                         echo_voltage, input_admittance_line, input_reflection,
                         line_propagation_params, load_reflection,
@@ -137,23 +137,24 @@ def test_characteristic_admittance_non_commuting(grid, L):
 
 
 def test_cable_validation_errors(grid):
-    bad_sym = constant_rlgc_cable([[0.1, 0.0], [0.05, 0.1]],
-                                  5e-7 * np.eye(2), np.zeros((2, 2)),
-                                  1e-10 * np.eye(2))
+    # constant cables are checked when they are built
     with pytest.raises(ValidationError, match="symmetric"):
-        line_propagation_params(bad_sym, grid)
-    bad_c = constant_rlgc_cable(0.1, 5e-7, 0.0, -1e-10)
+        constant_rlgc_cable([[0.1, 0.0], [0.05, 0.1]], 5e-7 * np.eye(2),
+                            np.zeros((2, 2)), 1e-10 * np.eye(2))
     with pytest.raises(ValidationError, match="positive"):
-        line_propagation_params(bad_c, grid)
+        constant_rlgc_cable(0.1, 5e-7, 0.0, -1e-10)
+    # any other cable is checked at decomposition
+    raw = CableSpec("raw", 1, lambda f: tuple(np.full((f.size, 1, 1), v)
+                                              for v in (0.1, 5e-7, 0.0, -1e-10)))
+    with pytest.raises(ValidationError, match="'raw': C diagonal must be strictly positive"):
+        line_propagation_params(raw, grid)
 
 
 def test_cable_validation_rejects_non_finite(grid):
-    cable = constant_rlgc_cable(np.inf, 5e-7, 0.0, 1e-10, label="no-ref")
     with pytest.raises(ValidationError, match="'no-ref': R"):
-        line_propagation_params(cable, grid)
-    bad_l = constant_rlgc_cable(0.1, np.nan, 0.0, 1e-10, label="nan-l")
+        constant_rlgc_cable(np.inf, 5e-7, 0.0, 1e-10, label="no-ref")
     with pytest.raises(ValidationError, match="'nan-l': L"):
-        line_propagation_params(bad_l, grid)
+        constant_rlgc_cable(0.1, np.nan, 0.0, 1e-10, label="nan-l")
 
 
 def test_defective_eigenvectors_raise_decomposition_error(grid, monkeypatch):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plnsim.anomalies import LumpedFault, apply_anomaly, delta_superposition
-from plnsim.cables import powerline_cable
+from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
+                              apply_anomaly, delta_superposition)
+from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
 from plnsim.errors import SingularityError, UsageError, ValidationError
-from plnsim.mtl import (ctf_line, line_propagation_params, input_admittance_line,
-                        load_reflection)
+from plnsim.experiments import EnsembleConfig, generate_random_network
+from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
+                        input_admittance_line, load_reflection)
 from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf, farthest_node,
                             network_input_reflection, node_distances,
@@ -369,6 +371,122 @@ def test_two_section_matches_recursion(seed):
     rho = network_input_reflection(net, "p", grid)
     assert rel_err(osc.y_in.values, red.y_in.values) < 1e-9
     assert rel_err(osc.rho_in.values, rho.values) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reduction reuse: a warm cache gives the cold answer, bit for bit
+
+# flat formation: adjacent conductors couple more than the outer pair and R is
+# unequal, so the modes are distinct (unlike powerline_cable's aI + bJ form)
+FLAT_3C = constant_rlgc_cable(
+    np.diag([0.08, 0.1, 0.13]), 5e-7 * np.array([[1, .4, .15], [.4, 1, .4], [.15, .4, 1]]),
+    1e-6 * np.eye(3), 1e-10 * np.array([[1, -.3, -.05], [-.3, 1, -.3], [-.05, -.3, 1]]),
+    label="flat-3c")
+
+
+def random_tree(n_conductors, seed):
+    cables = (powerline_cable(3), FLAT_3C) if n_conductors == 3 else ()
+    cfg = EnsembleConfig(n_nodes=(6, 9), cables=cables, seed=seed)
+    return generate_random_network(cfg, 0)
+
+
+def fresh(net):
+    return NetworkTopology(net.nodes, net.branches, dict(net.loads), dict(net.ports))
+
+
+def assert_same_as_fresh(net, grid):
+    """Every response of ``net``, in the sweep's order, equals the response of
+    a new copy built from its fields, which starts with an empty cache."""
+    probe = net.ports["probe"].node
+    for port in ("probe", "tx", "probe"):
+        red, cold = reduce_to_port(net, port, grid), reduce_to_port(fresh(net), port, grid)
+        assert np.array_equal(red.y_in.values, cold.y_in.values)
+        assert red.node_equivalents.keys() == cold.node_equivalents.keys()
+        for node, y in red.node_equivalents.items():
+            assert np.array_equal(y, cold.node_equivalents[node]), node
+    assert np.array_equal(network_input_reflection(net, "probe", grid).values,
+                          network_input_reflection(fresh(net), "probe", grid).values)
+    assert np.array_equal(end_to_end_ctf(net, "tx", probe, grid).values,
+                          end_to_end_ctf(fresh(net), "tx", probe, grid).values)
+
+
+def anomaly_case(net, kind):
+    n = net.n_conductors
+    probe, tx = net.ports["probe"].node, net.ports["tx"].node
+    path = tree_path(net, tx, probe)
+    br = path[len(path) // 2][0]
+    if kind == "lumped":
+        return LumpedFault(br.id, 0.4 * br.length_m, conductance(0.05, n))
+    if kind == "load":
+        node = sorted(net.loads)[0]
+        return LoadChange(node, parallel_rc_admittance(33.0, 2e-9, n))
+    aged = scaled_cable(br.cable, r_scale=2.0, c_scale=1.3, g_scale=2.0)
+    return DistributedFault(br.id, 0.25 * br.length_m, 0.5 * br.length_m, aged)
+
+
+@pytest.mark.parametrize("n_conductors,seed", [(1, 11), (1, 12), (3, 13), (3, 14)])
+@pytest.mark.parametrize("case", ["same-port", "other-port", "other-grid", "lumped",
+                                  "load", "distributed"])
+def test_warm_reduction_equals_fresh(grid, n_conductors, seed, case):
+    net = random_tree(n_conductors, seed)
+    if case == "other-grid":  # as many points, other frequencies
+        reduce_to_port(net, "probe", FrequencyGrid(2 * grid.f_start, grid.f_step,
+                                                   grid.n_points))
+    elif case in ("same-port", "other-port"):
+        reduce_to_port(net, "probe" if case == "same-port" else "tx", grid)
+    else:
+        reduce_to_port(net, "probe", grid)
+        end_to_end_ctf(net, "tx", net.ports["probe"].node, grid)
+        net = apply_anomaly(net, anomaly_case(net, case), grid)
+    assert_same_as_fresh(net, grid)
+
+
+def test_replaced_load_is_not_served_stale(grid):
+    net = random_tree(1, 21)
+    before = reduce_to_port(net, "probe", grid).y_in.values
+    node = next(n for n in sorted(net.loads) if n != net.ports["probe"].node)
+    net.loads[node] = parallel_rc_admittance(47.0, 3e-9)
+    after = reduce_to_port(net, "probe", grid).y_in.values
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, reduce_to_port(fresh(net), "probe", grid).y_in.values)
+
+
+def test_equivalents_are_read_only_and_reused(grid):
+    net = random_tree(3, 22)
+    red = reduce_to_port(net, "probe", grid)
+    again = reduce_to_port(net, "probe", grid)
+    assert again.y_in.values is red.y_in.values
+    # the cache holds the last reduction's equivalents and nothing else
+    at_tx = reduce_to_port(net, "tx", grid).node_equivalents.values()
+    assert {id(y) for y in net._equivalents.values()} == {id(y) for y in at_tx}
+    with pytest.raises(ValueError):
+        red.y_in.values[0] = 0.0
+    for y in red.node_equivalents.values():
+        with pytest.raises(ValueError):
+            y[...] = 0.0
+
+
+def test_warm_singularity_names_the_cold_branch(grid, std_cable):
+    p = line_propagation_params(std_cable, grid)
+    # a load equal to -Y_C makes the reflection into branch '3' degenerate
+    bad = table_admittance(grid.frequencies, -p.yc[:, 0, 0])
+    net = NetworkTopology(
+        nodes=("a", "j", "b", "c"),
+        branches=(Branch("1", "a", "j", std_cable, 40.0),
+                  Branch("2", "j", "b", std_cable, 25.0),
+                  Branch("3", "j", "c", std_cable, 30.0)),
+        loads={"b": modem(), "c": modem()}, ports={"p": Port("a", modem())})
+    reduce_to_port(net, "p", grid)
+    broken = apply_anomaly(net, LoadChange("c", bad))
+    errors = []
+    for topo in (broken, fresh(broken)):
+        with pytest.raises(SingularityError, match="branch '3'") as info:
+            reduce_to_port(topo, "p", grid)
+        errors.append((str(info.value), info.value.frequency_hz, info.value.index))
+    assert errors[0] == errors[1]
+    # the failed reduction left nothing stale behind
+    assert np.array_equal(reduce_to_port(net, "p", grid).y_in.values,
+                          reduce_to_port(fresh(net), "p", grid).y_in.values)
 
 
 # ---------------------------------------------------------------------------
