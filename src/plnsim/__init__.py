@@ -15,13 +15,12 @@ from .experiments import (EnsembleConfig, Scenario, bundled_single_line_scenario
                           run_backbone_lateral_study, run_distance_sweep,
                           run_scenario_suite)
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
-                  ctf_line, echo_voltage, input_admittance_line,
-                  input_reflection, line_propagation_params, load_reflection,
-                  modal_transform)
+                  ctf_line, input_admittance_line, input_reflection,
+                  line_propagation_params, load_reflection, modal_transform)
 from .network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                       conductance, constant_admittance, end_to_end_ctf,
                       farthest_node, network_input_reflection, open_circuit,
-                      parallel_rc_admittance, port_signals, reduce_to_port,
+                      parallel_rc_admittance, reduce_to_port,
                       table_admittance, tree_path, validate_topology)
 from .oracles import (input_reflection_modal, series_truncated_responses,
                       two_section_oracle)

@@ -16,15 +16,16 @@ reduction lives in ``plnsim.oracles``.
 
 A reduction reuses the subtrees it shares with the one before it.  Each node
 gets a structural key, built from the leaves up before any numeric work: the
-grid, the conductor count, the node's load object and its (branch, child key)
-pairs.  Branches and loads are frozen and hash by identity, so a key names one
-whole subtree exactly, and equal keys have bit-identical equivalents.  A
-topology holds the last reduction's equivalents by key in one slot, which the
-copies ``dataclasses.replace`` makes (``with_port``, the anomaly layer) share.
-So a second reduction at the same port computes nothing, one at another port
-recomputes only the path between the two, and a perturbed copy recomputes only
-the nodes whose subtree the anomaly changed.  Cached equivalents are
-read-only.
+node's load object and its (branch, child key) pairs.  Branches and loads are
+frozen and hash by identity, so a key names one whole subtree exactly, and
+equal keys have bit-identical equivalents.  A topology holds the last
+reduction's equivalents by key in one slot, tagged with that reduction's grid
+and conductor count, which the copies ``dataclasses.replace`` makes
+(``with_port``, the anomaly layer) share.  A reduction with another tag finds
+the slot empty.  So a second reduction at the same port computes nothing, one
+at another port recomputes only the path between the two, and a perturbed copy
+recomputes only the nodes whose subtree the anomaly changed.  Cached
+equivalents are read-only.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _matmul, ctf_line,
-                  echo_voltage, input_admittance_line, input_reflection,
-                  line_propagation_params, load_reflection)
+                  input_admittance_line, input_reflection, line_propagation_params,
+                  load_reflection)
 
 __all__ = [
     "AdmittanceSpec",
@@ -56,8 +57,6 @@ __all__ = [
     "reduce_to_port",
     "network_input_reflection",
     "end_to_end_ctf",
-    "PortSignal",
-    "port_signals",
     "tree_path",
     "node_distances",
     "farthest_node",
@@ -187,6 +186,13 @@ class Port:
     source: AdmittanceSpec  # admittance of the attached generator/modem
 
 
+class _Equivalents(dict):
+    """Node equivalents by structural key, computed on the grid and for the
+    conductor count in ``tag``."""
+
+    tag: tuple[FrequencyGrid, int] | None = None
+
+
 @dataclass(eq=False)
 class NetworkTopology:
     """Immutable-by-convention tree network.  Use dataclasses.replace or the
@@ -203,7 +209,7 @@ class NetworkTopology:
     branches: tuple[Branch, ...]
     loads: dict[str, AdmittanceSpec]
     ports: dict[str, Port]
-    _equivalents: dict = field(default_factory=dict, repr=False)
+    _equivalents: _Equivalents = field(default_factory=_Equivalents, repr=False)
 
     @property
     def n_conductors(self) -> int:
@@ -404,11 +410,14 @@ def reduce_to_port(net: NetworkTopology, port: str,
 
     key: dict[str, tuple] = {}
     for node in reversed(order):  # children come before parents
-        key[node] = (grid, L, net.loads.get(node),
+        key[node] = (net.loads.get(node),
                      tuple((br, key[child]) for br, child in children[node]))
     cache = net._equivalents
-    by_key = {k: y for k in key.values() if (y := cache.get(k)) is not None}
+    by_key = {}
+    if cache.tag == (grid, L):
+        by_key = {k: y for k in key.values() if (y := cache.get(k)) is not None}
     cache.clear()  # free what this reduction does not reuse before computing
+    cache.tag = (grid, L)
 
     for node in reversed(order):
         if key[node] in by_key:
@@ -466,28 +475,3 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
         h = _matmul(_branch_step(ctf_line, "segment", br, grid,
                                  red.node_equivalents[far]), h)
     return MatrixSpectrum(grid, h, "ctf")
-
-
-@dataclass(eq=False)
-class PortSignal:
-    """Per-frequency voltages at a transmit/receive pair."""
-
-    v_source: np.ndarray  # (n_f, L) volts, voltage at the transmitting node
-    v_load: np.ndarray    # (n_f, L) volts at the receiver load
-    v_echo: np.ndarray    # (n_f, L) volts reflected back into the source
-
-
-def port_signals(net: NetworkTopology, tx_port: str, rx_node: str,
-                 grid: FrequencyGrid, v_source) -> PortSignal:
-    """Drive ``tx_port`` with a source voltage and collect the load voltage
-    (through the end-to-end transfer) and the reflectometric echo."""
-    h = end_to_end_ctf(net, tx_port, rx_node, grid)
-    rho = network_input_reflection(net, tx_port, grid)
-    f = grid.frequencies
-    y_r = net.ports[tx_port].source.evaluate(f)
-    L = net.n_conductors
-    v = np.broadcast_to(np.asarray(v_source, dtype=complex),
-                        (grid.n_points, L)).copy()
-    v_load = (h.values @ v[..., None])[..., 0]
-    v_echo = echo_voltage(rho.values, y_r, v, f)
-    return PortSignal(v_source=v, v_load=v_load, v_echo=v_echo)

@@ -1,6 +1,8 @@
 """Line-level math: decomposition, reflections, admittances, transfer,
 series forms.  Closed-form oracles are evaluated independently in-test."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plnsim import mtl
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import DecompositionError, SingularityError, ValidationError
-from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _matmul,
-                        _normalize_columns, _rdiv, _solve, ctf_line,
-                        echo_voltage, input_admittance_line, input_reflection,
-                        line_propagation_params, load_reflection,
-                        modal_transform)
+from plnsim.experiments import default_grid
+from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _eye, _gauss,
+                        _matmul, _mul, _normalize_columns, _rdiv, _right,
+                        _singular, _solve, _t, ctf_line, input_admittance_line,
+                        input_reflection, line_propagation_params,
+                        load_reflection, modal_transform)
 from plnsim.oracles import input_reflection_modal, series_truncated_responses
 
 from conftest import lossless_cable, random_passive_matrix, spectrum_const
@@ -307,6 +311,175 @@ def test_solve_exact_zero_pivot_reports_first_frequency():
 
 
 # ---------------------------------------------------------------------------
+# work-array kernels: bit for bit the allocation-naive forms they replaced
+
+def _mul_naive(a, b):
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
+
+
+def _gauss_naive(a, b, f, context):
+    L = a.shape[0]
+    aug = np.concatenate((a, b), axis=1)
+    zero = None
+    for k in range(L):
+        if k < L - 1:
+            col = aug[k:, k]
+            mag = np.abs(col.real) + np.abs(col.imag)
+            best = mag[0]
+            for j in range(1, L - k):
+                swap = mag[j] > best
+                if swap.any():
+                    best = np.maximum(best, mag[j])
+                    top, other = aug[k, k:], aug[k + j, k:]
+                    aug[k, k:], aug[k + j, k:] = (np.where(swap, other, top),
+                                                  np.where(swap, top, other))
+        d = aug[k, k]
+        if not d.all():
+            hit = d == 0
+            zero = hit if zero is None else zero | hit
+            d[hit] = 1.0
+        if k < L - 1:
+            aug[k + 1:, k + 1:] -= (aug[k + 1:, k] / d)[:, None] * aug[k, None, k + 1:]
+    if zero is not None:
+        raise _singular(context, f, int(np.argmax(zero)))
+    x = aug[:, L:]
+    for i in range(L - 1, -1, -1):
+        for j in range(i + 1, L):
+            x[i] -= aug[i, j] * x[j]
+        x[i] /= aug[i, i]
+    return x
+
+
+def _chain(mul, gauss, a, b, c, f):
+    """Products and solves in a row, each taking results before it as
+    operands: plain, transposed (``_right``'s solve) and broadcast-identity
+    ones."""
+    def right(x, y):
+        return _t(gauss(_t(y), _t(x), f, "ctx"))
+    eye = _eye(a.shape[0])
+    r = [gauss(a, b, f, "ctx")]      # (L, M)
+    r.append(mul(a, r[0]))           # (L, M)
+    r.append(right(_t(r[1]), a))     # (M, L)
+    r.append(right(c, a))            # (M, L)
+    r.append(mul(r[3], eye))         # (M, L)
+    r.append(mul(eye, _t(r[4])))     # (L, M)
+    r.append(mul(r[5], c))           # (L, L)
+    r.append(gauss(a, r[6], f, "ctx"))
+    r.append(mul(_t(r[2]), r[3]))    # (L, L)
+    return r
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9),
+       st.sampled_from(["random", "zero-lead", "tiny-lead"]))
+def test_kernels_match_allocating_forms_bit_for_bit(data, L, M, n_f, kind):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = np.arange(1.0, n_f + 1.0)
+    a = _complex_stack(rng, (L, L, n_f))  # entry columns
+    if kind != "random" and L > 1:
+        # a zero or 1e-300 leading entry forces a row exchange
+        a[0, 0] = 0.0 if kind == "zero-lead" else 1e-300
+    b = _complex_stack(rng, (L, M, n_f))
+    c = _complex_stack(rng, (M, L, n_f))
+    new = _chain(_mul, _gauss, a, b, c, f)
+    old = _chain(_mul_naive, _gauss_naive, a, b, c, f)
+    for x, y in zip(new, old):
+        assert x.shape == y.shape
+        assert np.array_equal(x, y)
+    assert np.array_equal(_right(c, a, f, "ctx"), old[3])
+    # every result is a fresh array, never a work array a later call reuses
+    for x, y in zip(new, new[1:]):
+        assert not np.shares_memory(x, y)
+
+
+def _in_new_thread(fn):
+    """fn() run on a thread of its own, so it starts with no work arrays;
+    returns fn's result and that thread's work arrays by role."""
+    out = {}
+
+    def run():
+        out["result"] = fn()
+        out["pool"] = dict(vars(mtl._pool))
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join()
+    return out["result"], out["pool"]
+
+
+def test_work_arrays_recover_from_a_singular_solve():
+    L, n_f = 3, 9
+    rng = np.random.default_rng(12)
+    f = 1e5 + 1e5 * np.arange(n_f)
+    a = _complex_stack(rng, (n_f, L, L))
+    b = _complex_stack(rng, (n_f, L, L))
+    bad = a.copy()
+    bad[4, :, 1] = 0.0  # stops the elimination at its second step
+    with pytest.raises(SingularityError):
+        _solve(bad, b, f, "ctx")
+    x = _solve(a, b, f, "ctx")
+    assert np.array_equal(x, np.moveaxis(
+        _gauss_naive(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1), f, "ctx"), -1, 0))
+
+
+def test_work_arrays_are_replaced_not_added():
+    rng = np.random.default_rng(13)
+
+    def solves():
+        for n_f in (7, 800, 9):
+            a, b = _complex_stack(rng, (n_f, 3, 3)), _complex_stack(rng, (n_f, 3, 2))
+            _matmul(_solve(a, b, None, "ctx"), _complex_stack(rng, (n_f, 2, 3)))
+    _, pool = _in_new_thread(solves)
+    assert set(pool) == {"augmented", "row", "magnitude", "product"}
+    assert all(arr.shape[-1] == 9 for arr in pool.values())
+
+
+def test_threads_keep_their_own_work_arrays():
+    # threads solving systems of other sizes at once each get their own
+    # answers, bit for bit
+    rng = np.random.default_rng(15)
+    cases = [(_complex_stack(rng, (L, L, n_f)), _complex_stack(rng, (L, 2, n_f)))
+             for L, n_f in ((2, 50), (3, 50), (3, 80), (4, 30), (3, 50), (2, 80))]
+    expected = [_gauss_naive(a, b, None, "ctx") for a, b in cases]
+    wrong = []
+
+    def solve(case, want):
+        for _ in range(30):
+            if not np.array_equal(_gauss(*case, None, "ctx"), want):
+                wrong.append(case[0].shape)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve, args=(case, want))
+                   for case, want in zip(cases, expected)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong
+
+
+def test_work_arrays_of_coupled_line_functions_stay_small():
+    # every line function of an L = 3 cable on the 800-point default grid
+    grid = default_grid()
+    p = line_propagation_params(powerline_cable(3), grid)
+    f = grid.frequencies
+    y = spectrum_const(random_passive_matrix(np.random.default_rng(14), 3), grid)
+
+    def line_functions():
+        rho = load_reflection(y, p.yc, f)
+        input_reflection(input_admittance_line(p, 40.0, rho), y, f)
+        ctf_line(p, 40.0, rho)
+    _, pool = _in_new_thread(line_functions)
+    assert sum(arr.nbytes for arr in pool.values()) <= 750_000
+
+
+# ---------------------------------------------------------------------------
 # load reflection
 
 def test_load_reflection_matched(grid, std_cable):
@@ -470,12 +643,10 @@ def test_input_reflection_extremes(grid, std_cable):
     rho = input_reflection(np.zeros_like(y_r), y_r)
     assert np.max(np.abs(rho + np.eye(1))) < 1e-12
     # the one-solve form never inverts Y_R: a zero source gives I, the limit
-    # of the paper's form; the echo still divides by Y_R
+    # of the paper's form
     zero = np.zeros_like(y_r)
     rho = input_reflection(y_r, zero)
     assert np.array_equal(rho, np.ones_like(rho))
-    with pytest.raises(SingularityError, match="source admittance is singular"):
-        echo_voltage(rho, zero, np.array([1.0]), grid.frequencies)
 
 
 @pytest.mark.parametrize("n_conductors", [1, 2])
@@ -489,39 +660,6 @@ def test_dual_route_agreement(grid, n_conductors):
     via_y = input_reflection(input_admittance_line(p, 83.0, rho), y_r)
     via_m = input_reflection_modal(p, 83.0, rho, y_r)
     assert rel_err(via_m, via_y) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# echo voltage
-
-def test_echo_matched_is_zero(grid):
-    zero = np.zeros((grid.n_points, 1, 1), complex)
-    v = echo_voltage(zero, spectrum_const(0.02, grid), np.array([1.0]))
-    assert np.max(np.abs(v)) == 0.0
-
-
-def test_echo_scalar(grid, std_cable):
-    p = line_propagation_params(std_cable, grid)
-    y_r = spectrum_const(0.02, grid)
-    rho = load_reflection(spectrum_const(0.001, grid), p.yc)
-    rho_in = input_reflection_modal(p, 50.0, rho, y_r)
-    v = echo_voltage(rho_in, y_r, np.array([2.0]))
-    assert rel_err(v[:, 0], -2.0 * rho_in[:, 0, 0]) < 1e-12
-
-
-def test_echo_two_conductor_explicit(grid):
-    # direct 2x2 multiplication oracle with diagonal Y_R = diag(a, b)
-    rng = np.random.default_rng(5)
-    rho = rng.normal(size=(grid.n_points, 2, 2)) \
-        + 1j * rng.normal(size=(grid.n_points, 2, 2))
-    a, b = 0.02, 0.05
-    y_r = spectrum_const(np.diag([a, b]), grid)
-    v_src = np.array([1.0, -0.5])
-    out = echo_voltage(rho, y_r, v_src)
-    ref0 = -(rho[:, 0, 0] * a * v_src[0] + rho[:, 0, 1] * b * v_src[1]) / a
-    ref1 = -(rho[:, 1, 0] * a * v_src[0] + rho[:, 1, 1] * b * v_src[1]) / b
-    assert rel_err(out[:, 0], ref0) < 1e-12
-    assert rel_err(out[:, 1], ref1) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
 from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf, farthest_node,
                             network_input_reflection, node_distances,
-                            open_circuit, parallel_rc_admittance, port_signals,
-                            reduce_to_port, table_admittance, tree_path,
-                            validate_topology)
+                            open_circuit, parallel_rc_admittance, reduce_to_port,
+                            table_admittance, tree_path, validate_topology)
 from plnsim.oracles import two_section_oracle
 
 from conftest import lossless_cable, matched_load, single_line_net
@@ -282,16 +281,6 @@ def test_coupled_transfer_is_ordered_segment_product(grid):
     h = end_to_end_ctf(net, "p", "b", grid).values
     assert rel_err(h, h2 @ h1) < 1e-12
     assert rel_err(h, h1 @ h2) > 1e-3
-
-
-def test_port_signals_scalar(grid, std_cable):
-    load = parallel_rc_admittance(200.0, 1e-9)
-    net = single_line_net(std_cable, 90.0, load)
-    sig = port_signals(net, "p", "b", grid, np.array([1.5]))
-    h = end_to_end_ctf(net, "p", "b", grid)
-    rho = network_input_reflection(net, "p", grid)
-    assert rel_err(sig.v_load[:, 0], 1.5 * h.values[:, 0, 0]) < 1e-12
-    assert rel_err(sig.v_echo[:, 0], -1.5 * rho.values[:, 0, 0]) < 1e-12
 
 
 def test_coupled_path_makes_no_lapack_solve(grid, monkeypatch):
