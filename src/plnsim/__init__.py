@@ -21,7 +21,7 @@ from .network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                       conductance, constant_admittance, end_to_end_ctf,
                       farthest_node, network_input_reflection, open_circuit,
                       parallel_rc_admittance, reduce_to_port,
-                      table_admittance, tree_path, validate_topology)
+                      table_admittance, tree_path)
 from .oracles import (input_reflection_modal, series_truncated_responses,
                       two_section_oracle)
 from .timedomain import (LocateResult, PeakList, TimeTrace,

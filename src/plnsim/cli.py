@@ -28,8 +28,7 @@ from .errors import (DecompositionError, ParseError, SingularityError,
 from .experiments import (EnsembleConfig, bundled_single_line_scenarios,
                           run_distance_sweep, run_scenario_suite)
 from .mtl import FrequencyGrid
-from .network import (end_to_end_ctf, network_input_reflection, reduce_to_port,
-                      validate_topology)
+from .network import end_to_end_ctf, network_input_reflection, reduce_to_port
 from .timedomain import (DEFAULT_MIN_SEPARATION, DEFAULT_REL_THRESHOLD,
                          check_peak_spacing_symmetry, detect_peaks,
                          locate_anomaly_reflectometric, time_to_distance,
@@ -65,9 +64,8 @@ def _outdir(args) -> Path:
 
 def _load_topology(args):
     net = topofile.read_topology(args.topology)
-    report = validate_topology(net)
-    if not report.valid:
-        raise ValidationError(str(report))
+    if not net.report.valid:
+        raise ValidationError(str(net.report))
     return net
 
 
@@ -99,8 +97,7 @@ def _cable_library():
 # subcommand handlers
 
 def cmd_validate(args) -> int:
-    net = topofile.read_topology(args.topology)
-    report = validate_topology(net)
+    report = topofile.read_topology(args.topology).report
     print(report)
     return EXIT_OK if report.valid else EXIT_INVALID
 

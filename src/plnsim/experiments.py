@@ -28,7 +28,7 @@ from .anomalies import (Anomaly, DistributedFault, LoadChange, LumpedFault,
                         describe_anomaly)
 from .cables import builtin_cable_library, powerline_cable, scaled_cable
 from .errors import PlnsimError, ValidationError
-from .mtl import FrequencyGrid
+from .mtl import FrequencyGrid, _cols
 from .network import (Branch, NetworkTopology, Port, conductance,
                       constant_admittance, end_to_end_ctf, farthest_node,
                       node_distances, parallel_rc_admittance, reduce_to_port,
@@ -165,8 +165,9 @@ def _fault_distance(net: NetworkTopology, origin: str, branch: Branch,
 
 
 def band_mean_magnitude(values: np.ndarray) -> float:
-    """Mean over the band (and matrix entries) of |X(f)|."""
-    return float(np.mean(np.abs(values)))
+    """Mean over the band (and matrix entries) of |X(f)|, summed in entry-column
+    order whatever the memory layout of ``values``."""
+    return float(np.mean(np.abs(_cols(values))))
 
 
 def band_mean_db(values: np.ndarray) -> float:

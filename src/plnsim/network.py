@@ -1,9 +1,10 @@
 """Tree-topology network model and its reduction to port responses.
 
-A network is a tree of nodes joined by cable branches.  Terminations and
-sources are frequency-dependent admittance evaluators so constant, RLC and
-tabulated models share one interface.  Junctions are ideal: voltages equal,
-currents sum, no parasitics.
+A network is a frozen tree of nodes joined by cable branches, whose
+structural checks and adjacency are computed once, on first read.
+Terminations and sources are frequency-dependent admittance evaluators so
+constant, RLC and tabulated models share one interface.  Junctions are ideal:
+voltages equal, currents sum, no parasitics.
 
 Every rooted traversal is one breadth-first walk (``_walk``).  The reduction
 carries the tree from the leaves toward a port, replacing each subtree by its
@@ -30,16 +31,17 @@ equivalents are read-only.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import SingularityError, UsageError, ValidationError
-from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _matmul, ctf_line,
-                  input_admittance_line, input_reflection, line_propagation_params,
-                  load_reflection)
+from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _matmul, _stack,
+                  ctf_line, input_admittance_line, input_reflection,
+                  line_propagation_params, load_reflection)
 
 __all__ = [
     "AdmittanceSpec",
@@ -52,7 +54,6 @@ __all__ = [
     "Port",
     "NetworkTopology",
     "ValidationReport",
-    "validate_topology",
     "PortReduction",
     "reduce_to_port",
     "network_input_reflection",
@@ -193,10 +194,23 @@ class _Equivalents(dict):
     tag: tuple[FrequencyGrid, int] | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
+class ValidationReport:
+    valid: bool
+    problems: tuple[str, ...]
+
+    def __str__(self) -> str:
+        if self.valid:
+            return "valid"
+        return "invalid:\n" + "\n".join(f"  - {p}" for p in self.problems)
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
-    """Immutable-by-convention tree network.  Use dataclasses.replace or the
-    anomaly layer to derive modified copies.
+    """Frozen tree network; ``loads`` and ``ports`` are read-only copies.  Use
+    dataclasses.replace, ``with_port`` or the anomaly layer to derive modified
+    copies.  The structural checks (``report``) and the adjacency are computed
+    once per instance, on first read.
 
     ``_equivalents`` is the reduction cache: the node equivalents of the last
     ``reduce_to_port`` on this topology or on a copy sharing it, keyed by
@@ -207,9 +221,16 @@ class NetworkTopology:
 
     nodes: tuple[str, ...]
     branches: tuple[Branch, ...]
-    loads: dict[str, AdmittanceSpec]
-    ports: dict[str, Port]
+    loads: Mapping[str, AdmittanceSpec]
+    ports: Mapping[str, Port]
     _equivalents: _Equivalents = field(default_factory=_Equivalents, repr=False)
+
+    def __post_init__(self):
+        # the cached report and adjacency hold only while the fields do
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "loads", MappingProxyType(dict(self.loads)))
+        object.__setattr__(self, "ports", MappingProxyType(dict(self.ports)))
 
     @property
     def n_conductors(self) -> int:
@@ -217,12 +238,61 @@ class NetworkTopology:
             raise ValidationError("network has no branches")
         return self.branches[0].cable.n_conductors
 
-    def adjacency(self) -> dict[str, list[tuple[Branch, str]]]:
+    @cached_property
+    def adjacency(self) -> Mapping[str, tuple[tuple[Branch, str], ...]]:
         adj: dict[str, list[tuple[Branch, str]]] = {n: [] for n in self.nodes}
         for b in self.branches:
             adj[b.node_a].append((b, b.node_b))
             adj[b.node_b].append((b, b.node_a))
-        return adj
+        return MappingProxyType({n: tuple(nbrs) for n, nbrs in adj.items()})
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Structural checks: tree shape, connectivity, terminated leaves,
+        finite positive lengths, one conductor count throughout."""
+        problems: list[str] = []
+        nodes = list(self.nodes)
+        if len(set(nodes)) != len(nodes):
+            problems.append("duplicate node ids")
+        ids = [b.id for b in self.branches]
+        if len(set(ids)) != len(ids):
+            problems.append("duplicate branch ids")
+        node_set = set(nodes)
+        for b in self.branches:
+            if b.node_a not in node_set or b.node_b not in node_set:
+                problems.append(f"branch {b.id!r} references unknown nodes")
+            if b.node_a == b.node_b:
+                problems.append(f"branch {b.id!r} is a self-loop")
+            if not 0.0 < b.length_m < np.inf:
+                problems.append(f"branch {b.id!r} length must be finite and positive, "
+                                f"got {b.length_m!r}")
+        for node in self.loads:
+            if node not in node_set:
+                problems.append(f"load references unknown node {node!r}")
+        for name, port in self.ports.items():
+            if port.node not in node_set:
+                problems.append(f"port {name!r} references unknown node {port.node!r}")
+
+        if len(self.branches) != len(nodes) - 1:
+            problems.append(
+                f"not a tree: {len(nodes)} nodes need {len(nodes) - 1} branches, "
+                f"found {len(self.branches)}")
+        if not problems:
+            if len(_walk(self, nodes[0])[0]) != len(nodes):
+                problems.append("not connected")
+            else:
+                port_nodes = {p.node for p in self.ports.values()}
+                for n in nodes:
+                    if (len(self.adjacency[n]) == 1 and n not in self.loads
+                            and n not in port_nodes):
+                        problems.append(f"dangling leaf {n!r}: no load and no port")
+
+        counts = {b.cable.n_conductors for b in self.branches}
+        counts |= {ld.n_conductors for ld in self.loads.values()}
+        counts |= {p.source.n_conductors for p in self.ports.values()}
+        if len(counts) > 1:
+            problems.append(f"mixed conductor counts {sorted(counts)}")
+        return ValidationReport(valid=not problems, problems=tuple(problems))
 
     def branch(self, branch_id: str) -> Branch:
         for b in self.branches:
@@ -231,75 +301,7 @@ class NetworkTopology:
         raise ValidationError(f"no branch with id {branch_id!r}")
 
     def with_port(self, name: str, port: Port) -> "NetworkTopology":
-        ports = dict(self.ports)
-        ports[name] = port
-        return replace(self, ports=ports)
-
-
-@dataclass
-class ValidationReport:
-    valid: bool
-    problems: list[str]
-
-    def __str__(self) -> str:
-        if self.valid:
-            return "valid"
-        return "invalid:\n" + "\n".join(f"  - {p}" for p in self.problems)
-
-
-def validate_topology(net: NetworkTopology) -> ValidationReport:
-    """Structural checks: tree shape, connectivity, terminated leaves,
-    finite positive lengths, one conductor count throughout."""
-    problems: list[str] = []
-    nodes = list(net.nodes)
-    if len(set(nodes)) != len(nodes):
-        problems.append("duplicate node ids")
-    ids = [b.id for b in net.branches]
-    if len(set(ids)) != len(ids):
-        problems.append("duplicate branch ids")
-    node_set = set(nodes)
-    for b in net.branches:
-        if b.node_a not in node_set or b.node_b not in node_set:
-            problems.append(f"branch {b.id!r} references unknown nodes")
-        if b.node_a == b.node_b:
-            problems.append(f"branch {b.id!r} is a self-loop")
-        if not 0.0 < b.length_m < np.inf:
-            problems.append(f"branch {b.id!r} length must be finite and positive, "
-                            f"got {b.length_m!r}")
-    for node in net.loads:
-        if node not in node_set:
-            problems.append(f"load references unknown node {node!r}")
-    for name, port in net.ports.items():
-        if port.node not in node_set:
-            problems.append(f"port {name!r} references unknown node {port.node!r}")
-
-    if len(net.branches) != len(nodes) - 1:
-        problems.append(
-            f"not a tree: {len(nodes)} nodes need {len(nodes) - 1} branches, "
-            f"found {len(net.branches)}")
-    if not problems:
-        if len(_walk(net, nodes[0])[0]) != len(nodes):
-            problems.append("not connected")
-        else:
-            degree = Counter(n for b in net.branches for n in (b.node_a, b.node_b))
-            port_nodes = {p.node for p in net.ports.values()}
-            for n in nodes:
-                if degree[n] == 1 and n not in net.loads and n not in port_nodes:
-                    problems.append(f"dangling leaf {n!r}: no load and no port")
-
-    counts = {b.cable.n_conductors for b in net.branches}
-    counts |= {ld.n_conductors for ld in net.loads.values()}
-    counts |= {p.source.n_conductors for p in net.ports.values()}
-    if len(counts) > 1:
-        problems.append(f"mixed conductor counts {sorted(counts)}")
-
-    return ValidationReport(valid=not problems, problems=problems)
-
-
-def _require_valid(net: NetworkTopology) -> None:
-    report = validate_topology(net)
-    if not report.valid:
-        raise ValidationError("invalid topology: " + "; ".join(report.problems))
+        return replace(self, ports={**self.ports, name: port})
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,9 @@ def _require_valid(net: NetworkTopology) -> None:
 def _walk(net: NetworkTopology, root: str):
     """Breadth-first walk from ``root``: the visit order of every reachable
     node, and each one's (parent branch, parent node), None at the root."""
-    adj = net.adjacency()
+    adj = net.adjacency
+    if root not in adj:
+        raise ValidationError(f"unknown node {root!r}")
     parent: dict[str, tuple[Branch, str] | None] = {root: None}
     order = [root]
     for u in order:  # the loop runs on as the walk appends
@@ -331,6 +335,8 @@ def _path(parent: dict, node: str) -> list[tuple[Branch, str, str]]:
 
 def tree_path(net: NetworkTopology, a: str, b: str) -> list[tuple[Branch, str, str]]:
     """Branch sequence from a to b as (branch, near_node, far_node) triples."""
+    if b not in net.adjacency:
+        raise ValidationError(f"unknown node {b!r}")
     _, parent = _walk(net, a)
     if b not in parent:
         raise ValidationError(f"nodes {a!r} and {b!r} are not connected")
@@ -396,7 +402,8 @@ def reduce_to_port(net: NetworkTopology, port: str,
     Subtrees whose equivalents the topology's cache holds are reused; the
     rest are computed, and become the cache.
     """
-    _require_valid(net)
+    if not net.report.valid:
+        raise ValidationError("invalid topology: " + "; ".join(net.report.problems))
     if port not in net.ports:
         raise UsageError(f"no port named {port!r}")
     root = net.ports[port].node
@@ -422,17 +429,20 @@ def reduce_to_port(net: NetworkTopology, port: str,
     for node in reversed(order):
         if key[node] in by_key:
             continue
+        # summed in a fresh array of entry columns, the line functions'
+        # layout, so no operand is buffered and no evaluator's array written
         if node in net.loads:
             y = net.loads[node].evaluate(f)
             if y.shape != (f.size, L, L):
                 raise ValidationError(
                     f"load at {node!r} evaluates to shape {y.shape}")
+            acc = np.array(y.transpose(1, 2, 0), dtype=complex, order="C")
         else:
-            y = np.zeros((f.size, L, L), dtype=complex)
+            acc = np.zeros((L, L, f.size), dtype=complex)
         for br, child in children[node]:
-            y = y + _branch_step(input_admittance_line, "branch", br, grid,
-                                 by_key[key[child]])
-        y = y.view()  # read-only without touching an evaluator's own array
+            acc += _cols(_branch_step(input_admittance_line, "branch", br, grid,
+                                      by_key[key[child]]))
+        y = _stack(acc)
         y.flags.writeable = False
         by_key[key[node]] = y
     cache.update(by_key)

@@ -12,8 +12,7 @@ from plnsim.errors import SingularityError, ValidationError
 from plnsim.mtl import FrequencyGrid, MatrixSpectrum
 from plnsim.network import (conductance, constant_admittance,
                             end_to_end_ctf, network_input_reflection,
-                            parallel_rc_admittance, reduce_to_port,
-                            validate_topology)
+                            parallel_rc_admittance, reduce_to_port)
 
 from conftest import single_line_net
 
@@ -40,7 +39,7 @@ def responses(net, grid):
 def test_lumped_fault_adds_loaded_node(base_net, grid):
     fault = LumpedFault("s", 40.0, conductance(0.05))
     out = apply_anomaly(base_net, fault, grid)
-    assert validate_topology(out).valid
+    assert out.report.valid
     assert len(out.branches) == 2
     new_nodes = set(out.nodes) - set(base_net.nodes)
     assert len(new_nodes) == 1
@@ -66,7 +65,7 @@ def test_active_fault_needs_flag(base_net, grid):
     with pytest.raises(ValidationError, match="active"):
         apply_anomaly(base_net, LumpedFault("s", 40.0, hot), grid)
     out = apply_anomaly(base_net, LumpedFault("s", 40.0, hot, active=True), grid)
-    assert validate_topology(out).valid
+    assert out.report.valid
 
 
 def test_load_change_requires_existing_load(base_net, grid):
@@ -79,7 +78,7 @@ def test_load_change_requires_existing_load(base_net, grid):
 def test_distributed_fault_splits_three_ways(base_net, grid, std_cable):
     degraded = scaled_cable(std_cable, c_scale=1.3, label="aged")
     out = apply_anomaly(base_net, DistributedFault("s", 30.0, 50.0, degraded), grid)
-    assert validate_topology(out).valid
+    assert out.report.valid
     assert len(out.branches) == 3
     lengths = sorted(b.length_m for b in out.branches)
     assert lengths == [30.0, 40.0, 50.0]

@@ -15,7 +15,7 @@ from plnsim.experiments import (EnsembleConfig, _spearman,
                                 run_distance_sweep, run_scenario_suite)
 from plnsim.errors import ValidationError
 from plnsim.mtl import FrequencyGrid, line_propagation_params
-from plnsim.network import reduce_to_port, validate_topology
+from plnsim.network import reduce_to_port
 from plnsim.topofile import topology_to_dict
 
 
@@ -23,7 +23,7 @@ def test_two_node_config_gives_single_branch():
     cfg = EnsembleConfig(n_nodes=(2, 2), seed=3)
     net = generate_random_network(cfg, 0)
     assert len(net.branches) == 1
-    assert validate_topology(net).valid
+    assert net.report.valid
 
 
 def test_generator_determinism():
@@ -39,7 +39,7 @@ def test_generator_property_sweep():
     cfg = EnsembleConfig(n_nodes=(4, 12), seed=1)
     for i in range(500):
         net = generate_random_network(cfg, i)
-        report = validate_topology(net)
+        report = net.report
         assert report.valid, report.problems
         assert len(net.branches) == len(net.nodes) - 1
         probe = net.ports["probe"].node
@@ -85,6 +85,16 @@ def test_sweep_records_are_sane_and_deterministic():
         assert 0.0 <= r.link_position <= 1.0
         assert np.isfinite([r.delta_y, r.delta_rho, r.delta_h]).all()
     assert res1.summary["skip_rate"] < 0.05
+
+
+def test_band_mean_magnitude_ignores_memory_layout():
+    # a sum in memory order gives these two layouts results 1 ulp apart
+    rng = np.random.default_rng(1)
+    delta = rng.standard_normal((800, 3, 3)) + 1j * rng.standard_normal((800, 3, 3))
+    columns = np.ascontiguousarray(delta.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert delta.flags.c_contiguous and not columns.flags.c_contiguous
+    assert (experiments.band_mean_magnitude(delta)
+            == experiments.band_mean_magnitude(columns))
 
 
 def test_scenario_suite_classifications():

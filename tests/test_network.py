@@ -1,6 +1,8 @@
 """Topology validation, carry-back reduction, end-to-end transfer and the
 two-section closed-form cross-check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf, farthest_node,
                             network_input_reflection, node_distances,
                             open_circuit, parallel_rc_admittance, reduce_to_port,
-                            table_admittance, tree_path, validate_topology)
+                            table_admittance, tree_path)
 from plnsim.oracles import two_section_oracle
 
 from conftest import lossless_cable, matched_load, single_line_net
@@ -36,7 +38,7 @@ def modem(y=0.02, n=1):
 
 def test_valid_two_node(std_cable):
     net = single_line_net(std_cable, 100.0, parallel_rc_admittance(200.0, 1e-9))
-    report = validate_topology(net)
+    report = net.report
     assert report.valid
     assert str(report) == "valid"
 
@@ -48,7 +50,7 @@ def test_cycle_is_not_a_tree(std_cable):
                   Branch("2", "b", "c", std_cable, 10.0),
                   Branch("3", "c", "a", std_cable, 10.0)),
         loads={}, ports={"p": Port("a", modem())})
-    report = validate_topology(net)
+    report = net.report
     assert not report.valid
     assert any("not a tree" in p for p in report.problems)
 
@@ -58,7 +60,7 @@ def test_dangling_leaf(std_cable):
         nodes=("a", "b"),
         branches=(Branch("1", "a", "b", std_cable, 10.0),),
         loads={}, ports={"p": Port("a", modem())})
-    report = validate_topology(net)
+    report = net.report
     assert not report.valid
     assert any("dangling leaf" in p for p in report.problems)
 
@@ -69,9 +71,26 @@ def test_mixed_conductor_counts(std_cable, coupled_cable):
         branches=(Branch("1", "a", "b", std_cable, 10.0),
                   Branch("2", "b", "c", coupled_cable, 10.0)),
         loads={"c": open_circuit(2)}, ports={"p": Port("a", modem())})
-    report = validate_topology(net)
+    report = net.report
     assert not report.valid
     assert any("conductor" in p for p in report.problems)
+
+
+def test_report_and_adjacency_are_computed_once(grid, std_cable):
+    net = NetworkTopology(
+        nodes=("a", "b"),
+        branches=(Branch("1", "a", "b", std_cable, -5.0),),
+        loads={"zz": modem()}, ports={"p": Port("a", modem())})
+    assert net.report is net.report
+    assert net.adjacency is net.adjacency
+    assert net.adjacency["a"] == ((net.branches[0], "b"),)
+    with pytest.raises(TypeError):
+        net.adjacency["c"] = ()
+    assert len(net.report.problems) == 2
+    with pytest.raises(ValidationError, match="^invalid topology: ") as info:
+        reduce_to_port(net, "p", grid)
+    for problem in net.report.problems:
+        assert problem in str(info.value)
 
 
 def test_bad_lengths_and_references(std_cable):
@@ -81,7 +100,7 @@ def test_bad_lengths_and_references(std_cable):
             branches=(Branch("1", "a", "b", std_cable, length),),
             loads={"b": modem(), "zz": modem()},
             ports={"p": Port("a", modem())})
-        report = validate_topology(net)
+        report = net.report
         assert any("length" in p for p in report.problems)
         assert any("unknown node" in p for p in report.problems)
 
@@ -430,14 +449,34 @@ def test_warm_reduction_equals_fresh(grid, n_conductors, seed, case):
     assert_same_as_fresh(net, grid)
 
 
-def test_replaced_load_is_not_served_stale(grid):
+@pytest.mark.parametrize("name", ["nodes", "branches", "loads", "ports"])
+def test_topology_fields_are_frozen(name):
     net = random_tree(1, 21)
-    before = reduce_to_port(net, "probe", grid).y_in.values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(net, name, getattr(net, name))
+
+
+def test_loads_and_ports_are_read_only(grid):
+    net = random_tree(1, 21)
     node = next(n for n in sorted(net.loads) if n != net.ports["probe"].node)
-    net.loads[node] = parallel_rc_admittance(47.0, 3e-9)
+    with pytest.raises(TypeError):
+        net.loads[node] = parallel_rc_admittance(47.0, 3e-9)
+    with pytest.raises(TypeError):
+        net.ports["probe"] = net.ports["tx"]
+
+
+def test_constructor_dicts_are_copied(grid):
+    base = random_tree(1, 21)
+    loads, ports = dict(base.loads), dict(base.ports)
+    net = NetworkTopology(base.nodes, base.branches, loads, ports)
+    before = reduce_to_port(net, "probe", grid).y_in.values
+    node = next(n for n in sorted(loads) if n != ports["probe"].node)
+    loads[node] = parallel_rc_admittance(47.0, 3e-9)
+    del ports["tx"]
+    assert dict(net.loads) == dict(base.loads) and dict(net.ports) == dict(base.ports)
     after = reduce_to_port(net, "probe", grid).y_in.values
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, reduce_to_port(fresh(net), "probe", grid).y_in.values)
+    assert np.array_equal(after, before)
+    assert np.array_equal(after, reduce_to_port(fresh(base), "probe", grid).y_in.values)
 
 
 def test_equivalents_are_read_only_and_reused(grid):
@@ -495,3 +534,15 @@ def test_tree_path_and_distances(std_cable):
     dist = node_distances(net, "a")
     assert dist == {"a": 0.0, "j": 10.0, "b": 30.0, "c": 45.0}
     assert farthest_node(net, "a") == "c"
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: tree_path(net, "nope", "n0"),
+    lambda net: tree_path(net, "n0", "nope"),
+    lambda net: node_distances(net, "nope"),
+    lambda net: farthest_node(net, "nope"),
+], ids=["tree_path-from", "tree_path-to", "node_distances", "farthest_node"])
+def test_unknown_node_is_named(call):
+    net = random_tree(1, 23)
+    with pytest.raises(ValidationError, match="unknown node 'nope'"):
+        call(net)
