@@ -115,10 +115,10 @@ def _split_branch(net: NetworkTopology, branch: Branch,
 
 
 def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
-                  grid: FrequencyGrid | None = None) -> NetworkTopology:
+                  grid: FrequencyGrid) -> NetworkTopology:
     """Return a new topology with the anomaly inserted.  The input network is
-    left untouched.  When a grid is supplied, lumped fault admittances are
-    checked for passivity unless flagged active."""
+    left untouched.  Lumped fault admittances are checked for passivity on
+    ``grid`` unless flagged active."""
     if isinstance(anomaly, LumpedFault):
         branch = net.branch(anomaly.branch_id)
         if not 0.0 < anomaly.offset_m < branch.length_m:
@@ -127,11 +127,10 @@ def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
                 f"{branch.id!r} interior (0, {branch.length_m:g})")
         if anomaly.y_f.n_conductors != net.n_conductors:
             raise ValidationError("fault admittance conductor count mismatch")
-        if grid is not None and not anomaly.active:
-            if not anomaly.y_f.is_passive(grid.frequencies):
-                raise ValidationError(
-                    "fault admittance has an eigenvalue with negative real "
-                    "part; set active=True if this is intended")
+        if not anomaly.active and not anomaly.y_f.is_passive(grid.frequencies):
+            raise ValidationError(
+                "fault admittance has an eigenvalue with negative real "
+                "part; set active=True if this is intended")
         out, interior = _split_branch(net, branch, [anomaly.offset_m],
                                       [branch.cable, branch.cable])
         loads = dict(out.loads)

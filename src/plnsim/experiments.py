@@ -66,15 +66,14 @@ _DEFAULT_CABLES = itemgetter("pl-std", "pl-lowloss", "pl-lossy")(builtin_cable_l
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Everything a random ensemble depends on.  The seed fully determines
-    every draw; all ranges are declared engineering defaults."""
+    every draw; all ranges are declared engineering defaults.  The leaf-load
+    ranges and the modem admittance are fixed in ``generate_random_network``,
+    the fault's clearance from the branch ends in ``_fault_position``."""
 
     n_networks: int = 200
     n_nodes: tuple[int, int] = (4, 12)          # inclusive range
     branch_length_m: tuple[float, float] = (20.0, 150.0)
-    load_r_ohm: tuple[float, float] = (10.0, 1000.0)
-    load_c_farad: tuple[float, float] = (1e-9, 1e-7)
     fault_severity_s: tuple[float, float] = (1e-3, 1e-1)  # shunt conductance
-    source_y_s: float = 0.02                   # probe/transmit modem admittance
     cables: tuple = ()                          # CableSpec tuple; default library if empty
     seed: int = 0
 
@@ -109,7 +108,8 @@ def generate_random_network(cfg: EnsembleConfig, index: int) -> NetworkTopology:
     The reflectometric probe port sits at a leaf (modems terminate drops, and
     the last-attached node is always a leaf); the transmit port sits at the
     leaf farthest from it.  Every leaf is loaded, so the probe node can also
-    act as an end-to-end receiver.
+    act as an end-to-end receiver.  Leaf loads are parallel RC with R drawn
+    from 10 to 1000 ohm and C from 1 to 100 nF; both modems admit 0.02 S.
     """
     rng = _rng(cfg.seed, index)
     n = int(rng.integers(cfg.n_nodes[0], cfg.n_nodes[1] + 1))
@@ -134,24 +134,24 @@ def generate_random_network(cfg: EnsembleConfig, index: int) -> NetworkTopology:
     loads = {}
     for node in nodes:
         if degree[node] == 1:
-            r = float(rng.uniform(*cfg.load_r_ohm))
-            c = float(rng.uniform(*cfg.load_c_farad))
+            r = float(rng.uniform(10.0, 1000.0))
+            c = float(rng.uniform(1e-9, 1e-7))
             loads[node] = parallel_rc_admittance(r, c, L)
-    source = constant_admittance(cfg.source_y_s, L, label="modem")
+    source = constant_admittance(0.02, L, label="modem")
     net = NetworkTopology(nodes=nodes, branches=tuple(branches), loads=loads,
                           ports={"probe": Port(probe_node, source)})
     net = net.with_port("tx", Port(farthest_node(net, probe_node), source))
     return net
 
 
-def _fault_position(net: NetworkTopology, rng: np.random.Generator,
-                    margin: float = 0.05) -> tuple[Branch, float]:
+def _fault_position(net: NetworkTopology,
+                    rng: np.random.Generator) -> tuple[Branch, float]:
     """Pick a branch with probability proportional to its length and a
-    uniform interior offset, keeping clear of the ends."""
+    uniform interior offset, keeping 5 % of its length clear of either end."""
     lengths = np.array([b.length_m for b in net.branches])
     k = int(rng.choice(len(net.branches), p=lengths / lengths.sum()))
     branch = net.branches[k]
-    offset = float(rng.uniform(margin, 1.0 - margin)) * branch.length_m
+    offset = float(rng.uniform(0.05, 0.95)) * branch.length_m
     return branch, offset
 
 
@@ -369,14 +369,13 @@ class ScenarioResult:
 
 
 def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
-                        rel_threshold: float, min_separation: int,
-                        match_tol_samples: int = 1,
-                        shift_window_samples: int = 64,
-                        amp_rel_change: float = 0.05):
-    """Diff two peak sets: same-time peaks with changed amplitude, vanished
-    baseline peaks paired to nearby perturbed peaks as shifts, and leftovers
-    as genuinely new peaks.  Peaks closer than the detector's separation are
-    one arrival whose kernel split; they merge onto the strongest member."""
+                        rel_threshold: float, min_separation: int):
+    """Diff two peak sets: peaks within one sample of each other are the same
+    arrival, whose amplitude changed when it moved by more than 5 %; vanished
+    baseline peaks pair with perturbed peaks within 64 samples as shifts, and
+    leftovers are genuinely new peaks.  Peaks closer than the detector's
+    separation are one arrival whose kernel split; they merge onto the
+    strongest member."""
     t_step = baseline.t_step
     pa = detect_peaks(baseline, rel_threshold, min_separation).merged(min_separation)
     pb = detect_peaks(perturbed, rel_threshold, min_separation).merged(min_separation)
@@ -386,17 +385,17 @@ def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
     un_b = list(pb)
     for p in list(un_a):
         cand = [q for q in un_b
-                if abs(q.time_s - p.time_s) <= match_tol_samples * t_step]
+                if abs(q.time_s - p.time_s) <= t_step]
         if cand:
             q = min(cand, key=lambda q: abs(q.time_s - p.time_s))
             un_a.remove(p)
             un_b.remove(q)
-            amp_changed |= abs(q.amplitude - p.amplitude) > amp_rel_change * p.amplitude
+            amp_changed |= abs(q.amplitude - p.amplitude) > 0.05 * p.amplitude
 
     shifted, ambig = [], []
     for p in list(un_a):
         cand = [q for q in un_b
-                if abs(q.time_s - p.time_s) <= shift_window_samples * t_step]
+                if abs(q.time_s - p.time_s) <= 64 * t_step]
         if len(cand) > 1:
             ambig.append(f"baseline peak at {p.time_s:.3e} s has "
                          f"{len(cand)} shift candidates")
@@ -418,20 +417,19 @@ def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
 
 
 def run_scenario_suite(base_net: NetworkTopology, scenarios: list[Scenario],
-                       grid: FrequencyGrid | None = None, port: str = "probe",
-                       window: str = "hann",
+                       grid: FrequencyGrid | None = None, window: str = "hann",
                        rel_threshold: float = DEFAULT_REL_THRESHOLD,
                        min_separation: int = DEFAULT_MIN_SEPARATION,
                        ) -> list[ScenarioResult]:
-    """Baseline vs perturbed reflectometric traces per scenario, with the
-    peak-set diff checked against the expected signature."""
+    """Baseline vs perturbed reflectometric traces at the ``probe`` port per
+    scenario, with the peak-set diff checked against the expected signature."""
     grid = grid or default_grid()
-    y0 = reduce_to_port(base_net, port, grid).y_in
+    y0 = reduce_to_port(base_net, "probe", grid).y_in
     trace0 = to_time_domain(y0, window)
     results = []
     for sc in scenarios:
         net_a = apply_anomaly(base_net, sc.anomaly, grid)
-        y1 = reduce_to_port(net_a, port, grid).y_in
+        y1 = reduce_to_port(net_a, "probe", grid).y_in
         trace1 = to_time_domain(y1, window)
         cls, new, shifted, ambig = _classify_peak_diff(
             trace0, trace1, rel_threshold, min_separation)
@@ -484,13 +482,13 @@ class BackboneLateralResult:
 
 def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
                                grid: FrequencyGrid | None = None,
-                               severity_s: tuple[float, float] = (5e-3, 5e-2),
                                ) -> BackboneLateralResult:
     """For each random network, place one mid-branch fault on the tx-rx
-    backbone and one on a lateral branch, and compare the band-mean dB of the
-    end-to-end chain delta.  Backbone faults divert the direct wave and cost
-    transmission; lateral faults only perturb secondary echoes, so their
-    band-mean stays near 0 dB."""
+    backbone and one on a lateral branch, both of one shunt conductance drawn
+    from 5 to 50 mS, and compare the band-mean dB of the end-to-end chain
+    delta.  Backbone faults divert the direct wave and cost transmission;
+    lateral faults only perturb secondary echoes, so their band-mean stays
+    near 0 dB."""
     grid = grid or default_grid()
     cfg = EnsembleConfig(seed=seed)
     backbone_db: list[float] = []
@@ -508,7 +506,7 @@ def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
             if not lateral:
                 continue
             rng = _rng(cfg.seed, i, 2)
-            severity = float(rng.uniform(*severity_s))
+            severity = float(rng.uniform(5e-3, 5e-2))
             bb = path[int(rng.integers(0, len(path)))][0]
             lb = lateral[int(rng.integers(0, len(lateral)))]
 

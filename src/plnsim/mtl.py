@@ -98,14 +98,16 @@ class FrequencyGrid:
         return f
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CableSpec:
     """Per-unit-length parameter model of an L-conductor cable.
 
     ``rlgc(f)`` maps a 1-D frequency array (n_f,) to the four real symmetric
     matrices R (ohm/m), L (H/m), G (S/m), C (F/m) stacked as (n_f, L, L)
     arrays.  R and G may be zero (lossless limit); L and C must be positive
-    definite with strictly positive diagonals.
+    definite with strictly positive diagonals.  Frozen and hashed by identity,
+    as decompositions are cached per cable object; ``dataclasses.replace``
+    makes a changed cable.
     """
 
     label: str
@@ -114,9 +116,10 @@ class CableSpec:
     meta: dict | None = None  # parametric description, used by the file layer
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PropagationParams:
-    """Per-frequency modal description of one cable on one grid."""
+    """Per-frequency modal description of one cable on one grid.  Frozen,
+    with read-only arrays: one cached instance serves every caller."""
 
     grid: FrequencyGrid
     gamma: np.ndarray   # (n_f, L) complex, diagonal of the modal propagation matrix, 1/m

@@ -20,13 +20,13 @@ gets a structural key, built from the leaves up before any numeric work: the
 node's load object and its (branch, child key) pairs.  Branches and loads are
 frozen and hash by identity, so a key names one whole subtree exactly, and
 equal keys have bit-identical equivalents.  A topology holds the last
-reduction's equivalents by key in one slot, tagged with that reduction's grid
-and conductor count, which the copies ``dataclasses.replace`` makes
-(``with_port``, the anomaly layer) share.  A reduction with another tag finds
-the slot empty.  So a second reduction at the same port computes nothing, one
-at another port recomputes only the path between the two, and a perturbed copy
-recomputes only the nodes whose subtree the anomaly changed.  Cached
-equivalents are read-only.
+reduction's equivalents in one slot, under (grid, conductor count, key), which
+the copies ``dataclasses.replace`` makes (``with_port``, the anomaly layer)
+share.  So a second reduction at the same port computes nothing, one at
+another port recomputes only the path between the two, and a perturbed copy
+recomputes only the nodes whose subtree the anomaly changed.  A reduction on
+another grid finds nothing, and reductions that interleave on a shared slot
+can only cost each other hits.  Cached equivalents are read-only.
 """
 
 from __future__ import annotations
@@ -77,12 +77,13 @@ class AdmittanceSpec:
     label: str = ""
     meta: dict | None = None
 
-    def is_passive(self, f: np.ndarray, tol: float = 1e-9) -> bool:
-        """True when every eigenvalue of Y(f) has non-negative real part."""
+    def is_passive(self, f: np.ndarray) -> bool:
+        """True when every eigenvalue of Y(f) has non-negative real part, to
+        1e-9 of the largest eigenvalue magnitude."""
         vals = self.evaluate(f)
         eig = np.linalg.eigvals(vals)
         scale = float(np.max(np.abs(eig))) + 1e-300
-        return bool(np.min(eig.real) >= -tol * scale)
+        return bool(np.min(eig.real) >= -1e-9 * scale)
 
 
 def _as_matrix(y, n: int) -> np.ndarray:
@@ -187,13 +188,6 @@ class Port:
     source: AdmittanceSpec  # admittance of the attached generator/modem
 
 
-class _Equivalents(dict):
-    """Node equivalents by structural key, computed on the grid and for the
-    conductor count in ``tag``."""
-
-    tag: tuple[FrequencyGrid, int] | None = None
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -214,16 +208,16 @@ class NetworkTopology:
 
     ``_equivalents`` is the reduction cache: the node equivalents of the last
     ``reduce_to_port`` on this topology or on a copy sharing it, keyed by
-    subtree structure (see the module docstring).  Copies made with
-    ``dataclasses.replace`` share it; a topology built from its fields starts
-    empty.  Replacing a load or branch changes the keys that hold it, so the
-    cache never serves a stale subtree."""
+    grid, conductor count and subtree structure (see the module docstring).
+    Copies made with ``dataclasses.replace`` share it; a topology built from
+    its fields starts empty.  Replacing a load or branch changes the keys that
+    hold it, so the cache never serves a stale subtree."""
 
     nodes: tuple[str, ...]
     branches: tuple[Branch, ...]
     loads: Mapping[str, AdmittanceSpec]
     ports: Mapping[str, Port]
-    _equivalents: _Equivalents = field(default_factory=_Equivalents, repr=False)
+    _equivalents: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # the cached report and adjacency hold only while the fields do
@@ -420,11 +414,9 @@ def reduce_to_port(net: NetworkTopology, port: str,
         key[node] = (net.loads.get(node),
                      tuple((br, key[child]) for br, child in children[node]))
     cache = net._equivalents
-    by_key = {}
-    if cache.tag == (grid, L):
-        by_key = {k: y for k in key.values() if (y := cache.get(k)) is not None}
+    by_key = {k: y for k in key.values()
+              if (y := cache.get((grid, L, k))) is not None}
     cache.clear()  # free what this reduction does not reuse before computing
-    cache.tag = (grid, L)
 
     for node in reversed(order):
         if key[node] in by_key:
@@ -445,7 +437,7 @@ def reduce_to_port(net: NetworkTopology, port: str,
         y = _stack(acc)
         y.flags.writeable = False
         by_key[key[node]] = y
-    cache.update(by_key)
+    cache.update(((grid, L, k), y) for k, y in by_key.items())
 
     equiv = {node: by_key[key[node]] for node in reversed(order)}
     return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),

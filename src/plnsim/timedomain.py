@@ -308,16 +308,15 @@ def check_peak_spacing_symmetry(trace_ab: TimeTrace, trace_ba: TimeTrace,
                                 tol_samples: int = 1,
                                 rel_threshold: float = DEFAULT_REL_THRESHOLD,
                                 min_separation: int = DEFAULT_MIN_SEPARATION,
-                                dominant_fraction: float = 0.5,
                                 ) -> SymmetryReport:
     """Compare consecutive peak spacings of the two transfer directions.
 
     Peak amplitudes are deliberately unconstrained: they differ between
     directions in general, and a weak arrival may even null out in one
-    direction.  A dominant arrival (>= ``dominant_fraction`` of its trace's
-    strongest peak) must however appear in both directions; a dominant peak
-    with no counterpart fails the check.  Fewer than two peaks or matched
-    pairs, without such a dominant mismatch, is inconclusive.
+    direction.  A dominant arrival, at least half its trace's strongest peak
+    (a fixed fraction), must however appear in both directions; a dominant
+    peak with no counterpart fails the check.  Fewer than two peaks or
+    matched pairs, without such a dominant mismatch, is inconclusive.
     """
     if abs(trace_ab.t_step - trace_ba.t_step) > 1e-12 * trace_ab.t_step:
         raise ValidationError("traces use different time steps")
@@ -352,8 +351,8 @@ def check_peak_spacing_symmetry(trace_ab: TimeTrace, trace_ba: TimeTrace,
     unmatched.extend(("ba", p) for p in pb[j:])
 
     dominant_cut = {
-        "ab": dominant_fraction * max(p.amplitude for p in pa),
-        "ba": dominant_fraction * max(p.amplitude for p in pb),
+        "ab": 0.5 * max(p.amplitude for p in pa),
+        "ba": 0.5 * max(p.amplitude for p in pb),
     }
     dominant_unmatched = []
     for side, p in unmatched:

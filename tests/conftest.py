@@ -10,6 +10,7 @@ from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import FrequencyGrid, line_propagation_params
 from plnsim.network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                             constant_admittance)
+from plnsim.timedomain import TimeTrace, TraceOrigin
 
 
 @pytest.fixture(scope="session")
@@ -98,3 +99,16 @@ def spectrum_const(value, grid, n=1):
     if mat.ndim == 0:
         mat = mat * np.eye(n)
     return np.broadcast_to(mat, (grid.n_points,) + mat.shape).copy()
+
+
+# a power of two: on-lattice peak times and their differences are exact
+SPIKE_T_STEP = 2.0 ** -24
+
+
+def spike_trace(peaks):
+    """512-sample scalar trace, zero but for {sample index: amplitude}; each
+    spike is one detected peak when the spikes lie more than 3 samples apart."""
+    samples = np.zeros((512, 1, 1))
+    for i, amplitude in peaks.items():
+        samples[i, 0, 0] = amplitude
+    return TimeTrace(SPIKE_T_STEP, samples, TraceOrigin("admittance"))

@@ -9,7 +9,7 @@ import pytest
 
 import plnsim.experiments as experiments
 import plnsim.network as network
-from plnsim.experiments import (EnsembleConfig, _spearman,
+from plnsim.experiments import (EnsembleConfig, _classify_peak_diff, _spearman,
                                 bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
                                 run_distance_sweep, run_scenario_suite)
@@ -17,6 +17,8 @@ from plnsim.errors import ValidationError
 from plnsim.mtl import FrequencyGrid, line_propagation_params
 from plnsim.network import reduce_to_port
 from plnsim.topofile import topology_to_dict
+
+from conftest import SPIKE_T_STEP, spike_trace
 
 
 def test_two_node_config_gives_single_branch():
@@ -113,6 +115,34 @@ def test_scenario_suite_classifications():
     # distributed fault must actually move an existing reflection
     assert any(abs(a - b) > dist.baseline_trace.t_step
                for a, b in dist.shifted_pairs_s)
+
+
+BASELINE_PEAKS = {100: 1.0, 300: 0.5}
+
+
+@pytest.mark.parametrize("perturbed,expected", [
+    ({301: 0.5}, set()),                # within one sample: the same arrival
+    ({302: 0.5}, {"shifted-peak"}),
+    ({364: 0.5}, {"shifted-peak"}),     # the edge of the 64-sample window
+    ({365: 0.5}, {"new-peak"}),
+    ({300: 0.515}, set()),              # 3 % amplitude change: below 5 %
+    ({300: 0.55}, {"amplitude-only"}),  # 10 %
+])
+def test_peak_diff_boundaries(perturbed, expected):
+    cls, _, _, ambiguities = _classify_peak_diff(
+        spike_trace(BASELINE_PEAKS), spike_trace({100: 1.0, **perturbed}), 0.05, 3)
+    assert cls == expected
+    assert ambiguities == []
+
+
+def test_peak_diff_two_shift_candidates():
+    cls, new, shifted, ambiguities = _classify_peak_diff(
+        spike_trace(BASELINE_PEAKS), spike_trace({100: 1.0, 280: 0.5, 330: 0.4}),
+        0.05, 3)
+    assert cls == {"shifted-peak", "new-peak"}
+    assert shifted == [(300 * SPIKE_T_STEP, 280 * SPIKE_T_STEP)]  # the nearer one
+    assert new == [330 * SPIKE_T_STEP]
+    assert len(ambiguities) == 1 and "2 shift candidates" in ambiguities[0]
 
 
 @pytest.mark.parametrize("x,y", [

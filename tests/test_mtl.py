@@ -1,6 +1,7 @@
 """Line-level math: decomposition, reflections, admittances, transfer,
 series forms.  Closed-form oracles are evaluated independently in-test."""
 
+import dataclasses
 import sys
 import threading
 from types import SimpleNamespace
@@ -185,6 +186,23 @@ def test_cached_params_are_read_only(grid, std_cable):
     again = line_propagation_params(std_cable, grid)
     for a, b in zip((again.gamma, again.t, again.t_inv, again.yc, again.zc), before):
         np.testing.assert_array_equal(a, b)
+
+
+def test_cable_and_cached_params_are_frozen(grid):
+    # the decomposition cache keys on the cable object, and every caller of
+    # it shares one PropagationParams
+    cable = powerline_cable(label="frozen")
+    p = line_propagation_params(cable, grid)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cable.rlgc = lossless_cable().rlgc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.yc = p.zc
+    assert line_propagation_params(cable, grid) is p
+    lossless = dataclasses.replace(cable, rlgc=lossless_cable().rlgc)
+    assert lossless.label == "frozen" and cable.rlgc is not lossless.rlgc
+    q = line_propagation_params(lossless, grid)
+    assert q is not p and not np.array_equal(q.gamma, p.gamma)
+    assert np.array_equal(line_propagation_params(cable, grid).gamma, p.gamma)
 
 
 # ---------------------------------------------------------------------------

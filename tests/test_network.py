@@ -2,6 +2,7 @@
 two-section closed-form cross-check."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
                         input_admittance_line, load_reflection)
-from plnsim.network import (Branch, NetworkTopology, Port, conductance,
-                            constant_admittance, end_to_end_ctf, farthest_node,
-                            network_input_reflection, node_distances,
-                            open_circuit, parallel_rc_admittance, reduce_to_port,
-                            table_admittance, tree_path)
+from plnsim.network import (AdmittanceSpec, Branch, NetworkTopology, Port,
+                            conductance, constant_admittance, end_to_end_ctf,
+                            farthest_node, network_input_reflection,
+                            node_distances, open_circuit, parallel_rc_admittance,
+                            reduce_to_port, table_admittance, tree_path)
 from plnsim.oracles import two_section_oracle
 
 from conftest import lossless_cable, matched_load, single_line_net
@@ -505,7 +506,7 @@ def test_warm_singularity_names_the_cold_branch(grid, std_cable):
                   Branch("3", "j", "c", std_cable, 30.0)),
         loads={"b": modem(), "c": modem()}, ports={"p": Port("a", modem())})
     reduce_to_port(net, "p", grid)
-    broken = apply_anomaly(net, LoadChange("c", bad))
+    broken = apply_anomaly(net, LoadChange("c", bad), grid)
     errors = []
     for topo in (broken, fresh(broken)):
         with pytest.raises(SingularityError, match="branch '3'") as info:
@@ -515,6 +516,37 @@ def test_warm_singularity_names_the_cold_branch(grid, std_cable):
     # the failed reduction left nothing stale behind
     assert np.array_equal(reduce_to_port(net, "p", grid).y_in.values,
                           reduce_to_port(fresh(net), "p", grid).y_in.values)
+
+
+def test_interleaved_reductions_on_other_grids_do_not_mix(grid, std_cable):
+    """A reduction that finishes after another one, on another grid of as many
+    points, must not leave its equivalents where the other grid finds them."""
+    grid_b = FrequencyGrid(2 * grid.f_start, grid.f_step, grid.n_points)
+    entered, release = threading.Event(), threading.Event()
+    rc = parallel_rc_admittance(50.0, 1e-8)
+
+    def evaluate(f):
+        if f[0] == grid.f_start:  # only the thread reducing at ``grid``
+            entered.set()
+            assert release.wait(timeout=30)
+        return rc.evaluate(f)
+
+    net = single_line_net(std_cable, 50.0, AdmittanceSpec(1, evaluate, "held"))
+    at_a = []
+    worker = threading.Thread(target=lambda: at_a.append(reduce_to_port(net, "p", grid)))
+    worker.start()
+    try:
+        assert entered.wait(timeout=30)
+        copy = dataclasses.replace(net)  # shares the reduction cache
+        reduce_to_port(copy, "p", grid_b)
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive() and len(at_a) == 1
+    assert np.array_equal(at_a[0].y_in.values,
+                          reduce_to_port(fresh(net), "p", grid).y_in.values)
+    assert np.array_equal(reduce_to_port(copy, "p", grid_b).y_in.values,
+                          reduce_to_port(fresh(copy), "p", grid_b).y_in.values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from plnsim.timedomain import (TimeTrace, TraceOrigin, _find_peaks,
                                locate_anomaly_reflectometric, segment_energy,
                                time_to_distance, to_time_domain)
 
-from conftest import resolvable_tree_family, single_line_net
+from conftest import resolvable_tree_family, single_line_net, spike_trace
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +327,28 @@ def test_symmetry_detects_time_scaling(grid_wide, lib):
     scaled = TimeTrace(tr.t_step, tr.samples[idx], tr.origin)
     rep = check_peak_spacing_symmetry(tr, scaled)
     assert not rep.symmetric and not rep.inconclusive
+
+
+@pytest.mark.parametrize("one_sided_first", [False, True])
+@pytest.mark.parametrize("fraction", [0.6, 0.4])
+def test_symmetry_one_sided_peak_against_the_dominant_cut(fraction,
+                                                          one_sided_first):
+    # a one-sided arrival fails the check only from half the strongest peak up
+    both = {100: 1.0, 200: 0.8, 300: 0.7}
+    traces = [spike_trace(both), spike_trace({**both, 400: fraction})]
+    if one_sided_first:
+        traces.reverse()
+    rep = check_peak_spacing_symmetry(*traces)
+    assert not rep.inconclusive and len(rep.matched_pairs) == 3
+    (note,) = rep.notes
+    if fraction > 0.5:
+        assert not rep.symmetric
+        assert rep.max_spacing_error_samples == float("inf")
+        assert note.startswith("dominant peak")
+    else:
+        assert rep.symmetric
+        assert rep.max_spacing_error_samples == 0.0
+        assert note.startswith("weak one-sided detection")
 
 
 def test_symmetry_inconclusive_on_empty():
