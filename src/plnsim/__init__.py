@@ -16,7 +16,8 @@ from .experiments import (EnsembleConfig, Scenario, bundled_single_line_scenario
                           run_scenario_suite)
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
                   ctf_line, input_admittance_line, input_reflection,
-                  line_propagation_params, load_reflection, modal_transform)
+                  line_propagation_params, load_reflection, modal_transform,
+                  propagator)
 from .network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                       conductance, constant_admittance, end_to_end_ctf,
                       farthest_node, network_input_reflection, open_circuit,

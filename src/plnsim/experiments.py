@@ -83,6 +83,11 @@ class EnsembleConfig:
         lo, hi = self.n_nodes
         if not 2 <= lo <= hi:
             raise ValidationError("n_nodes range must satisfy 2 <= lo <= hi")
+        lo, hi = self.branch_length_m
+        if not 0 < lo <= hi < np.inf:
+            raise ValidationError(
+                "branch_length_m range must satisfy 0 < lo <= hi < inf, "
+                f"got {self.branch_length_m!r}")
         lo, hi = self.fault_severity_s
         if not 0 <= lo <= hi:
             raise ValidationError("fault_severity_s range must satisfy 0 <= lo <= hi")
@@ -199,7 +204,7 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     network_index: int
     anomaly: dict
@@ -210,7 +215,7 @@ class SweepRecord:
     delta_h: float          # same for the end-to-end transfer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinStat:
     d_lo: float
     d_hi: float
@@ -235,9 +240,10 @@ def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
     edges = np.linspace(d.min(), d.max() * (1 + 1e-9), n_bins + 1)
     out = []
     for k in range(n_bins):
-        sel = [r for r in records if edges[k] <= r.distance_m < edges[k + 1]]
+        lo, hi = float(edges[k]), float(edges[k + 1])
+        sel = [r for r in records if lo <= r.distance_m < hi]
         if not sel:
-            out.append(BinStat(edges[k], edges[k + 1], 0, {}, {}, {}))
+            out.append(BinStat(lo, hi, 0, {}, {}, {}))
             continue
         stats_median, stats_mean, stats_iqr = {}, {}, {}
         for name in ("delta_y", "delta_rho", "delta_h"):
@@ -246,8 +252,7 @@ def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
             stats_mean[name] = float(np.mean(v))
             q25, q75 = np.percentile(v, [25, 75])
             stats_iqr[name] = float(q75 - q25)
-        out.append(BinStat(float(edges[k]), float(edges[k + 1]), len(sel),
-                           stats_median, stats_mean, stats_iqr))
+        out.append(BinStat(lo, hi, len(sel), stats_median, stats_mean, stats_iqr))
     return out
 
 

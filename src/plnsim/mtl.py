@@ -32,10 +32,16 @@ Conventions used throughout the package:
   identical I - 2 Y_C (Y_L + Y_C)^-1, one solve per reflection;
 * the modal frame of a line is the similarity transform T that diagonalizes
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
-  counterpart of a matrix A is A_m = T^-1 A T.  Line functions take their
-  far-end reflection in the natural frame and make this change themselves,
-  as two products on the decomposition's cached T^-1 and T; the transfer's
-  closing Y_C^-1 is likewise its cached Z_C;
+  counterpart of a matrix A is A_m = T^-1 A T;
+* a line function (``input_admittance_line``, ``ctf_line``) takes
+  ``(params, E, rho)``: the cable's decomposition, the section's propagation
+  factor E = exp(-Gamma length) and its far-end reflection in the natural
+  frame.  Length enters only through E, and ``propagator`` is the one place
+  E is evaluated, so a caller that steps the same section again (the
+  ``network`` reduction keeps E on its branch) passes the same read-only
+  array.  The function makes the modal change itself, as two products on
+  the decomposition's cached T^-1 and T; the transfer's closing Y_C^-1 is
+  likewise its cached Z_C;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
 """
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -60,6 +66,7 @@ __all__ = [
     "line_propagation_params",
     "load_reflection",
     "modal_transform",
+    "propagator",
     "input_admittance_line",
     "input_reflection",
     "ctf_line",
@@ -190,9 +197,13 @@ def _t(c: np.ndarray) -> np.ndarray:
     return c.transpose(1, 0, 2)
 
 
+@cache
 def _eye(n: int) -> np.ndarray:
-    """Identity as entry columns, broadcasting over the grid."""
-    return np.eye(n)[:, :, None]
+    """Identity as entry columns, broadcasting over the grid: one read-only
+    array per n."""
+    i = np.eye(n)[:, :, None]
+    i.flags.writeable = False
+    return i
 
 
 def _singular(context: str, f: np.ndarray | None, k: int) -> SingularityError:
@@ -469,11 +480,17 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
 # ---------------------------------------------------------------------------
 # reflection coefficients, admittances, transfer
 
-def _propagator(params: PropagationParams, length: float) -> np.ndarray:
-    """E = exp(-Gamma length) as (L, n_f) columns, computed in one array."""
+def propagator(params: PropagationParams, length: float) -> np.ndarray:
+    """Modal propagation factor E = exp(-Gamma length) of a section, the
+    diagonal of each per-frequency matrix as (L, n_f) columns, read-only.
+    Length enters the line functions only through E."""
+    if length < 0:
+        raise ValidationError("line length must be >= 0")
     e = -params.gamma.T
     e *= length
-    return np.exp(e, out=e)
+    np.exp(e, out=e)
+    e.flags.writeable = False
+    return e
 
 
 def _reflection(y: np.ndarray, y_ref: np.ndarray, f: np.ndarray | None,
@@ -510,23 +527,21 @@ def modal_transform(a: np.ndarray, params: PropagationParams) -> np.ndarray:
     return _stack(_modal(_cols(a), params))
 
 
-def input_admittance_line(params: PropagationParams, length: float,
+def input_admittance_line(params: PropagationParams, e: np.ndarray,
                           rho_l: np.ndarray) -> np.ndarray:
-    """Input admittance of one line section of given length whose far end has
-    natural-frame reflection rho_l:
+    """Input admittance of one line section with propagation factor
+    e = ``propagator(params, length)`` whose far end has natural-frame
+    reflection rho_l:
 
         Y_in = T (I + P) (I - P)^-1 T^-1 Y_C,   P = E rho^M E,
 
-    with rho^M = T^-1 rho_l T and E = exp(-Gamma length).  The middle
-    inverse is evaluated with an exact linear solve.
+    with rho^M = T^-1 rho_l T.  The middle inverse is evaluated with an
+    exact linear solve.
     """
-    if length < 0:
-        raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
     t = _cols(params.t)
     w1, w2 = _work("intermediate", t.shape), _work("intermediate2", t.shape)
     p = _modal(_cols(rho_l), params, w2)
-    e = _propagator(params, length)
     np.multiply(e[:, None], p, out=p)  # P = E rho^M E, in place
     np.multiply(p, e[None], out=p)
     i = _eye(p.shape[0])
@@ -545,23 +560,21 @@ def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
     return _reflection(y_in, y_r, f, "Y_in + Y_R is singular")
 
 
-def ctf_line(params: PropagationParams, length: float,
+def ctf_line(params: PropagationParams, e: np.ndarray,
              rho_l: np.ndarray) -> np.ndarray:
-    """Voltage transfer across one line section terminated by natural-frame
+    """Voltage transfer across one line section with propagation factor
+    e = ``propagator(params, length)``, terminated by natural-frame
     reflection rho_l:
 
         H = Y_C^-1 T (I - rho^M) (I - E^2 rho^M)^-1 E T^-1 Y_C
 
-    with rho^M = T^-1 rho_l T and E = exp(-Gamma length).  The middle inverse
-    is an exact solve; Y_C^-1 is the decomposition's cached Z_C.
+    with rho^M = T^-1 rho_l T.  The middle inverse is an exact solve; Y_C^-1
+    is the decomposition's cached Z_C.
     """
-    if length < 0:
-        raise ValidationError("line length must be >= 0")
     f = params.grid.frequencies
     t = _cols(params.t)
     w1, w2 = _work("intermediate", t.shape), _work("intermediate2", t.shape)
     rho_m = _modal(_cols(rho_l), params, w2)
-    e = _propagator(params, length)
     i = _eye(rho_m.shape[0])
     den = np.multiply((e * e)[:, None], rho_m, out=w1)
     np.subtract(i, den, out=den)

@@ -27,6 +27,14 @@ another port recomputes only the path between the two, and a perturbed copy
 recomputes only the nodes whose subtree the anomaly changed.  A reduction on
 another grid finds nothing, and reductions that interleave on a shared slot
 can only cost each other hits.  Cached equivalents are read-only.
+
+A branch step calls a line function with ``(params, E, rho)``: the cable's
+cached decomposition, the branch's propagation factor E = exp(-Gamma l) and
+the far-end reflection.  E depends only on the cable, the length and the
+grid, so each ``Branch`` computes it once per grid and keeps it, read-only,
+in a private store that every topology copy holding the branch shares and
+that is freed with the branch.  A branch derived with ``dataclasses.replace``
+(a degraded cable, another length) starts with an empty store.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _matmul, _stack,
                   ctf_line, input_admittance_line, input_reflection,
-                  line_propagation_params, load_reflection)
+                  line_propagation_params, load_reflection, propagator)
 
 __all__ = [
     "AdmittanceSpec",
@@ -175,11 +183,17 @@ def table_admittance(f_hz, y_s, n_conductors: int = 1) -> AdmittanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
+    """A cable section between two nodes.  ``_propagators`` holds its
+    propagation factor E per grid, computed on the first step that needs
+    it; a branch made with ``dataclasses.replace`` starts empty."""
+
     id: str
     node_a: str
     node_b: str
     cable: CableSpec
     length_m: float
+    _propagators: dict[FrequencyGrid, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,9 +382,12 @@ def _branch_step(line: Callable, kind: str, br: Branch, grid: FrequencyGrid,
     """``line`` (``input_admittance_line`` or ``ctf_line``) of branch ``br``
     with its far end terminated by y_far; a singularity names the branch."""
     params = line_propagation_params(br.cable, grid)
+    e = br._propagators.get(grid)
+    if e is None:  # threads that race here all keep the first E stored
+        e = br._propagators.setdefault(grid, propagator(params, br.length_m))
     try:
         rho = load_reflection(y_far, params.yc, grid.frequencies)
-        return line(params, br.length_m, rho)
+        return line(params, e, rho)
     except SingularityError as exc:
         raise _located(f"{kind} {br.id!r}", exc) from exc
 

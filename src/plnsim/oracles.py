@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
                   _rdiv, _solve, input_admittance_line, line_propagation_params,
-                  load_reflection, modal_transform)
+                  load_reflection, modal_transform, propagator)
 from .network import AdmittanceSpec, _as_matrix
 
 __all__ = [
@@ -182,7 +182,7 @@ def two_section_oracle(cable1: CableSpec, l1: float, cable2: CableSpec,
     # junction reflection seen by section 1, via the modal closed form on
     # section 2 with the first section's characteristic admittance as source
     rho_1 = input_reflection_modal(p2, l2, rho_load, p1.yc)
-    y_in = input_admittance_line(p1, l1, rho_1)
+    y_in = input_admittance_line(p1, propagator(p1, l1), rho_1)
     rho_in = input_reflection_modal(p1, l1, rho_1, y_r_vals)
     return TwoSectionResponse(
         y_in=MatrixSpectrum(grid, y_in, "admittance"),

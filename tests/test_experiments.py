@@ -1,5 +1,6 @@
 """Random ensembles, the distance sweep and the scenario signatures."""
 
+import dataclasses
 import warnings
 import weakref
 from collections import Counter
@@ -64,6 +65,36 @@ def test_default_cables_decomposed_once(grid):
 def test_generator_range_validation():
     with pytest.raises(ValidationError):
         generate_random_network(EnsembleConfig(n_nodes=(1, 3)), 0)
+
+
+@pytest.mark.parametrize("lengths", [(-5.0, -1.0), (50.0, 10.0), (0.0, 10.0),
+                                     (10.0, np.inf), (np.nan, 10.0)])
+def test_branch_length_range_is_checked(lengths):
+    # a negative range once gave a sweep with every realization skipped, and
+    # a reversed one escaped as numpy's "high - low < 0"
+    with pytest.raises(ValidationError, match="branch_length_m"):
+        EnsembleConfig(n_networks=3, branch_length_m=lengths)
+
+
+def test_branch_length_range_may_be_one_value():
+    cfg = EnsembleConfig(n_networks=3, branch_length_m=(30.0, 30.0), seed=4)
+    res = run_distance_sweep(cfg, FrequencyGrid(1e5, 1e5, 50), n_bins=2)
+    assert len(res.records) == 3 and not res.skipped
+    net = generate_random_network(cfg, 0)
+    assert {b.length_m for b in net.branches} == {30.0}
+
+
+def test_sweep_results_are_slotted_with_float_edges():
+    # the CLI smoke sweep whose middle distance bin is empty
+    res = run_distance_sweep(EnsembleConfig(n_networks=6, seed=3),
+                             FrequencyGrid(1e5, 4e5, 100), n_bins=3)
+    assert [b.count for b in res.bins] == [4, 0, 2]
+    for b in res.bins:
+        assert type(b.d_lo) is float and type(b.d_hi) is float
+    for obj, name in ((res.records[0], "distance_m"), (res.bins[0], "count")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0)
 
 
 def test_zero_severity_sweep_has_null_deltas():

@@ -19,7 +19,7 @@ from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _eye, _gauss,
                         _matmul, _mul, _normalize_columns, _rdiv, _right,
                         _singular, _solve, _t, ctf_line, input_admittance_line,
                         input_reflection, line_propagation_params,
-                        load_reflection, modal_transform)
+                        load_reflection, modal_transform, propagator)
 from plnsim.oracles import input_reflection_modal, series_truncated_responses
 
 from conftest import lossless_cable, random_passive_matrix, spectrum_const
@@ -491,8 +491,8 @@ def test_work_arrays_of_coupled_line_functions_stay_small():
 
     def line_functions():
         rho = load_reflection(y, p.yc, f)
-        input_reflection(input_admittance_line(p, 40.0, rho), y, f)
-        ctf_line(p, 40.0, rho)
+        input_reflection(input_admittance_line(p, propagator(p, 40.0), rho), y, f)
+        ctf_line(p, propagator(p, 40.0), rho)
     _, pool = _in_new_thread(line_functions)
     assert sum(arr.nbytes for arr in pool.values()) <= 750_000
 
@@ -594,7 +594,7 @@ def test_zero_length_reproduces_load(seed):
     rng = np.random.default_rng(seed)
     y_l = spectrum_const(random_passive_matrix(rng, 2), grid)
     rho = load_reflection(y_l, p.yc)
-    y0 = input_admittance_line(p, 0.0, rho)
+    y0 = input_admittance_line(p, propagator(p, 0.0), rho)
     assert rel_err(y0, y_l) < 1e-9
 
 
@@ -602,7 +602,7 @@ def test_matched_line_any_length(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     zero = np.zeros_like(p.yc)
     for length in (0.0, 37.0, 250.0):
-        y = input_admittance_line(p, length, zero)
+        y = input_admittance_line(p, propagator(p, length), zero)
         assert rel_err(y, p.yc) < 1e-9
 
 
@@ -615,7 +615,7 @@ def test_quarter_wave_impedance_transform():
     length = 2e8 / (4 * 1e7)
     y_l = spectrum_const(1.0 / 100.0, grid)
     rho = load_reflection(y_l, p.yc)
-    y_in = input_admittance_line(p, length, rho)
+    y_in = input_admittance_line(p, propagator(p, length), rho)
     assert abs(y_in[0, 0, 0] - 0.04) / 0.04 < 1e-9
 
 
@@ -640,7 +640,7 @@ def test_scalar_tanh_oracle(grid):
         cab = constant_rlgc_cable(r, l, g, c)
         p = line_propagation_params(cab, grid)
         rho = load_reflection(spectrum_const(1 / z_l, grid), p.yc)
-        y_in = input_admittance_line(p, length, rho)
+        y_in = input_admittance_line(p, propagator(p, length), rho)
         assert rel_err(1.0 / y_in[:, 0, 0], z_in_ref) < 1e-9
 
 
@@ -648,7 +648,39 @@ def test_resonance_singularity_error(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
     eye = spectrum_const(np.eye(1), grid)
     with pytest.raises(SingularityError, match="resonance"):
-        input_admittance_line(p, 0.0, eye)  # I - P exactly singular
+        input_admittance_line(p, propagator(p, 0.0), eye)  # I - P exactly singular
+
+
+def test_propagator_is_read_only_and_rejects_negative_length(grid, coupled_cable):
+    p = line_propagation_params(coupled_cable, grid)
+    e = propagator(p, 40.0)
+    assert e.shape == (2, grid.n_points)
+    with pytest.raises(ValueError):
+        e[0, 0] = 0.0
+    with pytest.raises(ValidationError, match="length must be >= 0"):
+        propagator(p, -1e-9)
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_line_functions_on_propagator_match_inline_exponential(grid, L):
+    # E as exp(-gamma l) written out in place, in the (n_f, L) layout of
+    # gamma: equal to propagator's bit for bit, and so are both line functions
+    p = line_propagation_params(powerline_cable(L), grid)
+    y = spectrum_const(random_passive_matrix(np.random.default_rng(L), L), grid)
+    rho = load_reflection(y, p.yc, grid.frequencies)
+    for length in (0.0, 37.5, 210.0):
+        e, inline = propagator(p, length), np.exp(-p.gamma * length).T
+        assert np.array_equal(e, inline)
+        for line in (input_admittance_line, ctf_line):
+            assert np.array_equal(line(p, e, rho), line(p, inline, rho))
+
+
+def test_identity_is_one_read_only_array_per_size():
+    for n in (1, 3):
+        i = _eye(n)
+        assert _eye(n) is i and np.array_equal(i[:, :, 0], np.eye(n))
+        with pytest.raises(ValueError):
+            i[0, 0, 0] = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +707,7 @@ def test_dual_route_agreement(grid, n_conductors):
     y_l = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
     y_r = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
     rho = load_reflection(y_l, p.yc)
-    via_y = input_reflection(input_admittance_line(p, 83.0, rho), y_r)
+    via_y = input_reflection(input_admittance_line(p, propagator(p, 83.0), rho), y_r)
     via_m = input_reflection_modal(p, 83.0, rho, y_r)
     assert rel_err(via_m, via_y) < 1e-9
 
@@ -687,13 +719,13 @@ def test_ctf_zero_length_identity(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     rng = np.random.default_rng(3)
     y_l = spectrum_const(random_passive_matrix(rng, 2), grid)
-    h = ctf_line(p, 0.0, load_reflection(y_l, p.yc))
+    h = ctf_line(p, propagator(p, 0.0), load_reflection(y_l, p.yc))
     assert np.max(np.abs(h - np.eye(2))) < 1e-12
 
 
 def test_ctf_matched_scalar(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
-    h = ctf_line(p, 137.0, np.zeros((grid.n_points, 1, 1), complex))
+    h = ctf_line(p, propagator(p, 137.0), np.zeros((grid.n_points, 1, 1), complex))
     assert rel_err(h[:, 0, 0], np.exp(-p.gamma[:, 0] * 137.0)) < 1e-12
 
 
@@ -701,7 +733,7 @@ def test_ctf_matched_from_modal(grid, coupled_cable):
     # uniform-coupling cables commute with their propagator, so the matched
     # transfer equals the modal exponential brought back to natural frame
     p = line_propagation_params(coupled_cable, grid)
-    h = ctf_line(p, 90.0, np.zeros((grid.n_points, 2, 2), complex))
+    h = ctf_line(p, propagator(p, 90.0), np.zeros((grid.n_points, 2, 2), complex))
     e = np.exp(-p.gamma * 90.0)
     ref = p.t @ (e[:, :, None] * np.eye(2)) @ p.t_inv
     assert rel_err(h, ref) < 1e-9
@@ -713,7 +745,7 @@ def test_ctf_open_lossless_sech(grid):
     p = line_propagation_params(cab, grid)
     length = 13.7
     rho = load_reflection(np.zeros((grid.n_points, 1, 1), complex), p.yc)
-    h = ctf_line(p, length, rho)
+    h = ctf_line(p, propagator(p, length), rho)
     ref = 1.0 / np.cosh(p.gamma[:, 0] * length)
     assert rel_err(h[:, 0, 0], ref) < 1e-9
 
@@ -732,7 +764,7 @@ def test_ctf_matches_paper_form(grid, L):
                             np.swapaxes(i - rho_m, 1, 2))  # (I - rho)(I - E^2 rho)^-1
     want = np.linalg.solve(p.yc, p.t @ np.swapaxes(inner, 1, 2) @ (e[:, :, None] * p.t_inv)
                            @ p.yc)
-    assert rel_err(ctf_line(p, length, rho), want) < 1e-12
+    assert rel_err(ctf_line(p, propagator(p, length), rho), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +796,7 @@ def test_series_matched_exact(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
     zero = np.zeros((grid.n_points, 1, 1), complex)
     y_r = spectrum_const(0.02, grid)
-    exact_y = input_admittance_line(p, 60.0, zero)
+    exact_y = input_admittance_line(p, propagator(p, 60.0), zero)
     exact_r = input_reflection_modal(p, 60.0, zero, y_r)
     for n in (0, 1, 5):
         res = series_truncated_responses(p, 60.0, zero, y_r, n)
@@ -778,7 +810,7 @@ def test_series_radius_half_converges(grid):
     p, rho, y_r = _series_setup(grid, y_l_scale=3.0)
     res = series_truncated_responses(p, 30.0, rho, y_r, 50)
     assert np.allclose(res.spectral_radius, 0.5, atol=1e-12)
-    exact_y = input_admittance_line(p, 30.0, rho)
+    exact_y = input_admittance_line(p, propagator(p, 30.0), rho)
     exact_r = input_reflection_modal(p, 30.0, rho, y_r)
     assert rel_err(res.y_in, exact_y) < 1e-6
     assert rel_err(res.rho_in, exact_r) < 1e-6
@@ -787,7 +819,7 @@ def test_series_radius_half_converges(grid):
 @pytest.mark.parametrize("scale,radius", [(3.0, 0.5), (37 / 3, 0.85)])
 def test_series_error_monotone(grid, scale, radius):
     p, rho, y_r = _series_setup(grid, y_l_scale=scale)
-    exact_y = input_admittance_line(p, 30.0, rho)
+    exact_y = input_admittance_line(p, propagator(p, 30.0), rho)
     exact_r = input_reflection_modal(p, 30.0, rho, y_r)
     errs_y, errs_r = [], []
     for n in (1, 2, 5, 10, 50):

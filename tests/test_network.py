@@ -2,20 +2,23 @@
 two-section closed-form cross-check."""
 
 import dataclasses
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plnsim.network as network
 from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
                               apply_anomaly, delta_superposition)
 from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
 from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
-                        input_admittance_line, load_reflection)
+                        input_admittance_line, load_reflection, propagator)
 from plnsim.network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                             conductance, constant_admittance, end_to_end_ctf,
                             farthest_node, network_input_reflection,
@@ -151,7 +154,7 @@ def test_junction_additivity(grid, std_cable, lib):
         pp = line_propagation_params(br.cable, grid)
         y_leaf = net.loads[br.node_b].evaluate(f)
         rho = load_reflection(y_leaf, pp.yc)
-        total += input_admittance_line(pp, br.length_m, rho)
+        total += input_admittance_line(pp, propagator(pp, br.length_m), rho)
     assert rel_err(red.node_equivalents["j"], total) < 1e-12
 
 
@@ -295,9 +298,9 @@ def test_coupled_transfer_is_ordered_segment_product(grid):
     p1, p2 = line_propagation_params(c1, grid), line_propagation_params(c2, grid)
     y_b_vals = y_b.evaluate(f)
     y_j_eq = y_j.evaluate(f) + input_admittance_line(
-        p2, 40.0, load_reflection(y_b_vals, p2.yc, f))
-    h1 = ctf_line(p1, 70.0, load_reflection(y_j_eq, p1.yc, f))
-    h2 = ctf_line(p2, 40.0, load_reflection(y_b_vals, p2.yc, f))
+        p2, propagator(p2, 40.0), load_reflection(y_b_vals, p2.yc, f))
+    h1 = ctf_line(p1, propagator(p1, 70.0), load_reflection(y_j_eq, p1.yc, f))
+    h2 = ctf_line(p2, propagator(p2, 40.0), load_reflection(y_b_vals, p2.yc, f))
     h = end_to_end_ctf(net, "p", "b", grid).values
     assert rel_err(h, h2 @ h1) < 1e-12
     assert rel_err(h, h1 @ h2) > 1e-3
@@ -547,6 +550,98 @@ def test_interleaved_reductions_on_other_grids_do_not_mix(grid, std_cable):
                           reduce_to_port(fresh(net), "p", grid).y_in.values)
     assert np.array_equal(reduce_to_port(copy, "p", grid_b).y_in.values,
                           reduce_to_port(fresh(copy), "p", grid_b).y_in.values)
+
+
+def rebuilt(net, branches=None):
+    """A copy of ``net`` on new Branch objects: it shares no reduction cache
+    and no stored propagation factor with ``net``."""
+    branches = net.branches if branches is None else branches
+    new = tuple(Branch(b.id, b.node_a, b.node_b, b.cable, b.length_m) for b in branches)
+    return NetworkTopology(net.nodes, new, dict(net.loads), dict(net.ports))
+
+
+def responses(net, grid):
+    probe = net.ports["probe"].node
+    return [reduce_to_port(net, "probe", grid).y_in.values,
+            reduce_to_port(net, "tx", grid).y_in.values,
+            end_to_end_ctf(net, "tx", probe, grid).values]
+
+
+def test_branch_propagator_is_evaluated_once_and_shared(grid, monkeypatch):
+    evaluated, passed = [], []
+    evaluate = network.propagator
+    monkeypatch.setattr(network, "propagator",
+                        lambda *args: evaluated.append(evaluate(*args)) or evaluated[-1])
+    for name in ("input_admittance_line", "ctf_line"):
+        def spy(params, e, rho, line=getattr(network, name)):
+            passed.append(e)
+            return line(params, e, rho)
+        monkeypatch.setattr(network, name, spy)
+
+    net = random_tree(3, 22)
+    faulty = apply_anomaly(net, anomaly_case(net, "lumped"), grid)
+    for topo in (net, faulty, dataclasses.replace(net), fresh(net), fresh(faulty), net):
+        responses(topo, grid)
+    branches = set(net.branches) | set(faulty.branches)
+    stored = {id(e) for b in branches for e in b._propagators.values()}
+    # one E per branch and grid, every step reads it, and none can be written
+    assert len(evaluated) == len(branches) == len(stored)
+    assert {id(e) for e in passed} == stored
+    assert not any(e.flags.writeable for e in evaluated)
+    assert all(list(b._propagators) == [grid] for b in branches)
+    # the store goes with the branch
+    freed = weakref.ref(evaluated[0])
+    del net, faulty, topo, branches, evaluated, passed
+    assert freed() is None
+
+
+@pytest.mark.parametrize("change", ["cable", "length"])
+def test_replaced_branch_matches_a_new_branch(grid, change):
+    net = random_tree(3, 13)
+    responses(net, grid)  # fills every branch's store
+    probe, tx = net.ports["probe"].node, net.ports["tx"].node
+    br = tree_path(net, tx, probe)[0][0]  # on the link, so every response sees it
+    if change == "cable":
+        changed = dataclasses.replace(
+            br, cable=scaled_cable(br.cable, r_scale=2.0, c_scale=1.3, g_scale=2.0))
+    else:
+        changed = dataclasses.replace(br, length_m=br.length_m + 17.0)
+    assert changed._propagators == {} and br._propagators
+    branches = tuple(changed if b is br else b for b in net.branches)
+    warm = dataclasses.replace(net, branches=branches)  # shares the other stores
+    for got, want in zip(responses(warm, grid), responses(rebuilt(net, branches), grid)):
+        assert np.array_equal(got, want)
+
+
+def test_threads_sharing_branches_get_cold_results(grid):
+    # every round holds new branches, whose stores both threads fill at once
+    cases = [(1, 31), (3, 32), (3, 33)]
+    cold = [responses(rebuilt(random_tree(*case)), grid) for case in cases]
+    rounds = [[random_tree(*case) for case in cases] for _ in range(6)]
+    wrong = []
+
+    def reduce_rounds():
+        for nets in rounds:
+            for net, want in zip(nets, cold):
+                got = responses(fresh(net), grid)  # shares the branches only
+                if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                    wrong.append(net.n_conductors)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=reduce_rounds) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong
+    for b in (b for nets in rounds for net in nets for b in net.branches):
+        assert list(b._propagators) == [grid]
+        want = propagator(line_propagation_params(b.cable, grid), b.length_m)
+        assert np.array_equal(b._propagators[grid], want)
 
 
 # ---------------------------------------------------------------------------
