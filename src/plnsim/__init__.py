@@ -18,7 +18,7 @@ from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
                   ctf_line, input_admittance_line, input_reflection,
                   line_propagation_params, load_reflection, modal_transform,
                   propagator)
-from .network import (AdmittanceSpec, Branch, NetworkTopology, Port,
+from .network import (AdmittanceSpec, Branch, Evaluation, NetworkTopology, Port,
                       conductance, constant_admittance, end_to_end_ctf,
                       farthest_node, network_input_reflection, open_circuit,
                       parallel_rc_admittance, reduce_to_port,

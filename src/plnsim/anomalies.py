@@ -129,8 +129,8 @@ def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
             raise ValidationError("fault admittance conductor count mismatch")
         if not anomaly.active and not anomaly.y_f.is_passive(grid.frequencies):
             raise ValidationError(
-                "fault admittance has an eigenvalue with negative real "
-                "part; set active=True if this is intended")
+                "fault admittance is active: the Hermitian part of Y_f has a "
+                "negative eigenvalue; set active=True if this is intended")
         out, interior = _split_branch(net, branch, [anomaly.offset_m],
                                       [branch.cable, branch.cable])
         loads = dict(out.loads)

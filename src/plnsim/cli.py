@@ -28,7 +28,8 @@ from .errors import (DecompositionError, ParseError, SingularityError,
 from .experiments import (EnsembleConfig, bundled_single_line_scenarios,
                           run_distance_sweep, run_scenario_suite)
 from .mtl import FrequencyGrid
-from .network import end_to_end_ctf, network_input_reflection, reduce_to_port
+from .network import (Evaluation, end_to_end_ctf, network_input_reflection,
+                      reduce_to_port)
 from .timedomain import (DEFAULT_MIN_SEPARATION, DEFAULT_REL_THRESHOLD,
                          check_peak_spacing_symmetry, detect_peaks,
                          locate_anomaly_reflectometric, time_to_distance,
@@ -109,14 +110,15 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     ts = not args.no_timestamp
 
-    red = reduce_to_port(net, port, grid)
+    ev = Evaluation(grid)
+    red = reduce_to_port(net, port, grid, ev)
     topofile.write_spectrum_csv(out / "yin.csv", red.y_in, ts)
-    rho = network_input_reflection(net, port, grid)
+    rho = network_input_reflection(net, port, grid, ev)
     topofile.write_spectrum_csv(out / "rhoin.csv", rho, ts)
     written = ["yin.csv", "rhoin.csv"]
     if args.tx_port:
         rx = args.rx_node or net.ports[port].node
-        h = end_to_end_ctf(net, args.tx_port, rx, grid)
+        h = end_to_end_ctf(net, args.tx_port, rx, grid, ev)
         topofile.write_spectrum_csv(out / "htot.csv", h, ts)
         written.append("htot.csv")
     print("wrote " + ", ".join(str(out / w) for w in written))
@@ -157,7 +159,8 @@ def cmd_ctf(args) -> int:
     else:
         raise UsageError("ctf needs --rx-node or --rx-port")
 
-    h = end_to_end_ctf(net, args.tx_port, rx_node, grid)
+    ev = Evaluation(grid)
+    h = end_to_end_ctf(net, args.tx_port, rx_node, grid, ev)
     topofile.write_spectrum_csv(out / "htot.csv", h, ts)
     trace = to_time_domain(h, args.window)
     topofile.write_trace_csv(out / "htot_trace.csv", trace, ts)
@@ -168,7 +171,7 @@ def cmd_ctf(args) -> int:
             raise UsageError("--check-symmetry needs --rx-port (the reverse "
                              "direction transmits from there)")
         tx_node = net.ports[args.tx_port].node
-        h_rev = end_to_end_ctf(net, args.rx_port, tx_node, grid)
+        h_rev = end_to_end_ctf(net, args.rx_port, tx_node, grid, ev)
         trace_rev = to_time_domain(h_rev, args.window)
         topofile.write_trace_csv(out / "htot_trace_reverse.csv", trace_rev, ts)
         rep = check_peak_spacing_symmetry(trace, trace_rev,
@@ -201,17 +204,18 @@ def cmd_inject(args) -> int:
 
 
 def _quantity_spectra(net, net_a, quantity, port, tx_port, rx_node, grid):
+    ev = Evaluation(grid)
     if quantity == "admittance":
-        return (reduce_to_port(net_a, port, grid).y_in,
-                reduce_to_port(net, port, grid).y_in)
+        return (reduce_to_port(net_a, port, grid, ev).y_in,
+                reduce_to_port(net, port, grid, ev).y_in)
     if quantity == "reflection":
-        return (network_input_reflection(net_a, port, grid),
-                network_input_reflection(net, port, grid))
+        return (network_input_reflection(net_a, port, grid, ev),
+                network_input_reflection(net, port, grid, ev))
     if quantity == "ctf":
         if not tx_port or not rx_node:
             raise UsageError("--quantity ctf needs --tx-port and --rx-node")
-        return (end_to_end_ctf(net_a, tx_port, rx_node, grid),
-                end_to_end_ctf(net, tx_port, rx_node, grid))
+        return (end_to_end_ctf(net_a, tx_port, rx_node, grid, ev),
+                end_to_end_ctf(net, tx_port, rx_node, grid, ev))
     raise UsageError(f"unknown quantity {quantity!r}")
 
 
@@ -249,8 +253,9 @@ def cmd_locate(args) -> int:
     out = _outdir(args)
     ts = not args.no_timestamp
 
-    baseline = reduce_to_port(net, port, grid).y_in
-    perturbed = reduce_to_port(net_a, port, grid).y_in
+    ev = Evaluation(grid)
+    baseline = reduce_to_port(net, port, grid, ev).y_in
+    perturbed = reduce_to_port(net_a, port, grid, ev).y_in
     delta = delta_superposition(perturbed, baseline)
     trace = to_time_domain(delta, args.window)
     v = _velocity(args, net)

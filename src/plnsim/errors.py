@@ -10,8 +10,8 @@ class ValidationError(PlnsimError):
 
 
 class DecompositionError(PlnsimError):
-    """Modal decomposition failed: defective propagation operator, excess
-    diagonalization residual or zero propagation constant."""
+    """Modal decomposition failed: Y Z overflows, defective propagation
+    operator, excess diagonalization residual or zero propagation constant."""
 
     def __init__(self, message: str, frequency_hz: float | None = None):
         if frequency_hz is not None:

@@ -29,7 +29,7 @@ from .anomalies import (Anomaly, DistributedFault, LoadChange, LumpedFault,
 from .cables import builtin_cable_library, powerline_cable, scaled_cable
 from .errors import PlnsimError, ValidationError
 from .mtl import FrequencyGrid, _cols
-from .network import (Branch, NetworkTopology, Port, conductance,
+from .network import (Branch, Evaluation, NetworkTopology, Port, conductance,
                       constant_admittance, end_to_end_ctf, farthest_node,
                       node_distances, parallel_rc_admittance, reduce_to_port,
                       network_input_reflection, tree_path)
@@ -89,8 +89,10 @@ class EnsembleConfig:
                 "branch_length_m range must satisfy 0 < lo <= hi < inf, "
                 f"got {self.branch_length_m!r}")
         lo, hi = self.fault_severity_s
-        if not 0 <= lo <= hi:
-            raise ValidationError("fault_severity_s range must satisfy 0 <= lo <= hi")
+        if not 0 <= lo <= hi < np.inf:
+            raise ValidationError("fault_severity_s range must satisfy 0 <= lo <= hi < inf")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
         counts = {c.n_conductors for c in self.cables}
         if len(counts) > 1:
             raise ValidationError(
@@ -258,7 +260,7 @@ def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
 
 def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepRecord:
     """Realization ``i`` of the distance sweep.  Its own frame, so the
-    networks and their reduction cache are freed before the next network is
+    networks and their evaluation are freed before the next network is
     built."""
     net = generate_random_network(cfg, i)
     rng = _rng(cfg.seed, i, 1)
@@ -270,13 +272,14 @@ def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepReco
     d = _fault_distance(net, probe, branch, offset)
     d_tx = _fault_distance(net, tx, branch, offset)
 
-    y0 = reduce_to_port(net, "probe", grid).y_in
-    rho0 = network_input_reflection(net, "probe", grid)
-    h0 = end_to_end_ctf(net, "tx", probe, grid)
+    ev = Evaluation(grid)
+    y0 = reduce_to_port(net, "probe", grid, ev).y_in
+    rho0 = network_input_reflection(net, "probe", grid, ev)
+    h0 = end_to_end_ctf(net, "tx", probe, grid, ev)
     net_a = apply_anomaly(net, fault, grid)
-    y1 = reduce_to_port(net_a, "probe", grid).y_in
-    rho1 = network_input_reflection(net_a, "probe", grid)
-    h1 = end_to_end_ctf(net_a, "tx", probe, grid)
+    y1 = reduce_to_port(net_a, "probe", grid, ev).y_in
+    rho1 = network_input_reflection(net_a, "probe", grid, ev)
+    h1 = end_to_end_ctf(net_a, "tx", probe, grid, ev)
 
     return SweepRecord(
         network_index=i,
@@ -429,12 +432,13 @@ def run_scenario_suite(base_net: NetworkTopology, scenarios: list[Scenario],
     """Baseline vs perturbed reflectometric traces at the ``probe`` port per
     scenario, with the peak-set diff checked against the expected signature."""
     grid = grid or default_grid()
-    y0 = reduce_to_port(base_net, "probe", grid).y_in
+    ev = Evaluation(grid)
+    y0 = reduce_to_port(base_net, "probe", grid, ev).y_in
     trace0 = to_time_domain(y0, window)
     results = []
     for sc in scenarios:
         net_a = apply_anomaly(base_net, sc.anomaly, grid)
-        y1 = reduce_to_port(net_a, "probe", grid).y_in
+        y1 = reduce_to_port(net_a, "probe", grid, ev).y_in
         trace1 = to_time_domain(y1, window)
         cls, new, shifted, ambig = _classify_peak_diff(
             trace0, trace1, rel_threshold, min_separation)
@@ -515,13 +519,14 @@ def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
             bb = path[int(rng.integers(0, len(path)))][0]
             lb = lateral[int(rng.integers(0, len(lateral)))]
 
-            h0 = end_to_end_ctf(net, "tx", probe, grid)
+            ev = Evaluation(grid)
+            h0 = end_to_end_ctf(net, "tx", probe, grid, ev)
             out = []
             for br in (bb, lb):
                 fault = LumpedFault(br.id, 0.5 * br.length_m,
                                     conductance(severity, net.n_conductors))
                 net_a = apply_anomaly(net, fault, grid)
-                h1 = end_to_end_ctf(net_a, "tx", probe, grid)
+                h1 = end_to_end_ctf(net_a, "tx", probe, grid, ev)
                 out.append(band_mean_db(delta_chain(h1, h0).values.values))
             backbone_db.append(out[0])
             lateral_db.append(out[1])

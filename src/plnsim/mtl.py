@@ -409,10 +409,15 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     mats = tuple(np.asarray(m, dtype=float) for m in cable.rlgc(f))
     _validate_rlgc(cable, f, mats)
     r, l, g, c = mats
-    jw = 1j * TWO_PI * f[:, None, None]
-    z = r + jw * l
-    y = g + jw * c
-    a = _matmul(y, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jw = 1j * TWO_PI * f[:, None, None]
+        z = r + jw * l
+        y = g + jw * c
+        a = _matmul(y, z)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise DecompositionError(f"cable {cable.label!r}: Y Z overflows",
+                                 frequency_hz=float(f[np.argmin(finite)]))
 
     w, v = np.linalg.eig(a)
     gamma = np.sqrt(w.astype(complex))

@@ -15,31 +15,24 @@ admittance of everything beyond it; it reads that path and those equivalents
 from the port reduction.  The two-section closed form that cross-checks this
 reduction lives in ``plnsim.oracles``.
 
-A reduction reuses the subtrees it shares with the one before it.  Each node
-gets a structural key, built from the leaves up before any numeric work: the
-node's load object and its (branch, child key) pairs.  Branches and loads are
-frozen and hash by identity, so a key names one whole subtree exactly, and
-equal keys have bit-identical equivalents.  A topology holds the last
-reduction's equivalents in one slot, under (grid, conductor count, key), which
-the copies ``dataclasses.replace`` makes (``with_port``, the anomaly layer)
-share.  So a second reduction at the same port computes nothing, one at
-another port recomputes only the path between the two, and a perturbed copy
-recomputes only the nodes whose subtree the anomaly changed.  A reduction on
-another grid finds nothing, and reductions that interleave on a shared slot
-can only cost each other hits.  Cached equivalents are read-only.
-
-A branch step calls a line function with ``(params, E, rho)``: the cable's
-cached decomposition, the branch's propagation factor E = exp(-Gamma l) and
-the far-end reflection.  E depends only on the cable, the length and the
-grid, so each ``Branch`` computes it once per grid and keeps it, read-only,
-in a private store that every topology copy holding the branch shares and
-that is freed with the branch.  A branch derived with ``dataclasses.replace``
-(a degraded cable, another length) starts with an empty store.
+Reductions on one grid share work through an ``Evaluation``, which the caller
+makes and drops; a call without one makes a private one.  It holds, read-only,
+each branch's propagation factor E = exp(-Gamma l), computed on the branch's
+first step, and the last reduction's node equivalents, keyed by subtree
+structure: a node's load object and its (branch, child key) pairs, built from
+the leaves up.  Branches and loads are frozen and hash by identity, so a key
+names one whole subtree exactly, and equal keys have bit-identical
+equivalents.  A reduction keeps the entries it reuses and frees the rest
+before it computes.  So a second reduction at the same port computes nothing,
+one at another port recomputes only the path between the two, and a perturbed
+copy only the nodes whose subtree the anomaly changed.  Topologies and
+branches hold no such state.  The one process-wide result cache is the cable
+decomposition, ``mtl.line_propagation_params``, keyed by cable and grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -62,6 +55,7 @@ __all__ = [
     "Port",
     "NetworkTopology",
     "ValidationReport",
+    "Evaluation",
     "PortReduction",
     "reduce_to_port",
     "network_input_reflection",
@@ -86,12 +80,13 @@ class AdmittanceSpec:
     meta: dict | None = None
 
     def is_passive(self, f: np.ndarray) -> bool:
-        """True when every eigenvalue of Y(f) has non-negative real part, to
-        1e-9 of the largest eigenvalue magnitude."""
-        vals = self.evaluate(f)
-        eig = np.linalg.eigvals(vals)
-        scale = float(np.max(np.abs(eig))) + 1e-300
-        return bool(np.min(eig.real) >= -1e-9 * scale)
+        """True when the Hermitian part (Y + Y^H) / 2 is positive semidefinite
+        at every frequency, so no voltage draws power out of Y, to 1e-9 of
+        the largest |Y(f)| entry; a lossless (reactive) Y is passive."""
+        y = self.evaluate(f)
+        herm = 0.5 * (y + np.conj(np.swapaxes(y, -1, -2)))
+        scale = float(np.max(np.abs(y))) + 1e-300
+        return bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-9 * scale)
 
 
 def _as_matrix(y, n: int) -> np.ndarray:
@@ -183,17 +178,13 @@ def table_admittance(f_hz, y_s, n_conductors: int = 1) -> AdmittanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """A cable section between two nodes.  ``_propagators`` holds its
-    propagation factor E per grid, computed on the first step that needs
-    it; a branch made with ``dataclasses.replace`` starts empty."""
+    """A cable section between two nodes."""
 
     id: str
     node_a: str
     node_b: str
     cable: CableSpec
     length_m: float
-    _propagators: dict[FrequencyGrid, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,20 +209,12 @@ class NetworkTopology:
     """Frozen tree network; ``loads`` and ``ports`` are read-only copies.  Use
     dataclasses.replace, ``with_port`` or the anomaly layer to derive modified
     copies.  The structural checks (``report``) and the adjacency are computed
-    once per instance, on first read.
-
-    ``_equivalents`` is the reduction cache: the node equivalents of the last
-    ``reduce_to_port`` on this topology or on a copy sharing it, keyed by
-    grid, conductor count and subtree structure (see the module docstring).
-    Copies made with ``dataclasses.replace`` share it; a topology built from
-    its fields starts empty.  Replacing a load or branch changes the keys that
-    hold it, so the cache never serves a stale subtree."""
+    once per instance, on first read."""
 
     nodes: tuple[str, ...]
     branches: tuple[Branch, ...]
     loads: Mapping[str, AdmittanceSpec]
     ports: Mapping[str, Port]
-    _equivalents: dict[tuple, np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # the cached report and adjacency hold only while the fields do
@@ -377,16 +360,35 @@ def _located(prefix: str, exc: SingularityError) -> SingularityError:
     return err
 
 
-def _branch_step(line: Callable, kind: str, br: Branch, grid: FrequencyGrid,
+class Evaluation:
+    """The work that the reductions on one grid share (see the module
+    docstring): each branch's E and the last reduction's node equivalents.
+    Make one per unit of work, such as a sweep realization, and use it from
+    one thread at a time."""
+
+    def __init__(self, grid: FrequencyGrid):
+        self.grid = grid
+        self.propagators: dict[Branch, np.ndarray] = {}
+        self.equivalents: dict[tuple, np.ndarray] = {}
+
+
+def _evaluation(grid: FrequencyGrid, ev: Evaluation | None) -> Evaluation:
+    if ev is None:
+        return Evaluation(grid)
+    if ev.grid != grid:
+        raise UsageError(f"evaluation is bound to {ev.grid}, not {grid}")
+    return ev
+
+
+def _branch_step(line: Callable, kind: str, br: Branch, ev: Evaluation,
                  y_far: np.ndarray) -> np.ndarray:
     """``line`` (``input_admittance_line`` or ``ctf_line``) of branch ``br``
     with its far end terminated by y_far; a singularity names the branch."""
-    params = line_propagation_params(br.cable, grid)
-    e = br._propagators.get(grid)
-    if e is None:  # threads that race here all keep the first E stored
-        e = br._propagators.setdefault(grid, propagator(params, br.length_m))
+    params = line_propagation_params(br.cable, ev.grid)
+    if (e := ev.propagators.get(br)) is None:
+        e = ev.propagators[br] = propagator(params, br.length_m)
     try:
-        rho = load_reflection(y_far, params.yc, grid.frequencies)
+        rho = load_reflection(y_far, params.yc, ev.grid.frequencies)
         return line(params, e, rho)
     except SingularityError as exc:
         raise _located(f"{kind} {br.id!r}", exc) from exc
@@ -395,28 +397,29 @@ def _branch_step(line: Callable, kind: str, br: Branch, grid: FrequencyGrid,
 @dataclass(eq=False)
 class PortReduction:
     """A port's input admittance, every node's equivalent admittance seen
-    from the port side (all read-only, and shared with the topology's
-    reduction cache) and the walk from the port node."""
+    from the port side (all read-only, and shared with the evaluation's
+    equivalents) and the walk from the port node."""
 
     y_in: MatrixSpectrum
     node_equivalents: dict[str, np.ndarray]  # node -> (n_f, L, L) admittance, S
     parent: dict[str, tuple[Branch, str] | None]  # the walk from the port node
 
 
-def reduce_to_port(net: NetworkTopology, port: str,
-                   grid: FrequencyGrid) -> PortReduction:
+def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
+                   ev: Evaluation | None = None) -> PortReduction:
     """Carry all terminations back to a port, from the leaves up.
 
     Every node's equivalent admittance (its own load plus the carried-back
     admittances of its child branches, seen from the port side) is returned
     alongside the port input admittance and the walk from the port node.
-    Subtrees whose equivalents the topology's cache holds are reused; the
-    rest are computed, and become the cache.
+    Subtrees whose equivalents ``ev`` holds are reused; the rest are
+    computed, and replace what ``ev`` held.
     """
     if not net.report.valid:
         raise ValidationError("invalid topology: " + "; ".join(net.report.problems))
     if port not in net.ports:
         raise UsageError(f"no port named {port!r}")
+    ev = _evaluation(grid, ev)
     root = net.ports[port].node
     f = grid.frequencies
     L = net.n_conductors
@@ -430,10 +433,9 @@ def reduce_to_port(net: NetworkTopology, port: str,
     for node in reversed(order):  # children come before parents
         key[node] = (net.loads.get(node),
                      tuple((br, key[child]) for br, child in children[node]))
-    cache = net._equivalents
-    by_key = {k: y for k in key.values()
-              if (y := cache.get((grid, L, k))) is not None}
-    cache.clear()  # free what this reduction does not reuse before computing
+    # keep what this reduction reuses, and free the rest before computing
+    by_key = ev.equivalents = {k: y for k in key.values()
+                               if (y := ev.equivalents.get(k)) is not None}
 
     for node in reversed(order):
         if key[node] in by_key:
@@ -449,29 +451,28 @@ def reduce_to_port(net: NetworkTopology, port: str,
         else:
             acc = np.zeros((L, L, f.size), dtype=complex)
         for br, child in children[node]:
-            acc += _cols(_branch_step(input_admittance_line, "branch", br, grid,
+            acc += _cols(_branch_step(input_admittance_line, "branch", br, ev,
                                       by_key[key[child]]))
         y = _stack(acc)
         y.flags.writeable = False
         by_key[key[node]] = y
-    cache.update(((grid, L, k), y) for k, y in by_key.items())
 
     equiv = {node: by_key[key[node]] for node in reversed(order)}
     return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
                          node_equivalents=equiv, parent=parent)
 
 
-def network_input_reflection(net: NetworkTopology, port: str,
-                             grid: FrequencyGrid) -> MatrixSpectrum:
+def network_input_reflection(net: NetworkTopology, port: str, grid: FrequencyGrid,
+                             ev: Evaluation | None = None) -> MatrixSpectrum:
     """Input reflection at a port: the port admittance against Y_R."""
-    red = reduce_to_port(net, port, grid)
+    red = reduce_to_port(net, port, grid, ev)
     y_r = net.ports[port].source.evaluate(grid.frequencies)
     rho = input_reflection(red.y_in.values, y_r, grid.frequencies)
     return MatrixSpectrum(grid, rho, "reflection")
 
 
 def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
-                   grid: FrequencyGrid) -> MatrixSpectrum:
+                   grid: FrequencyGrid, ev: Evaluation | None = None) -> MatrixSpectrum:
     """Voltage transfer from the transmitting port node to a loaded receiver
     node: the ordered product of per-segment transfers along the backbone,
     each segment terminated by the equivalent admittance of everything
@@ -487,10 +488,11 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
     if rx_node == net.ports[tx_port].node:
         raise UsageError("transmitter and receiver coincide")
 
-    red = reduce_to_port(net, tx_port, grid)
+    ev = _evaluation(grid, ev)
+    red = reduce_to_port(net, tx_port, grid, ev)
     L = net.n_conductors
     h = np.broadcast_to(np.eye(L, dtype=complex), (grid.n_points, L, L)).copy()
     for br, _, far in _path(red.parent, rx_node):
-        h = _matmul(_branch_step(ctf_line, "segment", br, grid,
+        h = _matmul(_branch_step(ctf_line, "segment", br, ev,
                                  red.node_equivalents[far]), h)
     return MatrixSpectrum(grid, h, "ctf")

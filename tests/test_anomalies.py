@@ -68,6 +68,17 @@ def test_active_fault_needs_flag(base_net, grid):
     assert out.report.valid
 
 
+def test_reciprocal_fault_that_delivers_power_is_active(coupled_cable, grid):
+    # eigenvalues 1 +- 2.24j lie in the right half-plane, but the Hermitian
+    # part [[1, 2], [2, 1]] has the eigenvalue -1: V = [1, -1] draws 2 W out
+    net = single_line_net(coupled_cable, 120.0, constant_admittance(0.01, 2))
+    hot = constant_admittance([[1 + 3j, 2], [2, 1 - 3j]], 2)
+    with pytest.raises(ValidationError, match="Hermitian part"):
+        apply_anomaly(net, LumpedFault("s", 40.0, hot), grid)
+    reactive = constant_admittance([[3j, -1j], [-1j, 2j]], 2)  # lossless
+    assert apply_anomaly(net, LumpedFault("s", 40.0, reactive), grid).report.valid
+
+
 def test_load_change_requires_existing_load(base_net, grid):
     with pytest.raises(ValidationError, match="no load"):
         apply_anomaly(base_net, LoadChange("a", conductance(0.01)), grid)

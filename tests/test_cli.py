@@ -143,8 +143,10 @@ def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
     ["--n-networks", "0"],
     ["--n-networks", "-3"],
     ["--cables", "pl-std,pl-2c"],
+    ["--seed", "-1"],
+    ["--severity-max", "inf"],
 ], ids=["no-bins", "one-node", "negative-severity", "no-networks",
-        "negative-networks", "mixed-conductors"])
+        "negative-networks", "mixed-conductors", "negative-seed", "infinite-severity"])
 def test_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
     assert main(["sweep", "--n-networks", "2", "--grid", "1e5,4e5,80", *flags,
                  "--out", str(tmp_path / "sw")]) == 1
@@ -178,6 +180,21 @@ def test_non_finite_grid_is_usage_error(two_node, tmp_path, capsys, grid):
                  "--out", str(tmp_path / "out")]) == 64
     err = capsys.readouterr().err
     assert "bad --grid value" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("l_h_per_m,grid,f_bad", [(1e300, "1e5,1e5,800", "2.87e+07"),
+                                                 (2.5e-7, "1e5,1e300,10", "1e+300")])
+def test_overflowing_yz_is_numerical_failure(tmp_path, capsys, l_h_per_m, grid, f_bad):
+    # R, L, G, C and the grid are finite but Y Z is not: the error names the
+    # first frequency at fault (here the first with 2 pi f L above 1.8e308)
+    data = json.loads(json.dumps(TWO_NODE))
+    data["cables"]["fast"]["params"]["l_h_per_m"] = l_h_per_m
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path), f"--grid={grid}",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("plnsim: numerical failure: cable 'fast': "
+                                       f"Y Z overflows (at f = {f_bad} Hz)\n")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -76,6 +76,12 @@ def test_branch_length_range_is_checked(lengths):
         EnsembleConfig(n_networks=3, branch_length_m=lengths)
 
 
+@pytest.mark.parametrize("field,value", [("seed", -1), ("fault_severity_s", (0.0, np.inf))])
+def test_seed_and_severity_range_are_checked(field, value):
+    with pytest.raises(ValidationError, match=field):  # not numpy's errors in the sweep
+        EnsembleConfig(**{field: value})
+
+
 def test_branch_length_range_may_be_one_value():
     cfg = EnsembleConfig(n_networks=3, branch_length_m=(30.0, 30.0), seed=4)
     res = run_distance_sweep(cfg, FrequencyGrid(1e5, 1e5, 50), n_bins=2)
@@ -198,7 +204,7 @@ def test_spearman_matches_scipy(x, y):
 
 def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
     # a realization reduces the probe port twice and the tx port once, on the
-    # baseline and the perturbed network; the reduction cache recomputes only
+    # baseline and the perturbed network; their evaluation recomputes only
     # the subtrees that changed (249 carry-back steps here without it)
     steps = Counter()
     step = network._branch_step

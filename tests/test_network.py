@@ -3,8 +3,7 @@ two-section closed-form cross-check."""
 
 import dataclasses
 import sys
-import threading
-import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
                         input_admittance_line, load_reflection, propagator)
-from plnsim.network import (AdmittanceSpec, Branch, NetworkTopology, Port,
+from plnsim.network import (Branch, Evaluation, NetworkTopology, Port,
                             conductance, constant_admittance, end_to_end_ctf,
                             farthest_node, network_input_reflection,
                             node_distances, open_circuit, parallel_rc_admittance,
@@ -386,7 +385,7 @@ def test_two_section_matches_recursion(seed):
 
 
 # ---------------------------------------------------------------------------
-# reduction reuse: a warm cache gives the cold answer, bit for bit
+# reuse through an Evaluation: a warm one gives the cold answer, bit for bit
 
 # flat formation: adjacent conductors couple more than the outer pair and R is
 # unequal, so the modes are distinct (unlike powerline_cable's aI + bJ form)
@@ -402,24 +401,19 @@ def random_tree(n_conductors, seed):
     return generate_random_network(cfg, 0)
 
 
-def fresh(net):
-    return NetworkTopology(net.nodes, net.branches, dict(net.loads), dict(net.ports))
+def responses(net, grid, ev=None):
+    """The sweep's three calls, then every node equivalent seen from either
+    port, all on ``ev`` (or each on a private evaluation)."""
+    out = [reduce_to_port(net, "probe", grid, ev).y_in.values,
+           network_input_reflection(net, "probe", grid, ev).values,
+           end_to_end_ctf(net, "tx", net.ports["probe"].node, grid, ev).values]
+    return out + [y for port in ("tx", "probe")
+                  for y in reduce_to_port(net, port, grid, ev).node_equivalents.values()]
 
 
-def assert_same_as_fresh(net, grid):
-    """Every response of ``net``, in the sweep's order, equals the response of
-    a new copy built from its fields, which starts with an empty cache."""
-    probe = net.ports["probe"].node
-    for port in ("probe", "tx", "probe"):
-        red, cold = reduce_to_port(net, port, grid), reduce_to_port(fresh(net), port, grid)
-        assert np.array_equal(red.y_in.values, cold.y_in.values)
-        assert red.node_equivalents.keys() == cold.node_equivalents.keys()
-        for node, y in red.node_equivalents.items():
-            assert np.array_equal(y, cold.node_equivalents[node]), node
-    assert np.array_equal(network_input_reflection(net, "probe", grid).values,
-                          network_input_reflection(fresh(net), "probe", grid).values)
-    assert np.array_equal(end_to_end_ctf(net, "tx", probe, grid).values,
-                          end_to_end_ctf(fresh(net), "tx", probe, grid).values)
+def assert_same(got, want):
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def anomaly_case(net, kind):
@@ -441,16 +435,21 @@ def anomaly_case(net, kind):
                                   "load", "distributed"])
 def test_warm_reduction_equals_fresh(grid, n_conductors, seed, case):
     net = random_tree(n_conductors, seed)
-    if case == "other-grid":  # as many points, other frequencies
-        reduce_to_port(net, "probe", FrequencyGrid(2 * grid.f_start, grid.f_step,
-                                                   grid.n_points))
+    ev = Evaluation(grid)
+    if case == "other-grid":  # refused before any work, by every entry point
+        reduce_to_port(net, "probe", grid, ev)
+        other = FrequencyGrid(2 * grid.f_start, grid.f_step, grid.n_points)
+        for call in (lambda: reduce_to_port(net, "tx", other, ev),
+                     lambda: network_input_reflection(net, "tx", other, ev),
+                     lambda: end_to_end_ctf(net, "tx", net.ports["probe"].node, other, ev)):
+            with pytest.raises(UsageError, match="evaluation is bound to"):
+                call()
     elif case in ("same-port", "other-port"):
-        reduce_to_port(net, "probe" if case == "same-port" else "tx", grid)
+        reduce_to_port(net, "probe" if case == "same-port" else "tx", grid, ev)
     else:
-        reduce_to_port(net, "probe", grid)
-        end_to_end_ctf(net, "tx", net.ports["probe"].node, grid)
+        responses(net, grid, ev)
         net = apply_anomaly(net, anomaly_case(net, case), grid)
-    assert_same_as_fresh(net, grid)
+    assert_same(responses(net, grid, ev), responses(net, grid))
 
 
 @pytest.mark.parametrize("name", ["nodes", "branches", "loads", "ports"])
@@ -478,22 +477,31 @@ def test_constructor_dicts_are_copied(grid):
     loads[node] = parallel_rc_admittance(47.0, 3e-9)
     del ports["tx"]
     assert dict(net.loads) == dict(base.loads) and dict(net.ports) == dict(base.ports)
-    after = reduce_to_port(net, "probe", grid).y_in.values
-    assert np.array_equal(after, before)
-    assert np.array_equal(after, reduce_to_port(fresh(base), "probe", grid).y_in.values)
+    assert np.array_equal(reduce_to_port(net, "probe", grid).y_in.values, before)
+
+
+def test_values_hold_only_their_fields_after_reductions(grid):
+    net = random_tree(3, 22)
+    faulty = apply_anomaly(net, anomaly_case(net, "distributed"), grid)
+    ev = Evaluation(grid)
+    for topo in (net, faulty, dataclasses.replace(net)):
+        responses(topo, grid, ev)
+        for value in (topo, *topo.branches):
+            fields = {f.name for f in dataclasses.fields(value)}
+            assert not any(name.startswith("_") for name in fields)
+            cached = {"adjacency", "report"} if value is topo else set()
+            assert vars(value).keys() == fields | cached
 
 
 def test_equivalents_are_read_only_and_reused(grid):
     net = random_tree(3, 22)
-    red = reduce_to_port(net, "probe", grid)
-    again = reduce_to_port(net, "probe", grid)
-    assert again.y_in.values is red.y_in.values
-    # the cache holds the last reduction's equivalents and nothing else
-    at_tx = reduce_to_port(net, "tx", grid).node_equivalents.values()
-    assert {id(y) for y in net._equivalents.values()} == {id(y) for y in at_tx}
-    with pytest.raises(ValueError):
-        red.y_in.values[0] = 0.0
-    for y in red.node_equivalents.values():
+    ev = Evaluation(grid)
+    red = reduce_to_port(net, "probe", grid, ev)
+    assert reduce_to_port(net, "probe", grid, ev).y_in.values is red.y_in.values
+    # the evaluation holds the last reduction's equivalents and nothing else
+    at_tx = reduce_to_port(net, "tx", grid, ev).node_equivalents.values()
+    assert {id(y) for y in ev.equivalents.values()} == {id(y) for y in at_tx}
+    for y in (red.y_in.values, *red.node_equivalents.values()):
         with pytest.raises(ValueError):
             y[...] = 0.0
 
@@ -508,63 +516,18 @@ def test_warm_singularity_names_the_cold_branch(grid, std_cable):
                   Branch("2", "j", "b", std_cable, 25.0),
                   Branch("3", "j", "c", std_cable, 30.0)),
         loads={"b": modem(), "c": modem()}, ports={"p": Port("a", modem())})
-    reduce_to_port(net, "p", grid)
+    ev = Evaluation(grid)
+    reduce_to_port(net, "p", grid, ev)
     broken = apply_anomaly(net, LoadChange("c", bad), grid)
     errors = []
-    for topo in (broken, fresh(broken)):
+    for e in (ev, None):
         with pytest.raises(SingularityError, match="branch '3'") as info:
-            reduce_to_port(topo, "p", grid)
+            reduce_to_port(broken, "p", grid, e)
         errors.append((str(info.value), info.value.frequency_hz, info.value.index))
     assert errors[0] == errors[1]
     # the failed reduction left nothing stale behind
-    assert np.array_equal(reduce_to_port(net, "p", grid).y_in.values,
-                          reduce_to_port(fresh(net), "p", grid).y_in.values)
-
-
-def test_interleaved_reductions_on_other_grids_do_not_mix(grid, std_cable):
-    """A reduction that finishes after another one, on another grid of as many
-    points, must not leave its equivalents where the other grid finds them."""
-    grid_b = FrequencyGrid(2 * grid.f_start, grid.f_step, grid.n_points)
-    entered, release = threading.Event(), threading.Event()
-    rc = parallel_rc_admittance(50.0, 1e-8)
-
-    def evaluate(f):
-        if f[0] == grid.f_start:  # only the thread reducing at ``grid``
-            entered.set()
-            assert release.wait(timeout=30)
-        return rc.evaluate(f)
-
-    net = single_line_net(std_cable, 50.0, AdmittanceSpec(1, evaluate, "held"))
-    at_a = []
-    worker = threading.Thread(target=lambda: at_a.append(reduce_to_port(net, "p", grid)))
-    worker.start()
-    try:
-        assert entered.wait(timeout=30)
-        copy = dataclasses.replace(net)  # shares the reduction cache
-        reduce_to_port(copy, "p", grid_b)
-    finally:
-        release.set()
-        worker.join(timeout=30)
-    assert not worker.is_alive() and len(at_a) == 1
-    assert np.array_equal(at_a[0].y_in.values,
-                          reduce_to_port(fresh(net), "p", grid).y_in.values)
-    assert np.array_equal(reduce_to_port(copy, "p", grid_b).y_in.values,
-                          reduce_to_port(fresh(copy), "p", grid_b).y_in.values)
-
-
-def rebuilt(net, branches=None):
-    """A copy of ``net`` on new Branch objects: it shares no reduction cache
-    and no stored propagation factor with ``net``."""
-    branches = net.branches if branches is None else branches
-    new = tuple(Branch(b.id, b.node_a, b.node_b, b.cable, b.length_m) for b in branches)
-    return NetworkTopology(net.nodes, new, dict(net.loads), dict(net.ports))
-
-
-def responses(net, grid):
-    probe = net.ports["probe"].node
-    return [reduce_to_port(net, "probe", grid).y_in.values,
-            reduce_to_port(net, "tx", grid).y_in.values,
-            end_to_end_ctf(net, "tx", probe, grid).values]
+    assert np.array_equal(reduce_to_port(net, "p", grid, ev).y_in.values,
+                          reduce_to_port(net, "p", grid).y_in.values)
 
 
 def test_branch_propagator_is_evaluated_once_and_shared(grid, monkeypatch):
@@ -580,25 +543,22 @@ def test_branch_propagator_is_evaluated_once_and_shared(grid, monkeypatch):
 
     net = random_tree(3, 22)
     faulty = apply_anomaly(net, anomaly_case(net, "lumped"), grid)
-    for topo in (net, faulty, dataclasses.replace(net), fresh(net), fresh(faulty), net):
-        responses(topo, grid)
-    branches = set(net.branches) | set(faulty.branches)
-    stored = {id(e) for b in branches for e in b._propagators.values()}
-    # one E per branch and grid, every step reads it, and none can be written
-    assert len(evaluated) == len(branches) == len(stored)
-    assert {id(e) for e in passed} == stored
+    ev = Evaluation(grid)
+    for topo in (net, faulty, dataclasses.replace(net), net):
+        responses(topo, grid, ev)
+    # one E per branch, every step reads it, and none can be written
+    assert ev.propagators.keys() == set(net.branches) | set(faulty.branches)
+    stored = {id(e) for e in ev.propagators.values()}
+    assert len(evaluated) == len(stored)
+    assert {id(e) for e in passed} == {id(e) for e in evaluated} == stored
     assert not any(e.flags.writeable for e in evaluated)
-    assert all(list(b._propagators) == [grid] for b in branches)
-    # the store goes with the branch
-    freed = weakref.ref(evaluated[0])
-    del net, faulty, topo, branches, evaluated, passed
-    assert freed() is None
 
 
 @pytest.mark.parametrize("change", ["cable", "length"])
 def test_replaced_branch_matches_a_new_branch(grid, change):
     net = random_tree(3, 13)
-    responses(net, grid)  # fills every branch's store
+    ev = Evaluation(grid)
+    responses(net, grid, ev)  # holds every branch's E
     probe, tx = net.ports["probe"].node, net.ports["tx"].node
     br = tree_path(net, tx, probe)[0][0]  # on the link, so every response sees it
     if change == "cable":
@@ -606,42 +566,30 @@ def test_replaced_branch_matches_a_new_branch(grid, change):
             br, cable=scaled_cable(br.cable, r_scale=2.0, c_scale=1.3, g_scale=2.0))
     else:
         changed = dataclasses.replace(br, length_m=br.length_m + 17.0)
-    assert changed._propagators == {} and br._propagators
-    branches = tuple(changed if b is br else b for b in net.branches)
-    warm = dataclasses.replace(net, branches=branches)  # shares the other stores
-    for got, want in zip(responses(warm, grid), responses(rebuilt(net, branches), grid)):
-        assert np.array_equal(got, want)
+    warm = dataclasses.replace(
+        net, branches=tuple(changed if b is br else b for b in net.branches))
+    assert_same(responses(warm, grid, ev), responses(warm, grid))
 
 
 def test_threads_sharing_branches_get_cold_results(grid):
-    # every round holds new branches, whose stores both threads fill at once
-    cases = [(1, 31), (3, 32), (3, 33)]
-    cold = [responses(rebuilt(random_tree(*case)), grid) for case in cases]
-    rounds = [[random_tree(*case) for case in cases] for _ in range(6)]
-    wrong = []
+    # both threads reduce the same topologies at once, each on its own
+    # evaluations; a baseline and its faulty copy share all but one branch
+    nets = [random_tree(*case) for case in [(1, 31), (3, 32), (3, 33)]]
+    nets += [apply_anomaly(net, anomaly_case(net, "lumped"), grid) for net in nets]
+    cold = [responses(net, grid) for net in nets]
 
-    def reduce_rounds():
-        for nets in rounds:
-            for net, want in zip(nets, cold):
-                got = responses(fresh(net), grid)  # shares the branches only
-                if not all(np.array_equal(a, b) for a, b in zip(got, want)):
-                    wrong.append(net.n_conductors)
+    def reduce_rounds(_):
+        evs = [Evaluation(grid) for _ in range(6)]
+        return [responses(net, grid, ev) for ev in evs for net in nets]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        workers = [threading.Thread(target=reduce_rounds) for _ in range(2)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
+        with ThreadPoolExecutor(2) as pool:
+            for got in pool.map(reduce_rounds, range(2)):
+                for g, want in zip(got, cold * 6):
+                    assert_same(g, want)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert not wrong
-    for b in (b for nets in rounds for net in nets for b in net.branches):
-        assert list(b._propagators) == [grid]
-        want = propagator(line_propagation_params(b.cable, grid), b.length_m)
-        assert np.array_equal(b._propagators[grid], want)
 
 
 # ---------------------------------------------------------------------------
