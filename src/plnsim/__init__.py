@@ -23,11 +23,9 @@ from .network import (AdmittanceSpec, Branch, Evaluation, NetworkTopology, Port,
                       farthest_node, network_input_reflection, open_circuit,
                       parallel_rc_admittance, reduce_to_port,
                       table_admittance, tree_path)
-from .oracles import (input_reflection_modal, series_truncated_responses,
-                      two_section_oracle)
 from .timedomain import (LocateResult, PeakList, TimeTrace,
                          check_peak_spacing_symmetry, detect_peaks,
-                         locate_anomaly_reflectometric, segment_energy,
-                         time_to_distance, to_time_domain)
+                         locate_anomaly_reflectometric, time_to_distance,
+                         to_time_domain)
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Per-frequency L x L matrices are stacked into complex arrays of shape
 (n_f, L, L) so every operation is vectorized across the grid.  Each response
-has one evaluation route here, built on exact solves; the closed-form and
-echo-series forms that cross-check them live in ``plnsim.oracles``.
+has one evaluation route here, built on exact solves; the tests check them
+against closed-form, echo-series and chain-parameter forms of their own.
 
 Every matrix product and solve goes through two small-matrix kernels that
 work entry by entry: a product is, row by row, K multiply-adds of an (n_f,)
@@ -330,11 +330,6 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _stack(_mul(_cols(a), _cols(b)))
 
 
-def _solve(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
-    """a^-1 b per frequency, singularities reported against the grid."""
-    return _stack(_gauss(_cols(a), _cols(b), f, context))
-
-
 def _rdiv(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
     """a b^-1 per frequency, singularities reported against the grid."""
     return _stack(_right(_cols(a), _cols(b), f, context))
@@ -457,8 +452,12 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     off = _mul(_mul(t_inv, _cols(a)), t)
     diag = np.arange(L)
     off[diag, diag] = 0.0
-    scale = np.linalg.norm(a, axis=(1, 2)) + 1e-300
-    rel = np.linalg.norm(off, axis=(0, 1)) / scale
+    # each frequency's largest |Y Z| entry above 1 is divided out of both
+    # norms (the ratio is unchanged), so squaring entries near 1e200 cannot
+    # overflow
+    peak = np.maximum(np.max(np.abs(a), axis=(1, 2)), 1.0)
+    scale = np.linalg.norm(a / peak[:, None, None], axis=(1, 2)) + 1e-300
+    rel = np.linalg.norm(off / peak, axis=(0, 1)) / scale
     if np.any(rel > DIAGONALIZATION_RTOL):
         k = int(np.argmax(rel))
         raise DecompositionError(

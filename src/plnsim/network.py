@@ -12,8 +12,8 @@ equivalent admittance (carry-back).  The end-to-end transfer function is the
 ordered product of per-segment voltage transfers along the
 transmitter-receiver backbone, each segment terminated by the equivalent
 admittance of everything beyond it; it reads that path and those equivalents
-from the port reduction.  The two-section closed form that cross-checks this
-reduction lives in ``plnsim.oracles``.
+from the port reduction.  The tests check this reduction against a
+two-section closed form and a chain-parameter solution of their own.
 
 Reductions on one grid share work through an ``Evaluation``, which the caller
 makes and drops; a call without one makes a private one.  It holds, read-only,

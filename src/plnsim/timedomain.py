@@ -46,7 +46,6 @@ __all__ = [
     "locate_anomaly_reflectometric",
     "SymmetryReport",
     "check_peak_spacing_symmetry",
-    "segment_energy",
     "DEFAULT_REL_THRESHOLD",
     "DEFAULT_MIN_SEPARATION",
 ]
@@ -388,9 +387,3 @@ def check_peak_spacing_symmetry(trace_ab: TimeTrace, trace_ba: TimeTrace,
                           max_spacing_error_samples=err, matched_pairs=pairs,
                           notes=notes)
 
-
-def segment_energy(trace: TimeTrace, t_lo: float, t_hi: float) -> float:
-    """Sum of squared samples (all entries) over t in [t_lo, t_hi)."""
-    t = trace.times
-    mask = (t >= t_lo) & (t < t_hi)
-    return float(np.sum(trace.samples[mask] ** 2))

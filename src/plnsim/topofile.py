@@ -25,7 +25,7 @@ import numpy as np
 from .anomalies import Anomaly, DistributedFault, LoadChange, LumpedFault
 from .cables import constant_rlgc_cable, powerline_cable
 from .errors import ParseError, ValidationError
-from .mtl import CableSpec, FrequencyGrid, MatrixSpectrum
+from .mtl import CableSpec, MatrixSpectrum
 from .network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                       constant_admittance, open_circuit, parallel_rc_admittance,
                       table_admittance)
@@ -39,7 +39,6 @@ __all__ = [
     "read_anomaly",
     "read_cable_library",
     "write_spectrum_csv",
-    "read_spectrum_csv",
     "write_trace_csv",
     "write_peaks_csv",
     "write_sweep_records_csv",
@@ -373,49 +372,6 @@ def write_spectrum_csv(path: str | Path, spec: MatrixSpectrum,
                   f"{_fmt(v[k, r, c].imag)}"
                   for k in range(spec.grid.n_points) for r in range(L)
                   for c in range(L)))
-
-
-def read_spectrum_csv(path: str | Path) -> MatrixSpectrum:
-    path = Path(path)
-    kind = "admittance"
-    rows = []
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# kind="):
-                kind = line.split("=", 1)[1].strip()
-            continue
-        if line.startswith("f_or_t"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        try:
-            rows.append((float(parts[0]), int(parts[1]), int(parts[2]),
-                         float(parts[3]), float(parts[4])))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    freqs = sorted({r[0] for r in rows})
-    L = max(r[1] for r in rows) + 1
-    if len(freqs) < 2:
-        raise ParseError(f"{path}: need at least two frequency points")
-    steps = np.diff(freqs)
-    if np.max(np.abs(steps - steps[0])) > 1e-6 * steps[0]:
-        raise ParseError(f"{path}: frequency column is not uniformly spaced")
-    grid = FrequencyGrid(freqs[0], float(steps[0]), len(freqs))
-    index = {f: k for k, f in enumerate(freqs)}
-    values = np.zeros((len(freqs), L, L), dtype=complex)
-    for fval, r, c, re, im in rows:
-        values[index[fval], r, c] = complex(re, im)
-    return MatrixSpectrum(grid, values, kind)
 
 
 def write_trace_csv(path: str | Path, trace: TimeTrace,

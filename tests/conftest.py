@@ -101,6 +101,12 @@ def spectrum_const(value, grid, n=1):
     return np.broadcast_to(mat, (grid.n_points,) + mat.shape).copy()
 
 
+def segment_energy(trace, t_lo, t_hi):
+    """Sum of squared samples (all entries) over t in [t_lo, t_hi)."""
+    t = trace.times
+    return float(np.sum(trace.samples[(t >= t_lo) & (t < t_hi)] ** 2))
+
+
 # a power of two: on-lattice peak times and their differences are exact
 SPIKE_T_STEP = 2.0 ** -24
 

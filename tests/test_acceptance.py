@@ -25,13 +25,14 @@ from plnsim.network import (Branch, NetworkTopology, Port, conductance,
                             constant_admittance, end_to_end_ctf,
                             network_input_reflection, open_circuit,
                             parallel_rc_admittance, reduce_to_port, tree_path)
-from plnsim.oracles import (input_reflection_modal, series_truncated_responses,
-                            two_section_oracle)
 from plnsim.timedomain import (check_peak_spacing_symmetry, detect_peaks,
-                               segment_energy, to_time_domain)
+                               to_time_domain)
 
 from conftest import (lossless_cable, random_passive_matrix,
-                      resolvable_tree_family, single_line_net, spectrum_const)
+                      resolvable_tree_family, segment_energy, single_line_net,
+                      spectrum_const)
+from oracles import (input_reflection_modal, series_truncated_responses,
+                     two_section_oracle)
 
 LIB = builtin_cable_library()
 GRID = default_grid()

@@ -16,9 +16,10 @@ import plnsim
 from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
 from plnsim.cli import main
 from plnsim.errors import ValidationError
+from plnsim.mtl import FrequencyGrid, MatrixSpectrum
 from plnsim.network import open_circuit
-from plnsim.topofile import (read_spectrum_csv, read_topology, write_json,
-                             write_topology, topology_from_dict, topology_to_dict)
+from plnsim.topofile import (read_topology, write_json, write_topology,
+                             topology_from_dict, topology_to_dict)
 
 from conftest import single_line_net
 
@@ -29,6 +30,18 @@ FAULT = {"type": "lumped_fault", "branch": "b0", "offset_m": 40.0,
 DIST_FAULT = {"type": "distributed_fault", "branch": "b0", "start_m": 30.0,
               "extent_m": 20.0, "degraded": TWO_NODE["cables"]["fast"]}
 NAN, INF = float("nan"), float("inf")
+
+
+def read_spectrum_csv(path):
+    """A spectrum as ``simulate`` or ``delta`` wrote it, its data rows
+    ordered by frequency, row and column."""
+    lines = Path(path).read_text().splitlines()
+    data = np.loadtxt([ln for ln in lines if ln[:1].isdigit()], delimiter=",")
+    f = np.unique(data[:, 0])
+    n = int(data[:, 1].max()) + 1
+    values = (data[:, 3] + 1j * data[:, 4]).reshape(f.size, n, n)
+    return MatrixSpectrum(FrequencyGrid(f[0], f[1] - f[0], f.size), values,
+                          lines[0].removeprefix("# kind="))
 
 
 @pytest.fixture()
@@ -258,6 +271,22 @@ def test_simulate_zero_source_reflects_fully(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", str(path), "--out", str(out), "--no-timestamp"]) == 0
     assert np.all(read_spectrum_csv(out / "rhoin.csv").values == 1.0)
+
+
+@pytest.mark.parametrize("field,value", [("r0_ohm_per_m", 1e300),
+                                         ("l_h_per_m", 1e200)])
+def test_simulate_huge_finite_cable_parameter(tmp_path, field, value):
+    # Y Z is finite but near 1e300; the diagonalization residual must not
+    # overflow on the way (numpy warnings are errors here)
+    data = json.loads(json.dumps(TWO_NODE))
+    data["cables"]["fast"]["params"][field] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    read_spectrum_csv(out / "yin.csv")  # finite, or MatrixSpectrum raises
+    rho = read_spectrum_csv(out / "rhoin.csv").values
+    assert np.max(np.abs(rho + 1.0)) < 1e-9  # a nearly open line
 
 
 def test_delta_zero_severity(two_node, tmp_path):

@@ -15,14 +15,14 @@ from plnsim import mtl
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import DecompositionError, SingularityError, ValidationError
 from plnsim.experiments import default_grid
-from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _eye, _gauss,
-                        _matmul, _mul, _normalize_columns, _rdiv, _right,
-                        _singular, _solve, _t, ctf_line, input_admittance_line,
+from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _eye,
+                        _gauss, _matmul, _mul, _normalize_columns, _rdiv, _right,
+                        _singular, _stack, _t, ctf_line, input_admittance_line,
                         input_reflection, line_propagation_params,
                         load_reflection, modal_transform, propagator)
-from plnsim.oracles import input_reflection_modal, series_truncated_responses
 
 from conftest import lossless_cable, random_passive_matrix, spectrum_const
+from oracles import input_reflection_modal, series_truncated_responses
 
 TWO_PI = 2.0 * np.pi
 
@@ -216,6 +216,11 @@ def entry_rel_err(a, b):
     return np.max(np.abs(a - b) / np.abs(b))
 
 
+def solve_stack(a, b, f, context):
+    """a^-1 b for (n_f, L, M) stacks, by the kernel on entry columns."""
+    return _stack(_gauss(_cols(a), _cols(b), f, context))
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_scalar_kernel_matches_lapack(grid, width):
     rng = np.random.default_rng(width)
@@ -223,7 +228,7 @@ def test_scalar_kernel_matches_lapack(grid, width):
     den = _complex_stack(rng, (grid.n_points, 1, 1))
     rows = _complex_stack(rng, (grid.n_points, 1, width))
     ref = np.linalg.solve(den, rows)
-    assert entry_rel_err(_solve(den, rows, f, "ctx"), ref) < 1e-14
+    assert entry_rel_err(solve_stack(den, rows, f, "ctx"), ref) < 1e-14
     cols = np.swapaxes(rows, -1, -2)
     ref_r = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), rows), -1, -2)
     assert entry_rel_err(_rdiv(cols, den, f, "ctx"), ref_r) < 1e-14
@@ -238,7 +243,7 @@ def test_scalar_kernel_zero_denominator(grid, helper):
     num = np.ones_like(den)
     with pytest.raises(SingularityError, match="ctx") as info:
         if helper == "solve":
-            _solve(den, num, f, "ctx")
+            solve_stack(den, num, f, "ctx")
         else:
             _rdiv(num, den, f, "ctx")
     assert info.value.index == 37
@@ -289,7 +294,7 @@ def test_solve_matches_lapack(data, L, M, kind):
         if kind != "random" and L > 1:
             # a zero or 1e-300 leading entry forces a row exchange
             a[:, 0, 0] = 0.0 if kind == "zero-lead" else 1e-300
-    x = _solve(a, b, f, "ctx")
+    x = solve_stack(a, b, f, "ctx")
     # backward error: what a stable solve guarantees whatever the conditioning
     resid = np.linalg.norm(a @ x - b, axis=(1, 2))
     scale = (np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2))
@@ -318,7 +323,7 @@ def test_solve_exact_zero_pivot_reports_first_frequency():
     a[5, :, 0] = 0.0
     a[3, :, L - 1] = 0.0
     with pytest.raises(SingularityError, match="ctx") as info:
-        _solve(a, b, f, "ctx")
+        solve_stack(a, b, f, "ctx")
     assert info.value.index == 3
     assert info.value.frequency_hz == f[3]
     a[3, :, L - 1] = 1.0
@@ -436,8 +441,8 @@ def test_work_arrays_recover_from_a_singular_solve():
     bad = a.copy()
     bad[4, :, 1] = 0.0  # stops the elimination at its second step
     with pytest.raises(SingularityError):
-        _solve(bad, b, f, "ctx")
-    x = _solve(a, b, f, "ctx")
+        solve_stack(bad, b, f, "ctx")
+    x = solve_stack(a, b, f, "ctx")
     assert np.array_equal(x, np.moveaxis(
         _gauss_naive(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1), f, "ctx"), -1, 0))
 
@@ -448,7 +453,7 @@ def test_work_arrays_are_replaced_not_added():
     def solves():
         for n_f in (7, 800, 9):
             a, b = _complex_stack(rng, (n_f, 3, 3)), _complex_stack(rng, (n_f, 3, 2))
-            _matmul(_solve(a, b, None, "ctx"), _complex_stack(rng, (n_f, 2, 3)))
+            _matmul(solve_stack(a, b, None, "ctx"), _complex_stack(rng, (n_f, 2, 3)))
     _, pool = _in_new_thread(solves)
     assert set(pool) == {"augmented", "row", "magnitude", "product"}
     assert all(arr.shape[-1] == 9 for arr in pool.values())

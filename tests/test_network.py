@@ -1,5 +1,6 @@
-"""Topology validation, carry-back reduction, end-to-end transfer and the
-two-section closed-form cross-check."""
+"""Topology validation, carry-back reduction, end-to-end transfer, and their
+cross-checks against the two-section closed form and the chain-parameter
+solution."""
 
 import dataclasses
 import sys
@@ -23,9 +24,9 @@ from plnsim.network import (Branch, Evaluation, NetworkTopology, Port,
                             farthest_node, network_input_reflection,
                             node_distances, open_circuit, parallel_rc_admittance,
                             reduce_to_port, table_admittance, tree_path)
-from plnsim.oracles import two_section_oracle
 
 from conftest import lossless_cable, matched_load, single_line_net
+from oracles import chain_responses, two_section_oracle
 
 
 def rel_err(a, b):
@@ -396,9 +397,39 @@ FLAT_3C = constant_rlgc_cable(
 
 
 def random_tree(n_conductors, seed):
-    cables = (powerline_cable(3), FLAT_3C) if n_conductors == 3 else ()
+    cables = {1: (), 3: (powerline_cable(3), FLAT_3C)}.get(
+        n_conductors, (powerline_cable(n_conductors),))
     cfg = EnsembleConfig(n_nodes=(6, 9), cables=cables, seed=seed)
     return generate_random_network(cfg, 0)
+
+
+# a coarse grid over the default band keeps the matrix exponentials cheap
+CHAIN_GRID = FrequencyGrid(1e5, 4e6, 20)
+
+
+def assert_matches_chain_parameters(net, port, rx_node):
+    # at each frequency, the largest entry error against the largest entry
+    got = (reduce_to_port(net, port, CHAIN_GRID).y_in.values,
+           network_input_reflection(net, port, CHAIN_GRID).values,
+           end_to_end_ctf(net, port, rx_node, CHAIN_GRID).values)
+    for a, b in zip(got, chain_responses(net, port, rx_node, CHAIN_GRID)):
+        err = np.max(np.abs(a - b), axis=(1, 2)) / np.max(np.abs(b), axis=(1, 2))
+        assert np.max(err) < 1e-10
+
+
+@pytest.mark.parametrize("cable", [powerline_cable(L) for L in (1, 2, 3, 4)] + [FLAT_3C],
+                         ids=lambda cable: cable.label)
+@pytest.mark.parametrize("length", [10.0, 300.0, 3000.0])
+def test_line_matches_chain_parameters(cable, length):
+    load = parallel_rc_admittance(150.0, 2e-9, cable.n_conductors)
+    assert_matches_chain_parameters(single_line_net(cable, length, load), "p", "b")
+
+
+@pytest.mark.parametrize("n_conductors", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [41, 42])
+def test_tree_matches_chain_parameters(n_conductors, seed):
+    net = random_tree(n_conductors, seed)
+    assert_matches_chain_parameters(net, "tx", net.ports["probe"].node)
 
 
 def responses(net, grid, ev=None):

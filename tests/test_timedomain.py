@@ -15,10 +15,11 @@ from plnsim.network import (NetworkTopology, Branch, Port, conductance,
                             parallel_rc_admittance, reduce_to_port)
 from plnsim.timedomain import (TimeTrace, TraceOrigin, _find_peaks,
                                check_peak_spacing_symmetry, detect_peaks,
-                               locate_anomaly_reflectometric, segment_energy,
-                               time_to_distance, to_time_domain)
+                               locate_anomaly_reflectometric, time_to_distance,
+                               to_time_domain)
 
-from conftest import resolvable_tree_family, single_line_net, spike_trace
+from conftest import (resolvable_tree_family, segment_energy, single_line_net,
+                      spike_trace)
 
 
 # ---------------------------------------------------------------------------
