@@ -28,7 +28,7 @@ from .anomalies import (Anomaly, DistributedFault, LoadChange, LumpedFault,
                         describe_anomaly)
 from .cables import builtin_cable_library, powerline_cable, scaled_cable
 from .errors import PlnsimError, ValidationError
-from .mtl import FrequencyGrid, _cols
+from .mtl import FrequencyGrid, MatrixSpectrum, _cols
 from .network import (Branch, Evaluation, NetworkTopology, Port, conductance,
                       constant_admittance, end_to_end_ctf, farthest_node,
                       node_distances, parallel_rc_admittance, reduce_to_port,
@@ -206,8 +206,13 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
 
 
-@dataclass(frozen=True, slots=True)
+# explicit __slots__, not slots=True: on Python 3.11 the class that
+# slots=True builds raises TypeError, not FrozenInstanceError, when a name
+# that is no field is assigned
+@dataclass(frozen=True)
 class SweepRecord:
+    __slots__ = ("network_index", "anomaly", "distance_m", "link_position",
+                 "delta_y", "delta_rho", "delta_h")
     network_index: int
     anomaly: dict
     distance_m: float       # fault distance from the sensing/receiving port
@@ -217,8 +222,9 @@ class SweepRecord:
     delta_h: float          # same for the end-to-end transfer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BinStat:
+    __slots__ = ("d_lo", "d_hi", "count", "median", "mean", "iqr")
     d_lo: float
     d_hi: float
     count: int
@@ -235,27 +241,37 @@ class SweepResult:
     summary: dict
 
 
+_DELTAS = ("delta_y", "delta_rho", "delta_h")
+
+
 def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
+    """Per distance bin, the median, mean and IQR of each delta, taken for
+    the three deltas at once along the rows of one (3, k) array."""
     if not records:
         return []
     d = np.array([r.distance_m for r in records])
+    deltas = np.array([[getattr(r, name) for r in records] for name in _DELTAS])
     edges = np.linspace(d.min(), d.max() * (1 + 1e-9), n_bins + 1)
     out = []
     for k in range(n_bins):
         lo, hi = float(edges[k]), float(edges[k + 1])
-        sel = [r for r in records if lo <= r.distance_m < hi]
-        if not sel:
+        # compress keeps the rows contiguous, so each is summed pairwise
+        # as a 1-D array is (boolean indexing would lay them out by column)
+        v = np.compress((lo <= d) & (d < hi), deltas, axis=1)
+        if not v.size:
             out.append(BinStat(lo, hi, 0, {}, {}, {}))
             continue
-        stats_median, stats_mean, stats_iqr = {}, {}, {}
-        for name in ("delta_y", "delta_rho", "delta_h"):
-            v = np.array([getattr(r, name) for r in sel])
-            stats_median[name] = float(np.median(v))
-            stats_mean[name] = float(np.mean(v))
-            q25, q75 = np.percentile(v, [25, 75])
-            stats_iqr[name] = float(q75 - q25)
-        out.append(BinStat(lo, hi, len(sel), stats_median, stats_mean, stats_iqr))
+        q25, q75 = np.percentile(v, [25, 75], axis=1)
+        stats = [dict(zip(_DELTAS, map(float, x)))
+                 for x in (np.median(v, axis=1), np.mean(v, axis=1), q75 - q25)]
+        out.append(BinStat(lo, hi, v.shape[1], *stats))
     return out
+
+
+def _band_delta(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> float:
+    """Band-mean magnitude of the normalized superposition delta."""
+    return band_mean_magnitude(
+        delta_superposition(perturbed, baseline, normalize=True).values.values)
 
 
 def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepRecord:
@@ -272,26 +288,27 @@ def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepReco
     d = _fault_distance(net, probe, branch, offset)
     d_tx = _fault_distance(net, tx, branch, offset)
 
+    net_a = apply_anomaly(net, fault, grid)
+    # the two probe reductions run back to back, then the two tx ones, so
+    # each reuses the subtrees the one before it computed; each pair shrinks
+    # to its band mean before the next is computed
     ev = Evaluation(grid)
     y0 = reduce_to_port(net, "probe", grid, ev).y_in
     rho0 = network_input_reflection(net, "probe", grid, ev)
+    delta_y = _band_delta(reduce_to_port(net_a, "probe", grid, ev).y_in, y0)
+    delta_rho = _band_delta(network_input_reflection(net_a, "probe", grid, ev), rho0)
+    del y0, rho0
     h0 = end_to_end_ctf(net, "tx", probe, grid, ev)
-    net_a = apply_anomaly(net, fault, grid)
-    y1 = reduce_to_port(net_a, "probe", grid, ev).y_in
-    rho1 = network_input_reflection(net_a, "probe", grid, ev)
-    h1 = end_to_end_ctf(net_a, "tx", probe, grid, ev)
+    delta_h = _band_delta(end_to_end_ctf(net_a, "tx", probe, grid, ev), h0)
 
     return SweepRecord(
         network_index=i,
         anomaly=describe_anomaly(fault),
         distance_m=d,
         link_position=d / (d + d_tx),
-        delta_y=band_mean_magnitude(
-            delta_superposition(y1, y0, normalize=True).values.values),
-        delta_rho=band_mean_magnitude(
-            delta_superposition(rho1, rho0, normalize=True).values.values),
-        delta_h=band_mean_magnitude(
-            delta_superposition(h1, h0, normalize=True).values.values),
+        delta_y=delta_y,
+        delta_rho=delta_rho,
+        delta_h=delta_h,
     )
 
 

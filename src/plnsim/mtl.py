@@ -33,15 +33,21 @@ Conventions used throughout the package:
 * the modal frame of a line is the similarity transform T that diagonalizes
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
   counterpart of a matrix A is A_m = T^-1 A T;
-* a line function (``input_admittance_line``, ``ctf_line``) takes
-  ``(params, E, rho)``: the cable's decomposition, the section's propagation
-  factor E = exp(-Gamma length) and its far-end reflection in the natural
-  frame.  Length enters only through E, and ``propagator`` is the one place
-  E is evaluated, so a caller that steps the same section again (the
-  ``network`` reduction keeps E on its branch) passes the same read-only
-  array.  The function makes the modal change itself, as two products on
-  the decomposition's cached T^-1 and T; the transfer's closing Y_C^-1 is
+* a line function (``input_admittance_line``, ``ctf_line`` and
+  ``line_responses``, which returns both) takes ``(params, E, rho)``: the
+  cable's decomposition, the section's propagation factor
+  E = exp(-Gamma length) and its far-end reflection in the natural frame.
+  Length enters only through E, and ``propagator`` is the one place E is
+  evaluated, so a caller that steps the same section again (the ``network``
+  reduction keeps E per branch) passes the same read-only array.  The
+  function makes the modal change itself, as two products on the
+  decomposition's cached T^-1 and T; the transfer's closing Y_C^-1 is
   likewise its cached Z_C;
+* all three share one core and one elimination, X = (I - P)^-1 with
+  P = E rho^M E: Y_in = T (2 X - I) T^-1 Y_C, and, since
+  (I - E^2 rho^M)^-1 E = E (I - P)^-1, H = Z_C T (I - rho^M) E X T^-1 Y_C.
+  A section's admittance and transfer from ``line_responses`` equal the
+  single functions' results bit for bit;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
 """
@@ -70,6 +76,7 @@ __all__ = [
     "input_admittance_line",
     "input_reflection",
     "ctf_line",
+    "line_responses",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -250,7 +257,8 @@ def _gauss(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str,
            out: np.ndarray | None = None) -> np.ndarray:
     """a^-1 b for entry columns a (L, L, n_f) and b (L, M, n_f), into ``out``
     (a fresh array laid out as b when None).  ``out`` may overlap a or b:
-    both are read before it is written.
+    both are read before it is written.  Given ``out``, b may also be an
+    (L, M, 1) column that broadcasts over the grid, such as ``_eye(L)``.
 
     Gaussian elimination with partial pivoting, each step vectorized over
     the grid, in an augmented work array.  The pivot of column k is the first
@@ -531,29 +539,53 @@ def modal_transform(a: np.ndarray, params: PropagationParams) -> np.ndarray:
     return _stack(_modal(_cols(a), params))
 
 
+def _line(params: PropagationParams, e: np.ndarray, rho_l: np.ndarray,
+          admittance: bool, transfer: bool) -> tuple:
+    """The line functions' one core: (Y_in, H) of a section, each None
+    unless asked for, from one elimination X = (I - P)^-1, P = E rho^M E.
+
+    H is computed first, through a fresh array that ends as its result, so
+    X stays in its work array for Y_in.  Both results run the same
+    operations whichever of them is asked for, so a path step's pair equals
+    the single functions' results bit for bit.
+    """
+    f = params.grid.frequencies
+    t, t_inv, yc = _cols(params.t), _cols(params.t_inv), _cols(params.yc)
+    w1, w2 = _work("intermediate", t.shape), _work("intermediate2", t.shape)
+    rho_m = _modal(_cols(rho_l), params, w2)
+    i = _eye(rho_m.shape[0])
+    p = np.multiply(e[:, None], rho_m, out=w1)  # P = E rho^M E
+    np.multiply(p, e[None], out=p)
+    x = _gauss(np.subtract(i, p, out=p), i, f,
+               "reflection resonance: I - E rho E is singular", p)
+    y = h = None
+    if transfer:
+        g = np.subtract(i, rho_m, out=rho_m)  # (I - rho^M) E
+        np.multiply(g, e[None], out=g)
+        h = _mul(g, x)  # the result's fresh array, a work array until the end
+        _mul(t, h, w2)
+        _mul(w2, t_inv, h)
+        _mul(h, yc, w2)
+        h = _stack(_mul(_cols(params.zc), w2, h))
+    if admittance:
+        np.multiply(2.0, x, out=x)  # (I + P) X = 2 X - I
+        np.subtract(x, i, out=x)
+        y = _stack(_mul(_mul(_mul(t, x, w2), t_inv, w1), yc))
+    return y, h
+
+
 def input_admittance_line(params: PropagationParams, e: np.ndarray,
                           rho_l: np.ndarray) -> np.ndarray:
     """Input admittance of one line section with propagation factor
     e = ``propagator(params, length)`` whose far end has natural-frame
     reflection rho_l:
 
-        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C,   P = E rho^M E,
+        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C = T (2 X - I) T^-1 Y_C,
 
-    with rho^M = T^-1 rho_l T.  The middle inverse is evaluated with an
-    exact linear solve.
+    with P = E rho^M E, rho^M = T^-1 rho_l T and X = (I - P)^-1, an exact
+    linear solve.
     """
-    f = params.grid.frequencies
-    t = _cols(params.t)
-    w1, w2 = _work("intermediate", t.shape), _work("intermediate2", t.shape)
-    p = _modal(_cols(rho_l), params, w2)
-    np.multiply(e[:, None], p, out=p)  # P = E rho^M E, in place
-    np.multiply(p, e[None], out=p)
-    i = _eye(p.shape[0])
-    minus = np.subtract(i, p, out=w1)
-    w = _right(np.add(i, p, out=p), minus, f,
-               "reflection resonance: I - E rho E is singular", w1)
-    return _stack(_mul(_mul(_mul(t, w, w2), _cols(params.t_inv), w1),
-                       _cols(params.yc)))
+    return _line(params, e, rho_l, admittance=True, transfer=False)[0]
 
 
 def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
@@ -571,19 +603,18 @@ def ctf_line(params: PropagationParams, e: np.ndarray,
     reflection rho_l:
 
         H = Y_C^-1 T (I - rho^M) (I - E^2 rho^M)^-1 E T^-1 Y_C
+          = Z_C T (I - rho^M) E X T^-1 Y_C,
 
-    with rho^M = T^-1 rho_l T.  The middle inverse is an exact solve; Y_C^-1
+    with rho^M = T^-1 rho_l T, since (I - E^2 rho^M) E = E (I - P): the
+    solve is input_admittance_line's X = (I - P)^-1, P = E rho^M E.  Y_C^-1
     is the decomposition's cached Z_C.
     """
-    f = params.grid.frequencies
-    t = _cols(params.t)
-    w1, w2 = _work("intermediate", t.shape), _work("intermediate2", t.shape)
-    rho_m = _modal(_cols(rho_l), params, w2)
-    i = _eye(rho_m.shape[0])
-    den = np.multiply((e * e)[:, None], rho_m, out=w1)
-    np.subtract(i, den, out=den)
-    inner = _right(np.subtract(i, rho_m, out=rho_m), den, f,
-                   "transmission resonance: I - E^2 rho is singular", w1)
-    np.multiply(inner, e[None], out=inner)
-    inner = _mul(_mul(_mul(t, inner, w2), _cols(params.t_inv), w1), _cols(params.yc), w2)
-    return _stack(_mul(_cols(params.zc), inner))
+    return _line(params, e, rho_l, admittance=False, transfer=True)[1]
+
+
+def line_responses(params: PropagationParams, e: np.ndarray,
+                   rho_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``input_admittance_line``, ``ctf_line``) of one section from one
+    elimination, each bit-identical to the function's own result: the
+    step of a branch on a transfer path."""
+    return _line(params, e, rho_l, admittance=True, transfer=True)

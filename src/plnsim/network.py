@@ -11,9 +11,11 @@ carries the tree from the leaves toward a port, replacing each subtree by its
 equivalent admittance (carry-back).  The end-to-end transfer function is the
 ordered product of per-segment voltage transfers along the
 transmitter-receiver backbone, each segment terminated by the equivalent
-admittance of everything beyond it; it reads that path and those equivalents
-from the port reduction.  The tests check this reduction against a
-two-section closed form and a chain-parameter solution of their own.
+admittance of everything beyond it.  It is read from the transmit port's
+reduction: a segment is terminated by the equivalent that the carry-back
+across the same branch has just used, so one line step gives both, from one
+elimination.  The tests check this reduction against a two-section closed
+form and a chain-parameter solution of their own.
 
 Reductions on one grid share work through an ``Evaluation``, which the caller
 makes and drops; a call without one makes a private one.  It holds, read-only,
@@ -42,7 +44,8 @@ import numpy as np
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _matmul, _stack,
                   ctf_line, input_admittance_line, input_reflection,
-                  line_propagation_params, load_reflection, propagator)
+                  line_propagation_params, line_responses, load_reflection,
+                  propagator)
 
 __all__ = [
     "AdmittanceSpec",
@@ -381,9 +384,9 @@ def _evaluation(grid: FrequencyGrid, ev: Evaluation | None) -> Evaluation:
 
 
 def _branch_step(line: Callable, kind: str, br: Branch, ev: Evaluation,
-                 y_far: np.ndarray) -> np.ndarray:
-    """``line`` (``input_admittance_line`` or ``ctf_line``) of branch ``br``
-    with its far end terminated by y_far; a singularity names the branch."""
+                 y_far: np.ndarray):
+    """``line`` (a line function of ``mtl``) of branch ``br`` with its far end
+    terminated by y_far; a singularity names the branch."""
     params = line_propagation_params(br.cable, ev.grid)
     if (e := ev.propagators.get(br)) is None:
         e = ev.propagators[br] = propagator(params, br.length_m)
@@ -398,22 +401,30 @@ def _branch_step(line: Callable, kind: str, br: Branch, ev: Evaluation,
 class PortReduction:
     """A port's input admittance, every node's equivalent admittance seen
     from the port side (all read-only, and shared with the evaluation's
-    equivalents) and the walk from the port node."""
+    equivalents) and, for a receiver node, the voltage transfer from the
+    port node to it."""
 
     y_in: MatrixSpectrum
     node_equivalents: dict[str, np.ndarray]  # node -> (n_f, L, L) admittance, S
-    parent: dict[str, tuple[Branch, str] | None]  # the walk from the port node
+    transfer: np.ndarray | None  # (n_f, L, L); None unless rx is another node
 
 
 def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
-                   ev: Evaluation | None = None) -> PortReduction:
+                   ev: Evaluation | None = None, rx: str | None = None) -> PortReduction:
     """Carry all terminations back to a port, from the leaves up.
 
     Every node's equivalent admittance (its own load plus the carried-back
     admittances of its child branches, seen from the port side) is returned
-    alongside the port input admittance and the walk from the port node.
-    Subtrees whose equivalents ``ev`` holds are reused; the rest are
-    computed, and replace what ``ev`` held.
+    alongside the port input admittance.  Subtrees whose equivalents ``ev``
+    holds are reused; the rest are computed, and replace what ``ev`` held.
+
+    Given a receiver node ``rx`` other than the port node, the transfer to
+    it is the ordered product of the segment transfers along the path, each
+    multiplied in as it is computed, from the receiver back.  A path branch
+    that is stepped gives its admittance and its segment from one
+    elimination (``line_responses``); one whose near node ``ev`` held gets
+    its segment from ``ctf_line``, the same core, so a warm transfer equals
+    a cold one bit for bit.
     """
     if not net.report.valid:
         raise ValidationError("invalid topology: " + "; ".join(net.report.problems))
@@ -424,6 +435,10 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
     f = grid.frequencies
     L = net.n_conductors
     order, parent = _walk(net, root)
+    if rx is not None and rx not in parent:
+        raise ValidationError(f"unknown node {rx!r}")
+    path = _path(parent, rx) if rx is not None else []
+    on_path = {br for br, _, _ in path}
     children: dict[str, list[tuple[Branch, str]]] = {n: [] for n in order}
     for v in order[1:]:
         br, u = parent[v]
@@ -437,6 +452,14 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
     by_key = ev.equivalents = {k: y for k in key.values()
                                if (y := ev.equivalents.get(k)) is not None}
 
+    # the transfer accumulates from the receiver back; the path's held near
+    # nodes, if any, are its last ones, so their segments come first
+    h = None
+    for br, near, far in reversed(path):
+        if key[near] not in by_key:
+            break
+        s = _branch_step(ctf_line, "segment", br, ev, by_key[key[far]])
+        h = s if h is None else _matmul(h, s)
     for node in reversed(order):
         if key[node] in by_key:
             continue
@@ -451,15 +474,20 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
         else:
             acc = np.zeros((L, L, f.size), dtype=complex)
         for br, child in children[node]:
-            acc += _cols(_branch_step(input_admittance_line, "branch", br, ev,
-                                      by_key[key[child]]))
+            y_far = by_key[key[child]]
+            if br in on_path:
+                y, s = _branch_step(line_responses, "branch", br, ev, y_far)
+                h = s if h is None else _matmul(h, s)
+            else:
+                y = _branch_step(input_admittance_line, "branch", br, ev, y_far)
+            acc += _cols(y)
         y = _stack(acc)
         y.flags.writeable = False
         by_key[key[node]] = y
 
     equiv = {node: by_key[key[node]] for node in reversed(order)}
     return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
-                         node_equivalents=equiv, parent=parent)
+                         node_equivalents=equiv, transfer=h)
 
 
 def network_input_reflection(net: NetworkTopology, port: str, grid: FrequencyGrid,
@@ -479,7 +507,8 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
     beyond it (off-path subtrees included).
 
     The ratio is between node voltages, so the transmitter's own source
-    admittance and local load do not enter.
+    admittance and local load do not enter.  The transfer is read from the
+    transmit port's reduction (``reduce_to_port`` with ``rx``).
     """
     if tx_port not in net.ports:
         raise UsageError(f"no port named {tx_port!r}")
@@ -488,11 +517,5 @@ def end_to_end_ctf(net: NetworkTopology, tx_port: str, rx_node: str,
     if rx_node == net.ports[tx_port].node:
         raise UsageError("transmitter and receiver coincide")
 
-    ev = _evaluation(grid, ev)
-    red = reduce_to_port(net, tx_port, grid, ev)
-    L = net.n_conductors
-    h = np.broadcast_to(np.eye(L, dtype=complex), (grid.n_points, L, L)).copy()
-    for br, _, far in _path(red.parent, rx_node):
-        h = _matmul(_branch_step(ctf_line, "segment", br, ev,
-                                 red.node_equivalents[far]), h)
+    h = reduce_to_port(net, tx_port, grid, ev, rx_node).transfer
     return MatrixSpectrum(grid, h, "ctf")

@@ -40,6 +40,14 @@ def coupled_cable():
     return powerline_cable(n_conductors=2, label="coupled-2c")
 
 
+# flat formation: adjacent conductors couple more than the outer pair and R is
+# unequal, so the modes are distinct (unlike powerline_cable's aI + bJ form)
+FLAT_3C = constant_rlgc_cable(
+    np.diag([0.08, 0.1, 0.13]), 5e-7 * np.array([[1, .4, .15], [.4, 1, .4], [.15, .4, 1]]),
+    1e-6 * np.eye(3), 1e-10 * np.array([[1, -.3, -.05], [-.3, 1, -.3], [-.05, -.3, 1]]),
+    label="flat-3c")
+
+
 def lossless_cable(l=5e-7, c=1e-10, label="lossless"):
     return constant_rlgc_cable(0.0, l, 0.0, c, label=label)
 

@@ -97,7 +97,9 @@ def test_sweep_results_are_slotted_with_float_edges():
     assert [b.count for b in res.bins] == [4, 0, 2]
     for b in res.bins:
         assert type(b.d_lo) is float and type(b.d_hi) is float
-    for obj, name in ((res.records[0], "distance_m"), (res.bins[0], "count")):
+    # a name that is no field of the class is refused the same way
+    for obj, name in ((res.records[0], "distance_m"), (res.bins[0], "count"),
+                      (res.records[0], "count"), (res.bins[0], "spread")):
         assert not hasattr(obj, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, 0)
@@ -203,9 +205,12 @@ def test_spearman_matches_scipy(x, y):
 
 
 def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
-    # a realization reduces the probe port twice and the tx port once, on the
-    # baseline and the perturbed network; their evaluation recomputes only
-    # the subtrees that changed (249 carry-back steps here without it)
+    # a realization reduces the probe port twice on the baseline and the
+    # perturbed network, then the tx port on each; their evaluation
+    # recomputes only the subtrees that changed (249 carry-back steps here
+    # without it), and a tx reduction steps each path branch's admittance
+    # and segment transfer together, so only a segment whose near node was
+    # held is a step of its own (45 here when every segment was)
     steps = Counter()
     step = network._branch_step
 
@@ -216,8 +221,8 @@ def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
     monkeypatch.setattr(network, "_branch_step", counting)
     result = run_distance_sweep(EnsembleConfig(n_networks=5, seed=1000), default_grid())
     assert len(result.records) == 5
-    assert steps["branch"] <= 149
-    assert steps["segment"] == 45
+    assert steps["branch"] <= 126
+    assert steps["segment"] == 8
 
 
 def test_sweep_frees_each_realization_before_the_next(monkeypatch):

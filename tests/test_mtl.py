@@ -18,10 +18,10 @@ from plnsim.experiments import default_grid
 from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _eye,
                         _gauss, _matmul, _mul, _normalize_columns, _rdiv, _right,
                         _singular, _stack, _t, ctf_line, input_admittance_line,
-                        input_reflection, line_propagation_params,
+                        input_reflection, line_propagation_params, line_responses,
                         load_reflection, modal_transform, propagator)
 
-from conftest import lossless_cable, random_passive_matrix, spectrum_const
+from conftest import FLAT_3C, lossless_cable, random_passive_matrix, spectrum_const
 from oracles import input_reflection_modal, series_truncated_responses
 
 TWO_PI = 2.0 * np.pi
@@ -498,6 +498,7 @@ def test_work_arrays_of_coupled_line_functions_stay_small():
         rho = load_reflection(y, p.yc, f)
         input_reflection(input_admittance_line(p, propagator(p, 40.0), rho), y, f)
         ctf_line(p, propagator(p, 40.0), rho)
+        line_responses(p, propagator(p, 40.0), rho)
     _, pool = _in_new_thread(line_functions)
     assert sum(arr.nbytes for arr in pool.values()) <= 750_000
 
@@ -678,6 +679,52 @@ def test_line_functions_on_propagator_match_inline_exponential(grid, L):
         assert np.array_equal(e, inline)
         for line in (input_admittance_line, ctf_line):
             assert np.array_equal(line(p, e, rho), line(p, inline, rho))
+
+
+# on 200 km, E underflows to zero over the top two thirds of the default band
+# on the powerline cables, and is subnormal just below
+LINE_CASES = pytest.mark.parametrize(
+    "cable,length",
+    [(cable, length) for cable in [powerline_cable(L) for L in (1, 2, 3, 4)] + [FLAT_3C]
+     for length in (10.0, 300.0, 3000.0, 2e5)],
+    ids=lambda v: v.label if isinstance(v, CableSpec) else f"{v:g}m")
+
+
+def _line_case(cable, length):
+    grid = default_grid()
+    p = line_propagation_params(cable, grid)
+    L = cable.n_conductors
+    y = spectrum_const(random_passive_matrix(np.random.default_rng(L), L), grid)
+    return p, propagator(p, length), load_reflection(y, p.yc, grid.frequencies)
+
+
+@LINE_CASES
+def test_line_functions_match_their_two_solve_forms(cable, length):
+    # the paper's forms on plain numpy: Y_in with (I - P)^-1 taken after
+    # I + P, H with (I - E^2 rho^M)^-1 E, against the one solve X = (I - P)^-1
+    p, e, rho = _line_case(cable, length)
+    i = np.eye(cable.n_conductors)
+    E = e.T[:, :, None] * i
+    rho_m = p.t_inv @ rho @ p.t
+    P = E @ rho_m @ E
+    y_ref = p.t @ (i + P) @ np.linalg.inv(i - P) @ p.t_inv @ p.yc
+    h_ref = (p.zc @ p.t @ (i - rho_m) @ np.linalg.solve(i - E @ E @ rho_m, E)
+             @ p.t_inv @ p.yc)
+    for got, ref in ((input_admittance_line(p, e, rho), y_ref), (ctf_line(p, e, rho), h_ref)):
+        # per frequency, against its largest entry; where E underflowed both
+        # transfers are exactly zero
+        scale = np.maximum(np.max(np.abs(ref), axis=(1, 2)), np.finfo(float).tiny)
+        assert np.max(np.max(np.abs(got - ref), axis=(1, 2)) / scale) < 1e-12
+    if length == 2e5 and cable is not FLAT_3C:
+        assert (e == 0).any() and (h_ref == 0).all(axis=(1, 2)).any()
+
+
+@LINE_CASES
+def test_path_step_pair_equals_the_line_functions(cable, length):
+    p, e, rho = _line_case(cable, length)
+    y, h = line_responses(p, e, rho)
+    assert np.array_equal(y, input_admittance_line(p, e, rho))
+    assert np.array_equal(h, ctf_line(p, e, rho))
 
 
 def test_identity_is_one_read_only_array_per_size():

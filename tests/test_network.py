@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import plnsim.network as network
 from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
                               apply_anomaly, delta_superposition)
-from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
+from plnsim.cables import powerline_cable, scaled_cable
 from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
@@ -25,7 +25,7 @@ from plnsim.network import (Branch, Evaluation, NetworkTopology, Port,
                             node_distances, open_circuit, parallel_rc_admittance,
                             reduce_to_port, table_admittance, tree_path)
 
-from conftest import lossless_cable, matched_load, single_line_net
+from conftest import FLAT_3C, lossless_cable, matched_load, single_line_net
 from oracles import chain_responses, two_section_oracle
 
 
@@ -188,6 +188,28 @@ def test_reduction_error_carries_branch_id(grid, std_cable):
         reduce_to_port(net, "p", grid)
     assert info.value.frequency_hz == grid.f_start
     assert info.value.index == 0
+
+
+def test_path_resonance_names_the_branch(grid, std_cable, monkeypatch):
+    # E = 1 and rho = I at one frequency make I - E rho E exactly singular
+    # there, on branch 's1' only: E is 0.5 elsewhere and on 's2'
+    k = 7
+
+    def one_at_k(params, length):
+        e = np.full((1, grid.n_points), 0.5 + 0j)
+        if length == 70.0:
+            e[0, k] = 1.0
+        return e
+
+    monkeypatch.setattr(network, "propagator", one_at_k)
+    monkeypatch.setattr(network, "load_reflection",
+                        lambda y, y_c, f: np.ones((f.size, 1, 1), complex))
+    load = parallel_rc_admittance(150.0, 2e-9)
+    net = two_section_chain(std_cable, 70.0, std_cable, 40.0, load)
+    with pytest.raises(SingularityError, match="branch 's1': reflection resonance") as info:
+        end_to_end_ctf(net, "p", "b", grid)
+    assert info.value.frequency_hz == grid.frequencies[k]
+    assert info.value.index == k
 
 
 def test_reduce_invalid_topology_rejected(grid, std_cable):
@@ -388,14 +410,6 @@ def test_two_section_matches_recursion(seed):
 # ---------------------------------------------------------------------------
 # reuse through an Evaluation: a warm one gives the cold answer, bit for bit
 
-# flat formation: adjacent conductors couple more than the outer pair and R is
-# unequal, so the modes are distinct (unlike powerline_cable's aI + bJ form)
-FLAT_3C = constant_rlgc_cable(
-    np.diag([0.08, 0.1, 0.13]), 5e-7 * np.array([[1, .4, .15], [.4, 1, .4], [.15, .4, 1]]),
-    1e-6 * np.eye(3), 1e-10 * np.array([[1, -.3, -.05], [-.3, 1, -.3], [-.05, -.3, 1]]),
-    label="flat-3c")
-
-
 def random_tree(n_conductors, seed):
     cables = {1: (), 3: (powerline_cable(3), FLAT_3C)}.get(
         n_conductors, (powerline_cable(n_conductors),))
@@ -566,7 +580,7 @@ def test_branch_propagator_is_evaluated_once_and_shared(grid, monkeypatch):
     evaluate = network.propagator
     monkeypatch.setattr(network, "propagator",
                         lambda *args: evaluated.append(evaluate(*args)) or evaluated[-1])
-    for name in ("input_admittance_line", "ctf_line"):
+    for name in ("input_admittance_line", "ctf_line", "line_responses"):
         def spy(params, e, rho, line=getattr(network, name)):
             passed.append(e)
             return line(params, e, rho)
@@ -647,7 +661,9 @@ def test_tree_path_and_distances(std_cable):
     lambda net: tree_path(net, "n0", "nope"),
     lambda net: node_distances(net, "nope"),
     lambda net: farthest_node(net, "nope"),
-], ids=["tree_path-from", "tree_path-to", "node_distances", "farthest_node"])
+    lambda net: reduce_to_port(net, "tx", FrequencyGrid(1e5, 1e5, 4), rx="nope"),
+], ids=["tree_path-from", "tree_path-to", "node_distances", "farthest_node",
+        "reduce_to_port-rx"])
 def test_unknown_node_is_named(call):
     net = random_tree(1, 23)
     with pytest.raises(ValidationError, match="unknown node 'nope'"):
