@@ -41,13 +41,14 @@ Conventions used throughout the package:
   evaluated, so a caller that steps the same section again (the ``network``
   reduction keeps E per branch) passes the same read-only array.  The
   function makes the modal change itself, as two products on the
-  decomposition's cached T^-1 and T; the transfer's closing Y_C^-1 is
-  likewise its cached Z_C;
-* all three share one core and one elimination, X = (I - P)^-1 with
-  P = E rho^M E: Y_in = T (2 X - I) T^-1 Y_C, and, since
-  (I - E^2 rho^M)^-1 E = E (I - P)^-1, H = Z_C T (I - rho^M) E X T^-1 Y_C.
-  A section's admittance and transfer from ``line_responses`` equal the
-  single functions' results bit for bit;
+  decomposition's cached T^-1 and T;
+* all three share one core and one elimination, X W = (I - P)^-1 W with
+  P = E rho^M E and W = T^-1 Y_C: Y_in = T (2 X - I) T^-1 Y_C
+  = 2 T (X W) - Y_C, and, since (I - E^2 rho^M)^-1 E = E (I - P)^-1,
+  H = Z_C T (I - rho^M) E X T^-1 Y_C = V (I - rho^M) E (X W) with
+  V = Z_C T.  W and V depend on the cable alone and are cached with its
+  decomposition.  A section's admittance and transfer from
+  ``line_responses`` equal the single functions' results bit for bit;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
 """
@@ -133,18 +134,34 @@ class CableSpec:
 @dataclass(frozen=True, eq=False)
 class PropagationParams:
     """Per-frequency modal description of one cable on one grid.  Frozen,
-    with read-only arrays: one cached instance serves every caller."""
+    with read-only arrays: one cached instance serves every caller.
+
+    Besides the decomposition it holds the two products of it that every
+    line function needs: ``t_inv_yc`` = T^-1 Y_C, the right-hand side of
+    the line solve, and ``zc_t`` = Z_C T, which takes the modal transfer
+    back to the natural frame.  No line function reads Z_C itself, so
+    ``zc`` is derived from them on first use and not held by every cached
+    decomposition."""
 
     grid: FrequencyGrid
     gamma: np.ndarray   # (n_f, L) complex, diagonal of the modal propagation matrix, 1/m
     t: np.ndarray       # (n_f, L, L) complex, current eigenvector matrix
     t_inv: np.ndarray   # (n_f, L, L)
     yc: np.ndarray      # (n_f, L, L) characteristic admittance, S
-    zc: np.ndarray      # (n_f, L, L) characteristic impedance, ohm
+    t_inv_yc: np.ndarray  # (n_f, L, L) T^-1 Y_C, S
+    zc_t: np.ndarray      # (n_f, L, L) Z_C T, ohm
 
     @property
     def n_conductors(self) -> int:
         return self.gamma.shape[1]
+
+    @cached_property
+    def zc(self) -> np.ndarray:
+        """(n_f, L, L) characteristic impedance Z_C = (Z_C T) T^-1, ohm,
+        read-only."""
+        zc = _matmul(self.zc_t, self.t_inv)
+        zc.flags.writeable = False
+        return zc
 
 
 @dataclass(eq=False)
@@ -257,8 +274,7 @@ def _gauss(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str,
            out: np.ndarray | None = None) -> np.ndarray:
     """a^-1 b for entry columns a (L, L, n_f) and b (L, M, n_f), into ``out``
     (a fresh array laid out as b when None).  ``out`` may overlap a or b:
-    both are read before it is written.  Given ``out``, b may also be an
-    (L, M, 1) column that broadcasts over the grid, such as ``_eye(L)``.
+    both are read before it is written.
 
     Gaussian elimination with partial pivoting, each step vectorized over
     the grid, in an augmented work array.  The pivot of column k is the first
@@ -394,8 +410,10 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     """Modal decomposition of one cable over one grid.
 
     Diagonalizes Y(f) Z(f) = T Gamma^2 T^-1 per frequency with a
-    Re(gamma) >= 0 branch and derives Z_C = Z T Gamma^-1 T^-1 and
-    Y_C = Z_C^-1 = T Gamma^-1 T^-1 Y, so T^-1 is the only inverse.
+    Re(gamma) >= 0 branch and derives the line functions' products
+    T^-1 Y_C = Gamma^-1 T^-1 Y and Z_C T = Z T Gamma^-1, and from the first
+    Y_C = T Gamma^-1 T^-1 Y (Z_C = Y_C^-1 = Z T Gamma^-1 T^-1), so T^-1 is
+    the only inverse.
 
     Mode order is tracked across the sweep so per-mode curves stay
     continuous.  At f_0 the modes are sorted by Im(gamma), then Re(gamma).
@@ -479,14 +497,16 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
             frequency_hz=float(f[k]))
 
     gamma = np.ascontiguousarray(gamma.T)
-    root_inv = _mul(t / gamma[None], t_inv)  # T Gamma^-1 T^-1 = (YZ)^-1/2
-    zc = _mul(_cols(z), root_inv)
-    yc = _mul(root_inv, _cols(y))
+    t_inv_yc = _mul(t_inv / gamma[:, None], _cols(y))  # Gamma^-1 T^-1 Y
+    yc = _mul(t, t_inv_yc)
+    zc_t = _mul(_cols(z), t / gamma[None])  # Z T Gamma^-1
 
-    gamma, t, t_inv, yc, zc = gamma.T, *map(_stack, (t, t_inv, yc, zc))
-    for arr in (gamma, t, t_inv, yc, zc):
+    gamma, t, t_inv, yc, t_inv_yc, zc_t = gamma.T, *map(
+        _stack, (t, t_inv, yc, t_inv_yc, zc_t))
+    for arr in (gamma, t, t_inv, yc, t_inv_yc, zc_t):
         arr.flags.writeable = False
-    return PropagationParams(grid=grid, gamma=gamma, t=t, t_inv=t_inv, yc=yc, zc=zc)
+    return PropagationParams(grid=grid, gamma=gamma, t=t, t_inv=t_inv, yc=yc,
+                             t_inv_yc=t_inv_yc, zc_t=zc_t)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +516,8 @@ def propagator(params: PropagationParams, length: float) -> np.ndarray:
     """Modal propagation factor E = exp(-Gamma length) of a section, the
     diagonal of each per-frequency matrix as (L, n_f) columns, read-only.
     Length enters the line functions only through E."""
-    if length < 0:
-        raise ValidationError("line length must be >= 0")
+    if not 0 <= length < np.inf:  # also false for NaN
+        raise ValidationError(f"line length must be >= 0 and finite, got {length!r}")
     e = -params.gamma.T
     e *= length
     np.exp(e, out=e)
@@ -542,35 +562,34 @@ def modal_transform(a: np.ndarray, params: PropagationParams) -> np.ndarray:
 def _line(params: PropagationParams, e: np.ndarray, rho_l: np.ndarray,
           admittance: bool, transfer: bool) -> tuple:
     """The line functions' one core: (Y_in, H) of a section, each None
-    unless asked for, from one elimination X = (I - P)^-1, P = E rho^M E.
+    unless asked for, from one elimination X W = (I - P)^-1 W with
+    P = E rho^M E and W = T^-1 Y_C, the decomposition's cached right-hand
+    side: Y_in = 2 T (X W) - Y_C and H = V (I - rho^M) E (X W), V = Z_C T.
 
-    H is computed first, through a fresh array that ends as its result, so
-    X stays in its work array for Y_in.  Both results run the same
+    With a transfer, X W is solved into the fresh array that ends as H, and
+    Y_in is formed before it is overwritten.  Both results run the same
     operations whichever of them is asked for, so a path step's pair equals
     the single functions' results bit for bit.
     """
     f = params.grid.frequencies
-    t, t_inv, yc = _cols(params.t), _cols(params.t_inv), _cols(params.yc)
-    w1, w2 = _work("intermediate", t.shape), _work("intermediate2", t.shape)
+    w = _cols(params.t_inv_yc)
+    w1, w2 = _work("intermediate", w.shape), _work("intermediate2", w.shape)
     rho_m = _modal(_cols(rho_l), params, w2)
     i = _eye(rho_m.shape[0])
     p = np.multiply(e[:, None], rho_m, out=w1)  # P = E rho^M E
     np.multiply(p, e[None], out=p)
-    x = _gauss(np.subtract(i, p, out=p), i, f,
-               "reflection resonance: I - E rho E is singular", p)
-    y = h = None
+    h = np.empty(w.shape, complex) if transfer else p
+    xw = _gauss(np.subtract(i, p, out=p), w, f,
+                "reflection resonance: I - E rho E is singular", h)
+    y = None
+    if admittance:
+        y = _mul(_cols(params.t), xw)
+        np.multiply(2.0, y, out=y)
+        y = _stack(np.subtract(y, _cols(params.yc), out=y))
     if transfer:
         g = np.subtract(i, rho_m, out=rho_m)  # (I - rho^M) E
         np.multiply(g, e[None], out=g)
-        h = _mul(g, x)  # the result's fresh array, a work array until the end
-        _mul(t, h, w2)
-        _mul(w2, t_inv, h)
-        _mul(h, yc, w2)
-        h = _stack(_mul(_cols(params.zc), w2, h))
-    if admittance:
-        np.multiply(2.0, x, out=x)  # (I + P) X = 2 X - I
-        np.subtract(x, i, out=x)
-        y = _stack(_mul(_mul(_mul(t, x, w2), t_inv, w1), yc))
+        h = _stack(_mul(_cols(params.zc_t), _mul(g, xw, w1), h))
     return y, h
 
 
@@ -580,9 +599,11 @@ def input_admittance_line(params: PropagationParams, e: np.ndarray,
     e = ``propagator(params, length)`` whose far end has natural-frame
     reflection rho_l:
 
-        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C = T (2 X - I) T^-1 Y_C,
+        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C = T (2 X - I) T^-1 Y_C
+             = 2 T (X W) - Y_C,
 
-    with P = E rho^M E, rho^M = T^-1 rho_l T and X = (I - P)^-1, an exact
+    with P = E rho^M E, rho^M = T^-1 rho_l T, X = (I - P)^-1 and
+    W = T^-1 Y_C, the decomposition's cached ``t_inv_yc``: X W is one exact
     linear solve.
     """
     return _line(params, e, rho_l, admittance=True, transfer=False)[0]
@@ -603,11 +624,12 @@ def ctf_line(params: PropagationParams, e: np.ndarray,
     reflection rho_l:
 
         H = Y_C^-1 T (I - rho^M) (I - E^2 rho^M)^-1 E T^-1 Y_C
-          = Z_C T (I - rho^M) E X T^-1 Y_C,
+          = V (I - rho^M) E (X W),
 
     with rho^M = T^-1 rho_l T, since (I - E^2 rho^M) E = E (I - P): the
-    solve is input_admittance_line's X = (I - P)^-1, P = E rho^M E.  Y_C^-1
-    is the decomposition's cached Z_C.
+    solve is input_admittance_line's X W = (I - P)^-1 W, P = E rho^M E.
+    W = T^-1 Y_C and V = Y_C^-1 T = Z_C T are the decomposition's cached
+    ``t_inv_yc`` and ``zc_t``.
     """
     return _line(params, e, rho_l, admittance=False, transfer=True)[1]
 

@@ -179,13 +179,14 @@ def test_defective_eigenvectors_raise_decomposition_error(grid, monkeypatch):
 
 def test_cached_params_are_read_only(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
-    before = [a.copy() for a in (p.gamma, p.t, p.t_inv, p.yc, p.zc)]
-    for arr in (p.gamma, p.t, p.t_inv, p.yc, p.zc):
+    fields = ("gamma", "t", "t_inv", "yc", "zc", "t_inv_yc", "zc_t")
+    before = [getattr(p, name).copy() for name in fields]
+    for name in fields:
         with pytest.raises(ValueError):
-            arr[0] = 0.0
+            getattr(p, name)[0] = 0.0
     again = line_propagation_params(std_cable, grid)
-    for a, b in zip((again.gamma, again.t, again.t_inv, again.yc, again.zc), before):
-        np.testing.assert_array_equal(a, b)
+    for name, b in zip(fields, before):
+        np.testing.assert_array_equal(getattr(again, name), b)
 
 
 def test_cable_and_cached_params_are_frozen(grid):
@@ -197,6 +198,9 @@ def test_cable_and_cached_params_are_frozen(grid):
         cable.rlgc = lossless_cable().rlgc
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.yc = p.zc
+    for name in ("t_inv_yc", "zc_t"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, p.t)
     assert line_propagation_params(cable, grid) is p
     lossless = dataclasses.replace(cable, rlgc=lossless_cable().rlgc)
     assert lossless.label == "frozen" and cable.rlgc is not lossless.rlgc
@@ -665,6 +669,13 @@ def test_propagator_is_read_only_and_rejects_negative_length(grid, coupled_cable
         e[0, 0] = 0.0
     with pytest.raises(ValidationError, match="length must be >= 0"):
         propagator(p, -1e-9)
+    # a NaN length would give an all-NaN E, and on a lossless line an
+    # infinite one gives NaN through 0 * inf
+    lossless = line_propagation_params(
+        constant_rlgc_cable(0.0, 2.5e-7, 0.0, 1e-10, label="lossless"), grid)
+    for q, length in ((p, np.nan), (p, np.inf), (lossless, np.inf), (lossless, np.nan)):
+        with pytest.raises(ValidationError, match="length must be >= 0"):
+            propagator(q, length)
 
 
 @pytest.mark.parametrize("L", [1, 3])
@@ -725,6 +736,30 @@ def test_path_step_pair_equals_the_line_functions(cable, length):
     y, h = line_responses(p, e, rho)
     assert np.array_equal(y, input_admittance_line(p, e, rho))
     assert np.array_equal(h, ctf_line(p, e, rho))
+
+
+def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatch):
+    # on an L = 3 cable: rho^M takes two products, Y_in one more and H two
+    # more, from the cached T^-1 Y_C and Z_C T
+    grid = FrequencyGrid(1e5, 1e5, 16)
+    p = line_propagation_params(powerline_cable(3), grid)
+    y = spectrum_const(random_passive_matrix(np.random.default_rng(3), 3), grid)
+    rho, e = load_reflection(y, p.yc, grid.frequencies), propagator(p, 40.0)
+    calls = {"_mul": 0, "_gauss": 0}
+
+    def counted(name):
+        kernel = getattr(mtl, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(mtl, name, counted(name))
+    for line, products in ((input_admittance_line, 3), (ctf_line, 4), (line_responses, 5)):
+        calls.update(_mul=0, _gauss=0)
+        line(p, e, rho)
+        assert calls == {"_mul": products, "_gauss": 1}, line.__name__
 
 
 def test_identity_is_one_read_only_array_per_size():
