@@ -34,20 +34,22 @@ Conventions used throughout the package:
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
   counterpart of a matrix A is A_m = T^-1 A T;
 * a line function (``input_admittance_line``, ``ctf_line`` and
-  ``line_responses``, which returns both) takes ``(params, E, rho)``: the
+  ``line_responses``, which returns both) takes ``(params, E, Y_L)``: the
   cable's decomposition, the section's propagation factor
-  E = exp(-Gamma length) and its far-end reflection in the natural frame.
+  E = exp(-Gamma length) and its far-end admittance in the natural frame.
   Length enters only through E, and ``propagator`` is the one place E is
   evaluated, so a caller that steps the same section again (the ``network``
-  reduction keeps E per branch) passes the same read-only array.  The
-  function makes the modal change itself, as two products on the
-  decomposition's cached T^-1 and T;
-* all three share one core and one elimination, X W = (I - P)^-1 W with
-  P = E rho^M E and W = T^-1 Y_C: Y_in = T (2 X - I) T^-1 Y_C
-  = 2 T (X W) - Y_C, and, since (I - E^2 rho^M)^-1 E = E (I - P)^-1,
-  H = Z_C T (I - rho^M) E X T^-1 Y_C = V (I - rho^M) E (X W) with
-  V = Z_C T.  W and V depend on the cable alone and are cached with its
-  decomposition.  A section's admittance and transfer from
+  reduction keeps E per branch) passes the same read-only array.  No
+  reflection is formed: the function reads the load as G = T^-1 Y_L, one
+  product on the decomposition's cached T^-1;
+* all three share one core and one elimination, for the section's
+  natural-frame voltage transfer H = V(l) when V(0) = I (Paul's
+  chain-parameter terms).  With W = T^-1 Y_C, the decomposition's cached
+  ``t_inv_yc``, the forward and backward modal current amplitudes satisfy
+  a + b = W at the input and a' + b' = W H, a' - b' = G H at the load,
+  where a' = E a and b = E b'.  Eliminating them gives
+  (W + G + E^2 (W - G)) H = 2 E W, and the input current T (a - b) gives
+  Y_in = Y_C - T E (W - G) H.  A section's admittance and transfer from
   ``line_responses`` equal the single functions' results bit for bit;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
@@ -136,11 +138,9 @@ class PropagationParams:
     """Per-frequency modal description of one cable on one grid.  Frozen,
     with read-only arrays: one cached instance serves every caller.
 
-    Besides the decomposition it holds the two products of it that every
-    line function needs: ``t_inv_yc`` = T^-1 Y_C, the right-hand side of
-    the line solve, and ``zc_t`` = Z_C T, which takes the modal transfer
-    back to the natural frame.  No line function reads Z_C itself, so
-    ``zc`` is derived from them on first use and not held by every cached
+    Besides the decomposition it holds ``t_inv_yc`` = T^-1 Y_C, the product
+    of it that every line function reads.  No line function reads Z_C, so
+    ``zc`` is solved on first use and not held by every cached
     decomposition."""
 
     grid: FrequencyGrid
@@ -149,7 +149,6 @@ class PropagationParams:
     t_inv: np.ndarray   # (n_f, L, L)
     yc: np.ndarray      # (n_f, L, L) characteristic admittance, S
     t_inv_yc: np.ndarray  # (n_f, L, L) T^-1 Y_C, S
-    zc_t: np.ndarray      # (n_f, L, L) Z_C T, ohm
 
     @property
     def n_conductors(self) -> int:
@@ -157,9 +156,11 @@ class PropagationParams:
 
     @cached_property
     def zc(self) -> np.ndarray:
-        """(n_f, L, L) characteristic impedance Z_C = (Z_C T) T^-1, ohm,
-        read-only."""
-        zc = _matmul(self.zc_t, self.t_inv)
+        """(n_f, L, L) characteristic impedance Z_C = Y_C^-1, ohm, one
+        kernel solve on first read, read-only."""
+        n_f, L = self.gamma.shape
+        zc = _stack(_gauss(_cols(self.yc), np.broadcast_to(_eye(L), (L, L, n_f)),
+                           self.grid.frequencies, "Y_C is singular"))
         zc.flags.writeable = False
         return zc
 
@@ -410,10 +411,9 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     """Modal decomposition of one cable over one grid.
 
     Diagonalizes Y(f) Z(f) = T Gamma^2 T^-1 per frequency with a
-    Re(gamma) >= 0 branch and derives the line functions' products
-    T^-1 Y_C = Gamma^-1 T^-1 Y and Z_C T = Z T Gamma^-1, and from the first
-    Y_C = T Gamma^-1 T^-1 Y (Z_C = Y_C^-1 = Z T Gamma^-1 T^-1), so T^-1 is
-    the only inverse.
+    Re(gamma) >= 0 branch and derives the line functions' product
+    T^-1 Y_C = Gamma^-1 T^-1 Y, and from it Y_C = T Gamma^-1 T^-1 Y, so
+    T^-1 is the only inverse.
 
     Mode order is tracked across the sweep so per-mode curves stay
     continuous.  At f_0 the modes are sorted by Im(gamma), then Re(gamma).
@@ -499,14 +499,12 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     gamma = np.ascontiguousarray(gamma.T)
     t_inv_yc = _mul(t_inv / gamma[:, None], _cols(y))  # Gamma^-1 T^-1 Y
     yc = _mul(t, t_inv_yc)
-    zc_t = _mul(_cols(z), t / gamma[None])  # Z T Gamma^-1
 
-    gamma, t, t_inv, yc, t_inv_yc, zc_t = gamma.T, *map(
-        _stack, (t, t_inv, yc, t_inv_yc, zc_t))
-    for arr in (gamma, t, t_inv, yc, t_inv_yc, zc_t):
+    gamma, t, t_inv, yc, t_inv_yc = gamma.T, *map(_stack, (t, t_inv, yc, t_inv_yc))
+    for arr in (gamma, t, t_inv, yc, t_inv_yc):
         arr.flags.writeable = False
     return PropagationParams(grid=grid, gamma=gamma, t=t, t_inv=t_inv, yc=yc,
-                             t_inv_yc=t_inv_yc, zc_t=zc_t)
+                             t_inv_yc=t_inv_yc)
 
 
 # ---------------------------------------------------------------------------
@@ -545,68 +543,63 @@ def load_reflection(y_l: np.ndarray, y_c: np.ndarray,
     return _reflection(y_l, y_c, f, "matched-degenerate load: Y_L + Y_C is singular")
 
 
-def _modal(a: np.ndarray, params: PropagationParams,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """T^-1 a T for entry columns a, into ``out`` (fresh when None); T^-1 a
-    goes through the "intermediate" work array, which ``out`` must not be."""
-    t_inv = _cols(params.t_inv)
-    return _mul(_mul(t_inv, a, _work("intermediate", t_inv.shape)), _cols(params.t), out)
-
-
 def modal_transform(a: np.ndarray, params: PropagationParams) -> np.ndarray:
     """Modal counterpart T^-1 A T of a natural-frame matrix A, from the
     decomposition's cached T and T^-1."""
-    return _stack(_modal(_cols(a), params))
+    t_inv = _cols(params.t_inv)
+    return _stack(_mul(_mul(t_inv, _cols(a), _work("intermediate", t_inv.shape)),
+                       _cols(params.t)))
 
 
-def _line(params: PropagationParams, e: np.ndarray, rho_l: np.ndarray,
+def _line(params: PropagationParams, e: np.ndarray, y_l: np.ndarray,
           admittance: bool, transfer: bool) -> tuple:
     """The line functions' one core: (Y_in, H) of a section, each None
-    unless asked for, from one elimination X W = (I - P)^-1 W with
-    P = E rho^M E and W = T^-1 Y_C, the decomposition's cached right-hand
-    side: Y_in = 2 T (X W) - Y_C and H = V (I - rho^M) E (X W), V = Z_C T.
+    unless asked for, from one elimination for the natural-frame transfer,
 
-    With a transfer, X W is solved into the fresh array that ends as H, and
-    Y_in is formed before it is overwritten.  Both results run the same
-    operations whichever of them is asked for, so a path step's pair equals
-    the single functions' results bit for bit.
+        (W + G + E^2 (W - G)) H = 2 E W,   Y_in = Y_C - T E (W - G) H,
+
+    with W = T^-1 Y_C, the decomposition's cached right-hand side, and
+    G = T^-1 Y_L.  The system is solved halved, as
+    (W - (I - E^2) / 2 (W - G)) H = E W: no term then exceeds |W| + |G|,
+    so nothing overflows before G does.  A near-short load makes H small
+    but never forms it as a difference.
+
+    Both results run the same operations whichever of them is asked for,
+    so a path step's pair equals the single functions' results bit for bit.
     """
     f = params.grid.frequencies
     w = _cols(params.t_inv_yc)
-    w1, w2 = _work("intermediate", w.shape), _work("intermediate2", w.shape)
-    rho_m = _modal(_cols(rho_l), params, w2)
-    i = _eye(rho_m.shape[0])
-    p = np.multiply(e[:, None], rho_m, out=w1)  # P = E rho^M E
-    np.multiply(p, e[None], out=p)
-    h = np.empty(w.shape, complex) if transfer else p
-    xw = _gauss(np.subtract(i, p, out=p), w, f,
-                "reflection resonance: I - E rho E is singular", h)
+    # D = W - G, in the fresh array that ends as Y_in when one is asked for
+    d = np.empty(w.shape, complex) if admittance else _work("intermediate", w.shape)
+    np.subtract(w, _mul(_cols(params.t_inv), _cols(y_l), d), out=d)
+    m = np.multiply(e, e)  # (I - E^2) / 2, a diagonal
+    np.subtract(1.0, m, out=m)
+    m *= 0.5
+    c = np.multiply(m[:, None], d, out=_work("intermediate2", w.shape))
+    np.subtract(w, c, out=c)
+    h = np.empty(w.shape, complex) if transfer else _work("intermediate", w.shape)
+    _gauss(c, np.multiply(e[:, None], w, out=h), f,
+           "reflection resonance: W + G + E^2 (W - G) is singular", h)
     y = None
     if admittance:
-        y = _mul(_cols(params.t), xw)
-        np.multiply(2.0, y, out=y)
-        y = _stack(np.subtract(y, _cols(params.yc), out=y))
-    if transfer:
-        g = np.subtract(i, rho_m, out=rho_m)  # (I - rho^M) E
-        np.multiply(g, e[None], out=g)
-        h = _stack(_mul(_cols(params.zc_t), _mul(g, xw, w1), h))
-    return y, h
+        np.multiply(e[:, None], d, out=d)  # E D
+        _mul(_cols(params.t), _mul(d, h, c), d)
+        y = _stack(np.subtract(_cols(params.yc), d, out=d))
+    return y, _stack(h) if transfer else None
 
 
 def input_admittance_line(params: PropagationParams, e: np.ndarray,
-                          rho_l: np.ndarray) -> np.ndarray:
+                          y_l: np.ndarray) -> np.ndarray:
     """Input admittance of one line section with propagation factor
-    e = ``propagator(params, length)`` whose far end has natural-frame
-    reflection rho_l:
+    e = ``propagator(params, length)`` whose far end is loaded by the
+    natural-frame admittance y_l:
 
-        Y_in = T (I + P) (I - P)^-1 T^-1 Y_C = T (2 X - I) T^-1 Y_C
-             = 2 T (X W) - Y_C,
+        Y_in = Y_C - T E (W - G) H,   (W + G + E^2 (W - G)) H = 2 E W,
 
-    with P = E rho^M E, rho^M = T^-1 rho_l T, X = (I - P)^-1 and
-    W = T^-1 Y_C, the decomposition's cached ``t_inv_yc``: X W is one exact
-    linear solve.
+    with W = T^-1 Y_C, the decomposition's cached ``t_inv_yc``, and
+    G = T^-1 y_l: H, the section's transfer, is one exact linear solve.
     """
-    return _line(params, e, rho_l, admittance=True, transfer=False)[0]
+    return _line(params, e, y_l, admittance=True, transfer=False)[0]
 
 
 def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
@@ -618,25 +611,22 @@ def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
 
 
 def ctf_line(params: PropagationParams, e: np.ndarray,
-             rho_l: np.ndarray) -> np.ndarray:
-    """Voltage transfer across one line section with propagation factor
-    e = ``propagator(params, length)``, terminated by natural-frame
-    reflection rho_l:
+             y_l: np.ndarray) -> np.ndarray:
+    """Voltage transfer V(l) = H V(0) across one line section with
+    propagation factor e = ``propagator(params, length)``, loaded by the
+    natural-frame admittance y_l:
 
-        H = Y_C^-1 T (I - rho^M) (I - E^2 rho^M)^-1 E T^-1 Y_C
-          = V (I - rho^M) E (X W),
+        (W + G + E^2 (W - G)) H = 2 E W,
 
-    with rho^M = T^-1 rho_l T, since (I - E^2 rho^M) E = E (I - P): the
-    solve is input_admittance_line's X W = (I - P)^-1 W, P = E rho^M E.
-    W = T^-1 Y_C and V = Y_C^-1 T = Z_C T are the decomposition's cached
-    ``t_inv_yc`` and ``zc_t``.
+    with W = T^-1 Y_C and G = T^-1 y_l, the solve of input_admittance_line.
+    At L = 1 this is H = 1 / (cosh(gamma l) + Z_C Y_L sinh(gamma l)).
     """
-    return _line(params, e, rho_l, admittance=False, transfer=True)[1]
+    return _line(params, e, y_l, admittance=False, transfer=True)[1]
 
 
 def line_responses(params: PropagationParams, e: np.ndarray,
-                   rho_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   y_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(``input_admittance_line``, ``ctf_line``) of one section from one
     elimination, each bit-identical to the function's own result: the
     step of a branch on a transfer path."""
-    return _line(params, e, rho_l, admittance=True, transfer=True)
+    return _line(params, e, y_l, admittance=True, transfer=True)

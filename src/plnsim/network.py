@@ -14,8 +14,10 @@ transmitter-receiver backbone, each segment terminated by the equivalent
 admittance of everything beyond it.  It is read from the transmit port's
 reduction: a segment is terminated by the equivalent that the carry-back
 across the same branch has just used, so one line step gives both, from one
-elimination.  The tests check this reduction against a two-section closed
-form and a chain-parameter solution of their own.
+elimination.  A step hands that equivalent admittance to the line function
+as it is; no reflection is formed on the way.  The tests check this
+reduction against a two-section closed form and a chain-parameter solution
+of their own.
 
 Reductions on one grid share work through an ``Evaluation``, which the caller
 makes and drops; a call without one makes a private one.  It holds, read-only,
@@ -44,8 +46,7 @@ import numpy as np
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _matmul, _stack,
                   ctf_line, input_admittance_line, input_reflection,
-                  line_propagation_params, line_responses, load_reflection,
-                  propagator)
+                  line_propagation_params, line_responses, propagator)
 
 __all__ = [
     "AdmittanceSpec",
@@ -391,8 +392,7 @@ def _branch_step(line: Callable, kind: str, br: Branch, ev: Evaluation,
     if (e := ev.propagators.get(br)) is None:
         e = ev.propagators[br] = propagator(params, br.length_m)
     try:
-        rho = load_reflection(y_far, params.yc, ev.grid.frequencies)
-        return line(params, e, rho)
+        return line(params, e, y_far)
     except SingularityError as exc:
         raise _located(f"{kind} {br.id!r}", exc) from exc
 

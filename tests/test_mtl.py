@@ -22,7 +22,7 @@ from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _eye,
                         load_reflection, modal_transform, propagator)
 
 from conftest import FLAT_3C, lossless_cable, random_passive_matrix, spectrum_const
-from oracles import input_reflection_modal, series_truncated_responses
+from oracles import input_reflection_modal, reflection, series_truncated_responses
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,7 +179,7 @@ def test_defective_eigenvectors_raise_decomposition_error(grid, monkeypatch):
 
 def test_cached_params_are_read_only(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
-    fields = ("gamma", "t", "t_inv", "yc", "zc", "t_inv_yc", "zc_t")
+    fields = ("gamma", "t", "t_inv", "yc", "zc", "t_inv_yc")
     before = [getattr(p, name).copy() for name in fields]
     for name in fields:
         with pytest.raises(ValueError):
@@ -198,7 +198,7 @@ def test_cable_and_cached_params_are_frozen(grid):
         cable.rlgc = lossless_cable().rlgc
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.yc = p.zc
-    for name in ("t_inv_yc", "zc_t"):
+    for name in ("t_inv_yc", "zc"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, p.t)
     assert line_propagation_params(cable, grid) is p
@@ -499,10 +499,10 @@ def test_work_arrays_of_coupled_line_functions_stay_small():
     y = spectrum_const(random_passive_matrix(np.random.default_rng(14), 3), grid)
 
     def line_functions():
-        rho = load_reflection(y, p.yc, f)
-        input_reflection(input_admittance_line(p, propagator(p, 40.0), rho), y, f)
-        ctf_line(p, propagator(p, 40.0), rho)
-        line_responses(p, propagator(p, 40.0), rho)
+        load_reflection(y, p.yc, f)
+        input_reflection(input_admittance_line(p, propagator(p, 40.0), y), y, f)
+        ctf_line(p, propagator(p, 40.0), y)
+        line_responses(p, propagator(p, 40.0), y)
     _, pool = _in_new_thread(line_functions)
     assert sum(arr.nbytes for arr in pool.values()) <= 750_000
 
@@ -603,16 +603,14 @@ def test_zero_length_reproduces_load(seed):
     p = line_propagation_params(cab, grid)
     rng = np.random.default_rng(seed)
     y_l = spectrum_const(random_passive_matrix(rng, 2), grid)
-    rho = load_reflection(y_l, p.yc)
-    y0 = input_admittance_line(p, propagator(p, 0.0), rho)
+    y0 = input_admittance_line(p, propagator(p, 0.0), y_l)
     assert rel_err(y0, y_l) < 1e-9
 
 
 def test_matched_line_any_length(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
-    zero = np.zeros_like(p.yc)
     for length in (0.0, 37.0, 250.0):
-        y = input_admittance_line(p, propagator(p, length), zero)
+        y = input_admittance_line(p, propagator(p, length), p.yc)
         assert rel_err(y, p.yc) < 1e-9
 
 
@@ -624,8 +622,7 @@ def test_quarter_wave_impedance_transform():
     p = line_propagation_params(cab, grid)
     length = 2e8 / (4 * 1e7)
     y_l = spectrum_const(1.0 / 100.0, grid)
-    rho = load_reflection(y_l, p.yc)
-    y_in = input_admittance_line(p, propagator(p, length), rho)
+    y_in = input_admittance_line(p, propagator(p, length), y_l)
     assert abs(y_in[0, 0, 0] - 0.04) / 0.04 < 1e-9
 
 
@@ -649,16 +646,17 @@ def test_scalar_tanh_oracle(grid):
 
         cab = constant_rlgc_cable(r, l, g, c)
         p = line_propagation_params(cab, grid)
-        rho = load_reflection(spectrum_const(1 / z_l, grid), p.yc)
-        y_in = input_admittance_line(p, propagator(p, length), rho)
+        y_in = input_admittance_line(p, propagator(p, length), spectrum_const(1 / z_l, grid))
         assert rel_err(1.0 / y_in[:, 0, 0], z_in_ref) < 1e-9
 
 
 def test_resonance_singularity_error(grid, std_cable):
+    # an open quarter-wave section: E = j and Y_L = 0 make
+    # W + G + E^2 (W - G) = W (1 + E^2) exactly zero
     p = line_propagation_params(std_cable, grid)
-    eye = spectrum_const(np.eye(1), grid)
-    with pytest.raises(SingularityError, match="resonance"):
-        input_admittance_line(p, propagator(p, 0.0), eye)  # I - P exactly singular
+    e = np.full((1, grid.n_points), 1j)
+    with pytest.raises(SingularityError, match="reflection resonance"):
+        input_admittance_line(p, e, np.zeros_like(p.yc))
 
 
 def test_propagator_is_read_only_and_rejects_negative_length(grid, coupled_cable):
@@ -684,12 +682,11 @@ def test_line_functions_on_propagator_match_inline_exponential(grid, L):
     # gamma: equal to propagator's bit for bit, and so are both line functions
     p = line_propagation_params(powerline_cable(L), grid)
     y = spectrum_const(random_passive_matrix(np.random.default_rng(L), L), grid)
-    rho = load_reflection(y, p.yc, grid.frequencies)
     for length in (0.0, 37.5, 210.0):
         e, inline = propagator(p, length), np.exp(-p.gamma * length).T
         assert np.array_equal(e, inline)
         for line in (input_admittance_line, ctf_line):
-            assert np.array_equal(line(p, e, rho), line(p, inline, rho))
+            assert np.array_equal(line(p, e, y), line(p, inline, y))
 
 
 # on 200 km, E underflows to zero over the top two thirds of the default band
@@ -706,22 +703,24 @@ def _line_case(cable, length):
     p = line_propagation_params(cable, grid)
     L = cable.n_conductors
     y = spectrum_const(random_passive_matrix(np.random.default_rng(L), L), grid)
-    return p, propagator(p, length), load_reflection(y, p.yc, grid.frequencies)
+    return p, propagator(p, length), y
 
 
 @LINE_CASES
 def test_line_functions_match_their_two_solve_forms(cable, length):
-    # the paper's forms on plain numpy: Y_in with (I - P)^-1 taken after
-    # I + P, H with (I - E^2 rho^M)^-1 E, against the one solve X = (I - P)^-1
-    p, e, rho = _line_case(cable, length)
+    # the paper's forms on plain numpy, through the load's reflection: Y_in
+    # with (I - P)^-1 taken after I + P, H with (I - E^2 rho^M)^-1 E, against
+    # the one solve for H from the load admittance
+    p, e, y = _line_case(cable, length)
+    rho = reflection(y, p.yc)
     i = np.eye(cable.n_conductors)
     E = e.T[:, :, None] * i
     rho_m = p.t_inv @ rho @ p.t
     P = E @ rho_m @ E
     y_ref = p.t @ (i + P) @ np.linalg.inv(i - P) @ p.t_inv @ p.yc
-    h_ref = (p.zc @ p.t @ (i - rho_m) @ np.linalg.solve(i - E @ E @ rho_m, E)
-             @ p.t_inv @ p.yc)
-    for got, ref in ((input_admittance_line(p, e, rho), y_ref), (ctf_line(p, e, rho), h_ref)):
+    h_ref = np.linalg.solve(p.yc, p.t @ (i - rho_m) @ np.linalg.solve(i - E @ E @ rho_m, E)
+                            @ p.t_inv @ p.yc)
+    for got, ref in ((input_admittance_line(p, e, y), y_ref), (ctf_line(p, e, y), h_ref)):
         # per frequency, against its largest entry; where E underflowed both
         # transfers are exactly zero
         scale = np.maximum(np.max(np.abs(ref), axis=(1, 2)), np.finfo(float).tiny)
@@ -732,19 +731,19 @@ def test_line_functions_match_their_two_solve_forms(cable, length):
 
 @LINE_CASES
 def test_path_step_pair_equals_the_line_functions(cable, length):
-    p, e, rho = _line_case(cable, length)
-    y, h = line_responses(p, e, rho)
-    assert np.array_equal(y, input_admittance_line(p, e, rho))
-    assert np.array_equal(h, ctf_line(p, e, rho))
+    p, e, y_l = _line_case(cable, length)
+    y, h = line_responses(p, e, y_l)
+    assert np.array_equal(y, input_admittance_line(p, e, y_l))
+    assert np.array_equal(h, ctf_line(p, e, y_l))
 
 
 def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatch):
-    # on an L = 3 cable: rho^M takes two products, Y_in one more and H two
-    # more, from the cached T^-1 Y_C and Z_C T
+    # on an L = 3 cable: G = T^-1 Y_L takes one product, and Y_in two more,
+    # T E (W - G) H; H is the solve's own unknown
     grid = FrequencyGrid(1e5, 1e5, 16)
     p = line_propagation_params(powerline_cable(3), grid)
     y = spectrum_const(random_passive_matrix(np.random.default_rng(3), 3), grid)
-    rho, e = load_reflection(y, p.yc, grid.frequencies), propagator(p, 40.0)
+    e = propagator(p, 40.0)
     calls = {"_mul": 0, "_gauss": 0}
 
     def counted(name):
@@ -756,9 +755,9 @@ def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatc
         return wrapper
     for name in calls:
         monkeypatch.setattr(mtl, name, counted(name))
-    for line, products in ((input_admittance_line, 3), (ctf_line, 4), (line_responses, 5)):
+    for line, products in ((input_admittance_line, 3), (ctf_line, 1), (line_responses, 3)):
         calls.update(_mul=0, _gauss=0)
-        line(p, e, rho)
+        line(p, e, y)
         assert calls == {"_mul": products, "_gauss": 1}, line.__name__
 
 
@@ -793,9 +792,8 @@ def test_dual_route_agreement(grid, n_conductors):
     rng = np.random.default_rng(42 + n_conductors)
     y_l = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
     y_r = spectrum_const(random_passive_matrix(rng, n_conductors), grid)
-    rho = load_reflection(y_l, p.yc)
-    via_y = input_reflection(input_admittance_line(p, propagator(p, 83.0), rho), y_r)
-    via_m = input_reflection_modal(p, 83.0, rho, y_r)
+    via_y = input_reflection(input_admittance_line(p, propagator(p, 83.0), y_l), y_r)
+    via_m = input_reflection_modal(p, 83.0, load_reflection(y_l, p.yc), y_r)
     assert rel_err(via_m, via_y) < 1e-9
 
 
@@ -806,13 +804,13 @@ def test_ctf_zero_length_identity(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     rng = np.random.default_rng(3)
     y_l = spectrum_const(random_passive_matrix(rng, 2), grid)
-    h = ctf_line(p, propagator(p, 0.0), load_reflection(y_l, p.yc))
+    h = ctf_line(p, propagator(p, 0.0), y_l)
     assert np.max(np.abs(h - np.eye(2))) < 1e-12
 
 
 def test_ctf_matched_scalar(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
-    h = ctf_line(p, propagator(p, 137.0), np.zeros((grid.n_points, 1, 1), complex))
+    h = ctf_line(p, propagator(p, 137.0), p.yc)
     assert rel_err(h[:, 0, 0], np.exp(-p.gamma[:, 0] * 137.0)) < 1e-12
 
 
@@ -820,7 +818,7 @@ def test_ctf_matched_from_modal(grid, coupled_cable):
     # uniform-coupling cables commute with their propagator, so the matched
     # transfer equals the modal exponential brought back to natural frame
     p = line_propagation_params(coupled_cable, grid)
-    h = ctf_line(p, propagator(p, 90.0), np.zeros((grid.n_points, 2, 2), complex))
+    h = ctf_line(p, propagator(p, 90.0), p.yc)
     e = np.exp(-p.gamma * 90.0)
     ref = p.t @ (e[:, :, None] * np.eye(2)) @ p.t_inv
     assert rel_err(h, ref) < 1e-9
@@ -831,18 +829,18 @@ def test_ctf_open_lossless_sech(grid):
     cab = lossless_cable(2.5e-7, 1e-10)
     p = line_propagation_params(cab, grid)
     length = 13.7
-    rho = load_reflection(np.zeros((grid.n_points, 1, 1), complex), p.yc)
-    h = ctf_line(p, propagator(p, length), rho)
+    h = ctf_line(p, propagator(p, length), np.zeros((grid.n_points, 1, 1), complex))
     ref = 1.0 / np.cosh(p.gamma[:, 0] * length)
     assert rel_err(h[:, 0, 0], ref) < 1e-9
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_ctf_matches_paper_form(grid, L):
-    # the closing Y_C^-1 is the cached Z_C; the paper's form solves by Y_C
+    # the paper's form through the load's reflection, solved by Y_C
     rng = np.random.default_rng(20 + L)
     p = line_propagation_params(random_spd_cable(rng, L), grid)
-    rho = load_reflection(spectrum_const(random_passive_matrix(rng, L), grid, L), p.yc)
+    y_l = spectrum_const(random_passive_matrix(rng, L), grid, L)
+    rho = load_reflection(y_l, p.yc)
     length = 35.0
     e = np.exp(-p.gamma * length)
     rho_m = np.linalg.solve(p.t, rho @ p.t)
@@ -851,7 +849,7 @@ def test_ctf_matches_paper_form(grid, L):
                             np.swapaxes(i - rho_m, 1, 2))  # (I - rho)(I - E^2 rho)^-1
     want = np.linalg.solve(p.yc, p.t @ np.swapaxes(inner, 1, 2) @ (e[:, :, None] * p.t_inv)
                            @ p.yc)
-    assert rel_err(ctf_line(p, propagator(p, length), rho), want) < 1e-12
+    assert rel_err(ctf_line(p, propagator(p, length), y_l), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -864,11 +862,11 @@ def _series_setup(grid, y_l_scale=3.0):
     y_l = spectrum_const(y_l_scale, grid) * p.yc
     rho = load_reflection(y_l, p.yc)
     y_r = spectrum_const(0.02, grid)
-    return p, rho, y_r
+    return p, y_l, rho, y_r
 
 
 def test_series_leading_terms(grid):
-    p, rho, y_r = _series_setup(grid)
+    p, _, rho, y_r = _series_setup(grid)
     res = series_truncated_responses(p, 30.0, rho, y_r, 0)
     assert rel_err(res.y_in, p.yc) < 1e-12
     # leading reflection term: N T rho_G^M T^-1 N^-1
@@ -883,7 +881,7 @@ def test_series_matched_exact(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
     zero = np.zeros((grid.n_points, 1, 1), complex)
     y_r = spectrum_const(0.02, grid)
-    exact_y = input_admittance_line(p, propagator(p, 60.0), zero)
+    exact_y = input_admittance_line(p, propagator(p, 60.0), p.yc)
     exact_r = input_reflection_modal(p, 60.0, zero, y_r)
     for n in (0, 1, 5):
         res = series_truncated_responses(p, 60.0, zero, y_r, n)
@@ -894,10 +892,10 @@ def test_series_matched_exact(grid, std_cable):
 def test_series_radius_half_converges(grid):
     # |rho_L| = 0.5 on a lossless line: radius 0.5 at every frequency, and
     # the tail bound 2 * 0.5^51 / (1 - 0.5) makes n = 50 far below 1e-6
-    p, rho, y_r = _series_setup(grid, y_l_scale=3.0)
+    p, y_l, rho, y_r = _series_setup(grid, y_l_scale=3.0)
     res = series_truncated_responses(p, 30.0, rho, y_r, 50)
     assert np.allclose(res.spectral_radius, 0.5, atol=1e-12)
-    exact_y = input_admittance_line(p, propagator(p, 30.0), rho)
+    exact_y = input_admittance_line(p, propagator(p, 30.0), y_l)
     exact_r = input_reflection_modal(p, 30.0, rho, y_r)
     assert rel_err(res.y_in, exact_y) < 1e-6
     assert rel_err(res.rho_in, exact_r) < 1e-6
@@ -905,8 +903,8 @@ def test_series_radius_half_converges(grid):
 
 @pytest.mark.parametrize("scale,radius", [(3.0, 0.5), (37 / 3, 0.85)])
 def test_series_error_monotone(grid, scale, radius):
-    p, rho, y_r = _series_setup(grid, y_l_scale=scale)
-    exact_y = input_admittance_line(p, propagator(p, 30.0), rho)
+    p, y_l, rho, y_r = _series_setup(grid, y_l_scale=scale)
+    exact_y = input_admittance_line(p, propagator(p, 30.0), y_l)
     exact_r = input_reflection_modal(p, 30.0, rho, y_r)
     errs_y, errs_r = [], []
     for n in (1, 2, 5, 10, 50):

@@ -12,20 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plnsim.network as network
+from plnsim import mtl
 from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
                               apply_anomaly, delta_superposition)
 from plnsim.cables import powerline_cable, scaled_cable
 from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
-                        input_admittance_line, load_reflection, propagator)
+                        input_admittance_line, propagator)
 from plnsim.network import (Branch, Evaluation, NetworkTopology, Port,
                             conductance, constant_admittance, end_to_end_ctf,
                             farthest_node, network_input_reflection,
                             node_distances, open_circuit, parallel_rc_admittance,
                             reduce_to_port, table_admittance, tree_path)
 
-from conftest import FLAT_3C, lossless_cable, matched_load, single_line_net
+from conftest import (FLAT_3C, lossless_cable, matched_load, random_passive_matrix,
+                      single_line_net)
 from oracles import chain_responses, two_section_oracle
 
 
@@ -153,8 +155,7 @@ def test_junction_additivity(grid, std_cable, lib):
         br = net.branch(bid)
         pp = line_propagation_params(br.cable, grid)
         y_leaf = net.loads[br.node_b].evaluate(f)
-        rho = load_reflection(y_leaf, pp.yc)
-        total += input_admittance_line(pp, propagator(pp, br.length_m), rho)
+        total += input_admittance_line(pp, propagator(pp, br.length_m), y_leaf)
     assert rel_err(red.node_equivalents["j"], total) < 1e-12
 
 
@@ -179,11 +180,22 @@ def test_segment_splitting_invariance(grid, std_cable, k):
     assert rel_err(ps.values, pw.values) < 1e-9
 
 
-def test_reduction_error_carries_branch_id(grid, std_cable):
-    p = line_propagation_params(std_cable, grid)
-    # a load equal to -Y_C makes the branch reflection degenerate
-    bad = table_admittance(grid.frequencies, -p.yc[:, 0, 0])
-    net = single_line_net(std_cable, 30.0, bad)
+def quarter_wave_at(monkeypatch, grid, length, k):
+    """Make ``network.propagator`` give E = j at grid index k to the branches
+    of ``length`` and E = 0.5 elsewhere.  With an open far end (G = 0) such a
+    branch is an open quarter-wave resonance: its matrix
+    W + G + E^2 (W - G) = W (1 + E^2) is exactly zero there."""
+    def resonant(params, branch_length):
+        e = np.full((1, grid.n_points), 0.5 + 0j)
+        if branch_length == length:
+            e[0, k] = 1j
+        return e
+    monkeypatch.setattr(network, "propagator", resonant)
+
+
+def test_reduction_error_carries_branch_id(grid, std_cable, monkeypatch):
+    quarter_wave_at(monkeypatch, grid, 30.0, 0)
+    net = single_line_net(std_cable, 30.0, open_circuit())
     with pytest.raises(SingularityError, match="branch 's'") as info:
         reduce_to_port(net, "p", grid)
     assert info.value.frequency_hz == grid.f_start
@@ -191,22 +203,11 @@ def test_reduction_error_carries_branch_id(grid, std_cable):
 
 
 def test_path_resonance_names_the_branch(grid, std_cable, monkeypatch):
-    # E = 1 and rho = I at one frequency make I - E rho E exactly singular
-    # there, on branch 's1' only: E is 0.5 elsewhere and on 's2'
+    # the resonance is on 's2', next to the open receiver, at one frequency
     k = 7
-
-    def one_at_k(params, length):
-        e = np.full((1, grid.n_points), 0.5 + 0j)
-        if length == 70.0:
-            e[0, k] = 1.0
-        return e
-
-    monkeypatch.setattr(network, "propagator", one_at_k)
-    monkeypatch.setattr(network, "load_reflection",
-                        lambda y, y_c, f: np.ones((f.size, 1, 1), complex))
-    load = parallel_rc_admittance(150.0, 2e-9)
-    net = two_section_chain(std_cable, 70.0, std_cable, 40.0, load)
-    with pytest.raises(SingularityError, match="branch 's1': reflection resonance") as info:
+    quarter_wave_at(monkeypatch, grid, 40.0, k)
+    net = two_section_chain(std_cable, 70.0, std_cable, 40.0, open_circuit())
+    with pytest.raises(SingularityError, match="branch 's2': reflection resonance") as info:
         end_to_end_ctf(net, "p", "b", grid)
     assert info.value.frequency_hz == grid.frequencies[k]
     assert info.value.index == k
@@ -319,10 +320,9 @@ def test_coupled_transfer_is_ordered_segment_product(grid):
     f = grid.frequencies
     p1, p2 = line_propagation_params(c1, grid), line_propagation_params(c2, grid)
     y_b_vals = y_b.evaluate(f)
-    y_j_eq = y_j.evaluate(f) + input_admittance_line(
-        p2, propagator(p2, 40.0), load_reflection(y_b_vals, p2.yc, f))
-    h1 = ctf_line(p1, propagator(p1, 70.0), load_reflection(y_j_eq, p1.yc, f))
-    h2 = ctf_line(p2, propagator(p2, 40.0), load_reflection(y_b_vals, p2.yc, f))
+    y_j_eq = y_j.evaluate(f) + input_admittance_line(p2, propagator(p2, 40.0), y_b_vals)
+    h1 = ctf_line(p1, propagator(p1, 70.0), y_j_eq)
+    h2 = ctf_line(p2, propagator(p2, 40.0), y_b_vals)
     h = end_to_end_ctf(net, "p", "b", grid).values
     assert rel_err(h, h2 @ h1) < 1e-12
     assert rel_err(h, h1 @ h2) > 1e-3
@@ -352,6 +352,41 @@ def test_coupled_path_makes_no_lapack_solve(grid, monkeypatch):
     h = end_to_end_ctf(net, "p", "b", grid)
     assert rho.values.shape == h.values.shape == (grid.n_points, 3, 3)
     assert np.max(np.abs(delta.values.values)) > 0.0
+
+
+@pytest.mark.parametrize("n_conductors", [1, 3])
+def test_reduction_makes_one_elimination_per_stepped_branch(grid, monkeypatch,
+                                                           n_conductors):
+    # each stepped branch, on the transfer path or off it, is one elimination,
+    # and no load reflection is formed on the way
+    n = n_conductors
+    cab = powerline_cable(n, label=f"pl-{n}c-count")
+    net = NetworkTopology(
+        nodes=("a", "j", "b", "c", "d"),
+        branches=(Branch("s1", "a", "j", cab, 70.0),
+                  Branch("s2", "j", "b", cab, 40.0),
+                  Branch("s3", "j", "c", cab, 25.0),
+                  Branch("s4", "c", "d", cab, 55.0)),
+        loads={"b": parallel_rc_admittance(200.0, 1e-9, n), "c": conductance(0.004, n),
+               "d": constant_admittance(0.01, n)},
+        ports={"p": Port("a", modem(n=n))})
+    line_propagation_params(cab, grid)  # decomposed before counting
+    gauss, calls = mtl._gauss, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gauss(*args, **kwargs)
+
+    def no_reflection(*args, **kwargs):
+        raise AssertionError("a load reflection was formed")
+
+    monkeypatch.setattr(mtl, "_gauss", counted)
+    # load_reflection's one route, whatever name it is called by
+    monkeypatch.setattr(mtl, "_reflection", no_reflection)
+    for rx in (None, "b", "d"):
+        calls.clear()
+        reduce_to_port(net, "p", grid, rx=rx)
+        assert len(calls) == len(net.branches), rx
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +479,27 @@ def test_line_matches_chain_parameters(cable, length):
 def test_tree_matches_chain_parameters(n_conductors, seed):
     net = random_tree(n_conductors, seed)
     assert_matches_chain_parameters(net, "tx", net.ports["probe"].node)
+
+
+@pytest.mark.parametrize("n_conductors", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-2, 1e1, 1e3, 1e6, 1e9])
+def test_near_short_transfer_matches_chain_parameters(n_conductors, scale):
+    # a receiver load up to 1e9 S: the transfer is small, and it is the
+    # solve's own unknown, so it keeps its digits against the largest |H|
+    n = n_conductors
+    cab = powerline_cable(n)
+    y = random_passive_matrix(np.random.default_rng(n), n, 1.0)
+    load = constant_admittance(scale * y / np.max(np.abs(y)), n)
+    net = NetworkTopology(
+        nodes=("a", "j", "b"),
+        branches=(Branch("s1", "a", "j", cab, 70.0), Branch("s2", "j", "b", cab, 40.0)),
+        loads={"b": load}, ports={"p": Port("a", modem(n=n))})
+    y_in = reduce_to_port(net, "p", CHAIN_GRID).y_in.values
+    h = end_to_end_ctf(net, "p", "b", CHAIN_GRID).values
+    y_ref, _, h_ref = chain_responses(net, "p", "b", CHAIN_GRID)
+    assert np.max(np.abs(h - h_ref)) < 1e-12 * np.max(np.abs(h_ref))
+    err = np.max(np.abs(y_in - y_ref), axis=(1, 2)) / np.max(np.abs(y_ref), axis=(1, 2))
+    assert np.max(err) < 1e-10
 
 
 def responses(net, grid, ev=None):
@@ -551,10 +607,9 @@ def test_equivalents_are_read_only_and_reused(grid):
             y[...] = 0.0
 
 
-def test_warm_singularity_names_the_cold_branch(grid, std_cable):
-    p = line_propagation_params(std_cable, grid)
-    # a load equal to -Y_C makes the reflection into branch '3' degenerate
-    bad = table_admittance(grid.frequencies, -p.yc[:, 0, 0])
+def test_warm_singularity_names_the_cold_branch(grid, std_cable, monkeypatch):
+    # opening node 'c' makes branch '3' a quarter-wave resonance at index 5
+    quarter_wave_at(monkeypatch, grid, 30.0, 5)
     net = NetworkTopology(
         nodes=("a", "j", "b", "c"),
         branches=(Branch("1", "a", "j", std_cable, 40.0),
@@ -563,7 +618,7 @@ def test_warm_singularity_names_the_cold_branch(grid, std_cable):
         loads={"b": modem(), "c": modem()}, ports={"p": Port("a", modem())})
     ev = Evaluation(grid)
     reduce_to_port(net, "p", grid, ev)
-    broken = apply_anomaly(net, LoadChange("c", bad), grid)
+    broken = apply_anomaly(net, LoadChange("c", open_circuit()), grid)
     errors = []
     for e in (ev, None):
         with pytest.raises(SingularityError, match="branch '3'") as info:
@@ -581,9 +636,9 @@ def test_branch_propagator_is_evaluated_once_and_shared(grid, monkeypatch):
     monkeypatch.setattr(network, "propagator",
                         lambda *args: evaluated.append(evaluate(*args)) or evaluated[-1])
     for name in ("input_admittance_line", "ctf_line", "line_responses"):
-        def spy(params, e, rho, line=getattr(network, name)):
+        def spy(params, e, y_l, line=getattr(network, name)):
             passed.append(e)
-            return line(params, e, rho)
+            return line(params, e, y_l)
         monkeypatch.setattr(network, name, spy)
 
     net = random_tree(3, 22)
