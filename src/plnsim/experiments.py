@@ -206,11 +206,22 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
 
 
-# explicit __slots__, not slots=True: on Python 3.11 the class that
-# slots=True builds raises TypeError, not FrozenInstanceError, when a name
-# that is no field is assigned
+class _Record:
+    """Frozen record base.  Explicit __slots__, not slots=True, which on Python
+    3.11 raises TypeError, not FrozenInstanceError, for a name that is no field;
+    copy and pickle set fields through object.__setattr__, as slots=True would."""
+    __slots__ = ()
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(_Record):
     __slots__ = ("network_index", "anomaly", "distance_m", "link_position",
                  "delta_y", "delta_rho", "delta_h")
     network_index: int
@@ -223,7 +234,7 @@ class SweepRecord:
 
 
 @dataclass(frozen=True)
-class BinStat:
+class BinStat(_Record):
     __slots__ = ("d_lo", "d_hi", "count", "median", "mean", "iqr")
     d_lo: float
     d_hi: float

@@ -32,7 +32,8 @@ Conventions used throughout the package:
   identical I - 2 Y_C (Y_L + Y_C)^-1, one solve per reflection;
 * the modal frame of a line is the similarity transform T that diagonalizes
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
-  counterpart of a matrix A is A_m = T^-1 A T;
+  counterpart of a matrix A is A_m = T^-1 A T.  T is eig's own basis: every
+  response is a T ... T^-1 sandwich, so none needs a mode order or phase;
 * a line function (``input_admittance_line``, ``ctf_line`` and
   ``line_responses``, which returns both) takes ``(params, E, Y_L)``: the
   cable's decomposition, the section's propagation factor
@@ -139,9 +140,8 @@ class PropagationParams:
     with read-only arrays: one cached instance serves every caller.
 
     Besides the decomposition it holds ``t_inv_yc`` = T^-1 Y_C, the product
-    of it that every line function reads.  No line function reads Z_C, so
-    ``zc`` is solved on first use and not held by every cached
-    decomposition."""
+    of it that every line function reads.  The modes keep eig's order and
+    phase at each frequency; no response needs an order."""
 
     grid: FrequencyGrid
     gamma: np.ndarray   # (n_f, L) complex, diagonal of the modal propagation matrix, 1/m
@@ -149,20 +149,6 @@ class PropagationParams:
     t_inv: np.ndarray   # (n_f, L, L)
     yc: np.ndarray      # (n_f, L, L) characteristic admittance, S
     t_inv_yc: np.ndarray  # (n_f, L, L) T^-1 Y_C, S
-
-    @property
-    def n_conductors(self) -> int:
-        return self.gamma.shape[1]
-
-    @cached_property
-    def zc(self) -> np.ndarray:
-        """(n_f, L, L) characteristic impedance Z_C = Y_C^-1, ohm, one
-        kernel solve on first read, read-only."""
-        n_f, L = self.gamma.shape
-        zc = _stack(_gauss(_cols(self.yc), np.broadcast_to(_eye(L), (L, L, n_f)),
-                           self.grid.frequencies, "Y_C is singular"))
-        zc.flags.writeable = False
-        return zc
 
 
 @dataclass(eq=False)
@@ -395,17 +381,6 @@ def _validate_rlgc(cable: CableSpec, f: np.ndarray,
                 f"cable {cable.label!r}: {name}(f) is not positive definite") from None
 
 
-def _normalize_columns(v: np.ndarray) -> np.ndarray:
-    """Unit-norm columns with the first significant component rotated onto the
-    positive real axis.  Column phase never changes any response (everything
-    is a T ... T^-1 sandwich); this only makes T reproducible."""
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    first = np.argmax(np.abs(v) > 1e-12, axis=1)           # (n_f, L) per column
-    pivot = np.take_along_axis(v, first[:, None, :], axis=1)[:, 0, :]
-    phase = pivot / np.abs(pivot)
-    return v * np.conj(phase)[:, None, :]
-
-
 @lru_cache(maxsize=256)
 def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> PropagationParams:
     """Modal decomposition of one cable over one grid.
@@ -415,13 +390,8 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     T^-1 Y_C = Gamma^-1 T^-1 Y, and from it Y_C = T Gamma^-1 T^-1 Y, so
     T^-1 is the only inverse.
 
-    Mode order is tracked across the sweep so per-mode curves stay
-    continuous.  At f_0 the modes are sorted by Im(gamma), then Re(gamma).
-    Between neighbouring frequencies, the eigenvector pair of largest
-    overlap |v_{k-1}^H v_k| is matched first, then the largest pair among
-    the columns left, and so on.  Inside a degenerate cluster (equal gamma)
-    any order is equally valid: every response is a T ... T^-1 sandwich
-    and does not depend on the basis chosen there.
+    T is eig's own basis, in its order and phase at each frequency: no
+    response needs an order, as each is a T ... T^-1 sandwich.
 
     Results are cached per (cable, grid) pair; the returned object is shared
     and its arrays are returned read-only.
@@ -444,30 +414,9 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     gamma = np.sqrt(w.astype(complex))
     flip = (gamma.real < 0) | ((gamma.real == 0) & (gamma.imag < 0))
     gamma = np.where(flip, -gamma, gamma)
-    t = _cols(_normalize_columns(v))
+    t = _cols(v)  # contiguous entry columns, so no line function copies T
 
     n_f, L = gamma.shape
-    if L > 1:
-        # step[k, i] = j matches raw column i at f_k to raw column j at
-        # f_k+1: the pair of largest overlap goes first, then the largest
-        # among the rows and columns left, each pass over the whole grid
-        overlap = np.abs(_mul(_t(t[:, :, :-1]).conj(), t[:, :, 1:]))
-        flat = overlap.reshape(L * L, n_f - 1)
-        steps = np.arange(n_f - 1)
-        step = np.empty((n_f - 1, L), dtype=np.intp)
-        for _ in range(L):
-            i, j = np.divmod(np.argmax(flat, axis=0), L)
-            step[steps, i] = j
-            overlap[i, :, steps] = -1.0
-            overlap[:, j, steps] = -1.0
-        order = np.empty((n_f, L), dtype=np.intp)
-        order[0] = np.lexsort((gamma[0].real, gamma[0].imag))
-        for k in range(1, n_f):
-            order[k] = step[k - 1, order[k - 1]]
-        gamma = np.take_along_axis(gamma, order, axis=1)
-        # contiguous entry columns, so no line function copies T on its way in
-        t = np.ascontiguousarray(np.take_along_axis(t, order.T[None], axis=1))
-
     try:
         t_inv = _gauss(t, np.broadcast_to(_eye(L), (L, L, n_f)), f, "")
     except SingularityError as exc:

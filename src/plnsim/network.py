@@ -84,11 +84,11 @@ class AdmittanceSpec:
     meta: dict | None = None
 
     def is_passive(self, f: np.ndarray) -> bool:
-        """True when the Hermitian part (Y + Y^H) / 2 is positive semidefinite
-        at every frequency, so no voltage draws power out of Y, to 1e-9 of
-        the largest |Y(f)| entry; a lossless (reactive) Y is passive."""
+        """True when the Hermitian part Y / 2 + Y^H / 2 (halved first, so a
+        finite Y cannot overflow) is positive semidefinite at every frequency
+        to 1e-9 of the largest |Y(f)| entry: no voltage draws power out of Y."""
         y = self.evaluate(f)
-        herm = 0.5 * (y + np.conj(np.swapaxes(y, -1, -2)))
+        herm = 0.5 * y + 0.5 * np.conj(np.swapaxes(y, -1, -2))
         scale = float(np.max(np.abs(y))) + 1e-300
         return bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-9 * scale)
 

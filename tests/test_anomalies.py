@@ -1,5 +1,7 @@
 """Anomaly insertion and the chain/superposition effect models."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,16 @@ def test_reciprocal_fault_that_delivers_power_is_active(coupled_cable, grid):
         apply_anomaly(net, LumpedFault("s", 40.0, hot), grid)
     reactive = constant_admittance([[3j, -1j], [-1j, 2j]], 2)  # lossless
     assert apply_anomaly(net, LumpedFault("s", 40.0, reactive), grid).report.valid
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_passivity_check_of_the_largest_admittances(grid, n):
+    # each term of the Hermitian part is halved before the sum, so a fault
+    # near the largest finite float is checked without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert constant_admittance(1.7e308, n).is_passive(grid.frequencies)
+        assert not constant_admittance(-1.7e308, n).is_passive(grid.frequencies)
 
 
 def test_load_change_requires_existing_load(base_net, grid):

@@ -1,6 +1,8 @@
 """Random ensembles, the distance sweep and the scenario signatures."""
 
+import copy
 import dataclasses
+import pickle
 import warnings
 import weakref
 from collections import Counter
@@ -14,12 +16,14 @@ from plnsim.experiments import (EnsembleConfig, _classify_peak_diff, _spearman,
                                 bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
                                 run_distance_sweep, run_scenario_suite)
+from plnsim.cables import powerline_cable
 from plnsim.errors import ValidationError
 from plnsim.mtl import FrequencyGrid, line_propagation_params
 from plnsim.network import reduce_to_port
 from plnsim.topofile import topology_to_dict
 
-from conftest import SPIKE_T_STEP, spike_trace
+from conftest import FLAT_3C, SPIKE_T_STEP, spike_trace
+from oracles import chain_responses, rdiv
 
 
 def test_two_node_config_gives_single_branch():
@@ -97,12 +101,47 @@ def test_sweep_results_are_slotted_with_float_edges():
     assert [b.count for b in res.bins] == [4, 0, 2]
     for b in res.bins:
         assert type(b.d_lo) is float and type(b.d_hi) is float
-    # a name that is no field of the class is refused the same way
-    for obj, name in ((res.records[0], "distance_m"), (res.bins[0], "count"),
-                      (res.records[0], "count"), (res.bins[0], "spread")):
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, name, 0)
+    # copies and pickle round trips are equal values, and they refuse every
+    # field, and a name that is no field of the class, the same way
+    for obj in (res.records[0], res.bins[0]):
+        for twin in (obj, copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+            assert not hasattr(twin, "__dict__")
+            for name in (*obj.__slots__, "spread"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(twin, name, 0)
+
+
+@pytest.mark.parametrize("cables", [(), (powerline_cable(3),), (FLAT_3C,)],
+                         ids=["L1", "pl3", "flat3"])
+def test_sweep_deltas_match_chain_parameters(monkeypatch, cables):
+    # each realization's three band-mean deltas, recomputed from the chain
+    # parameters on plain numpy: no modal code, no kernel and no evaluation
+    # context is shared with the sweep, only the networks it builds
+    pairs, apply = [], experiments.apply_anomaly
+
+    def recording(net, anomaly, grid):
+        pairs.append((net, apply(net, anomaly, grid)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(experiments, "apply_anomaly", recording)
+    grid = FrequencyGrid(1e5, 1e6, 80)
+    res = run_distance_sweep(EnsembleConfig(n_networks=4, cables=cables, seed=17), grid)
+    assert len(res.records) == len(pairs) == 4
+
+    def band_delta(perturbed, baseline):
+        return np.mean(np.abs(rdiv(perturbed - baseline, baseline)))
+
+    for record, (net, net_a) in zip(res.records, pairs):
+        probe = net.ports["probe"].node
+        y, rho, _ = chain_responses(net, "probe", probe, grid)
+        y_a, rho_a, _ = chain_responses(net_a, "probe", probe, grid)
+        h = chain_responses(net, "tx", probe, grid)[2]
+        h_a = chain_responses(net_a, "tx", probe, grid)[2]
+        want = band_delta(y_a, y), band_delta(rho_a, rho), band_delta(h_a, h)
+        got = record.delta_y, record.delta_rho, record.delta_h
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_zero_severity_sweep_has_null_deltas():

@@ -15,8 +15,8 @@ from plnsim import mtl
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import DecompositionError, SingularityError, ValidationError
 from plnsim.experiments import default_grid
-from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _eye,
-                        _gauss, _matmul, _mul, _normalize_columns, _rdiv, _right,
+from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
+                        _cols, _eye, _gauss, _matmul, _mul, _rdiv, _right,
                         _singular, _stack, _t, ctf_line, input_admittance_line,
                         input_reflection, line_propagation_params, line_responses,
                         load_reflection, modal_transform, propagator)
@@ -82,61 +82,16 @@ def _assert_diagonalizes(cable, p, grid):
     assert np.all(p.gamma.real >= 0)
 
 
-def test_mode_tracking_across_sweep(grid, coupled_cable):
-    # tracked eigenvector columns overlap strongly between adjacent
-    # frequencies; a mode swap would drop the overlap to the cross term
-    p = line_propagation_params(coupled_cable, grid)
-    overlaps = np.abs(np.einsum("fij,fik->fjk", p.t[:-1].conj(), p.t[1:]))
-    diag = np.einsum("fjj->fj", overlaps)
-    assert np.min(diag) > 0.9
-
-
-def test_mode_matching_matches_assignment_solver(grid, coupled_cable, monkeypatch):
-    # with distinct modes, matching the largest overlaps first picks the same
-    # mode order as an optimal assignment on every step of the sweep
-    from scipy.optimize import linear_sum_assignment  # the oracle only
-
-    rng = np.random.default_rng(8)
-    cables = [coupled_cable] + [random_spd_cable(rng, L, f"spd-{L}-{n}")
-                                for L in (2, 3, 4, 5) for n in range(3)]
-    eig, seen = np.linalg.eig, []
-
-    def recording(m):
-        w, v = eig(m)
-        seen.append((w.copy(), v.copy()))
-        return w, v
-
-    monkeypatch.setattr(np.linalg, "eig", recording)
-    for cable in cables:
-        seen.clear()
-        p = line_propagation_params.__wrapped__(cable, grid)  # past the cache
-        (w, v), = seen
-        gamma = np.sqrt(w.astype(complex))
-        gamma = np.where((gamma.real < 0) | ((gamma.real == 0) & (gamma.imag < 0)),
-                         -gamma, gamma)
-        v = _normalize_columns(v)
-        order = np.lexsort((gamma[0].real, gamma[0].imag))
-        v[0], gamma[0] = v[0][:, order], gamma[0][order]
-        for k in range(1, grid.n_points):
-            _, cols = linear_sum_assignment(-np.abs(v[k - 1].conj().T @ v[k]))
-            v[k], gamma[k] = v[k][:, cols], gamma[k][cols]
-        np.testing.assert_array_equal(p.gamma, gamma, err_msg=cable.label)
-        # distinct modes: inside a degenerate cluster any order is valid
-        gap = np.abs(gamma[:, :, None] - gamma[:, None, :]) + np.eye(cable.n_conductors)
-        assert np.min(gap / np.abs(gamma[:, :, None])) > 1e-3, cable.label
-
-
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_characteristic_admittance_non_commuting(grid, L):
     # random L and C do not commute, so Y_C = T Gamma^-1 T^-1 Y must keep its
-    # factor order: Y_C = Z_C^-1, Y_C Z Y_C = Y, and Y_C is symmetric
+    # factor order: Y_C Z Y_C = Y, and Y_C is symmetric
     cable = random_spd_cable(np.random.default_rng(L), L)
     p = line_propagation_params(cable, grid)
     f = grid.frequencies
     r, l, g, c = cable.rlgc(f)
     jw = 1j * TWO_PI * f[:, None, None]
     z, y = r + jw * l, g + jw * c
-    assert rel_err(p.yc, np.linalg.inv(p.zc)) < 1e-10
     assert rel_err(p.yc @ z @ p.yc, y) < 1e-10
     assert rel_err(p.yc, np.swapaxes(p.yc, 1, 2)) < 1e-10
 
@@ -179,7 +134,7 @@ def test_defective_eigenvectors_raise_decomposition_error(grid, monkeypatch):
 
 def test_cached_params_are_read_only(grid, std_cable):
     p = line_propagation_params(std_cable, grid)
-    fields = ("gamma", "t", "t_inv", "yc", "zc", "t_inv_yc")
+    fields = ("gamma", "t", "t_inv", "yc", "t_inv_yc")
     before = [getattr(p, name).copy() for name in fields]
     for name in fields:
         with pytest.raises(ValueError):
@@ -197,10 +152,9 @@ def test_cable_and_cached_params_are_frozen(grid):
     with pytest.raises(dataclasses.FrozenInstanceError):
         cable.rlgc = lossless_cable().rlgc
     with pytest.raises(dataclasses.FrozenInstanceError):
-        p.yc = p.zc
-    for name in ("t_inv_yc", "zc"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(p, name, p.t)
+        p.yc = p.t_inv_yc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.t_inv_yc = p.t
     assert line_propagation_params(cable, grid) is p
     lossless = dataclasses.replace(cable, rlgc=lossless_cable().rlgc)
     assert lossless.label == "frozen" and cable.rlgc is not lossless.rlgc
@@ -735,6 +689,28 @@ def test_path_step_pair_equals_the_line_functions(cable, length):
     y, h = line_responses(p, e, y_l)
     assert np.array_equal(y, input_admittance_line(p, e, y_l))
     assert np.array_equal(h, ctf_line(p, e, y_l))
+
+
+@pytest.mark.parametrize("length", [10.0, 150.0])
+def test_line_responses_do_not_depend_on_the_modal_basis(length):
+    # Y_in and H are T ... T^-1 sandwiches: permuting the modes and turning
+    # each column of T by a unit phase, per frequency, moves them by rounding
+    p, e, y_l = _line_case(FLAT_3C, length)
+    rng = np.random.default_rng(21)
+    perm = np.argsort(rng.random(p.gamma.shape), axis=1)
+    phase = np.exp(2j * np.pi * rng.random(p.gamma.shape))
+
+    def rows(a):  # rows of D^-1 P^T T^-1 ...
+        return np.take_along_axis(a, perm[:, :, None], axis=1) / phase[:, :, None]
+
+    q = PropagationParams(
+        grid=p.grid, gamma=np.take_along_axis(p.gamma, perm, axis=1),
+        t=np.take_along_axis(p.t, perm[:, None, :], axis=2) * phase[:, None, :],
+        t_inv=rows(p.t_inv), yc=p.yc, t_inv_yc=rows(p.t_inv_yc))
+    assert not np.array_equal(q.gamma, p.gamma)
+    for got, want in zip(line_responses(q, propagator(q, length), y_l),
+                         line_responses(p, e, y_l)):
+        assert rel_err(got, want) < 1e-12
 
 
 def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatch):
