@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, tdr, ctf, inject, delta, locate, sweep,
-scenarios.  Exit status is 0 on success, 1 on validation/parse failure,
-2 on numerical failure (singularities), 64 on usage errors.
+scenarios.  Exit status is 0 on success, 1 on validation/parse failure or
+when memory runs out, 2 on numerical failure (singularities), 64 on usage
+errors.
 
-Each subcommand accepts only the flags its handler reads.  Outputs are
-CSV/JSON files in the --out directory with deterministic content; pass
---no-timestamp to drop the one non-reproducible header field.  The
-PLNSIM_CABLE_LIBRARY environment variable points at a JSON cable library
-that overrides the built-in one for sweeps.
+Each subcommand accepts only the flags its handler reads.  A handler
+``cmd_<name>(args, grid)`` computes and writes nothing: it returns an
+``Output``, and only then does ``main`` create the --out directory and write
+the files, so a command that stops on an error leaves no output.  Outputs are
+CSV/JSON files with deterministic content; pass --no-timestamp to drop the
+one non-reproducible header field.  The PLNSIM_CABLE_LIBRARY environment
+variable points at a JSON cable library that overrides the built-in one for
+sweeps.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import topofile
 from .anomalies import apply_anomaly, delta_chain, delta_superposition
@@ -41,6 +44,15 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
 
+class Output(NamedTuple):
+    """What a handler produced.  ``files`` holds ``(name, writer, content)``
+    triples, written in order as ``writer(out / name, content, timestamp)``;
+    ``text`` is printed right after the ``wrote`` line's file list."""
+    files: list
+    text: str = ""
+    status: int = EXIT_OK
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -55,12 +67,6 @@ def _parse_grid(text: str) -> FrequencyGrid:
         return FrequencyGrid(float(parts[0]), float(parts[1]), int(parts[2]))
     except (ValueError, ValidationError) as exc:
         raise UsageError(f"bad --grid value: {exc}") from exc
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_topology(args):
@@ -80,78 +86,59 @@ def _single_port(net, name):
     raise UsageError(f"topology has ports {sorted(net.ports)}; pick one with --port")
 
 
-def _velocity(args, net) -> float:
+def _velocity(args, grid, net) -> float:
     if args.velocity is not None:
         return args.velocity
-    f_start = _parse_grid(args.grid).f_start
-    return float(cable_velocities(net.branches[0].cable, f_start)[0])
+    return float(cable_velocities(net.branches[0].cable, grid.f_start)[0])
 
 
-def _cable_library():
-    path = os.environ.get("PLNSIM_CABLE_LIBRARY")
-    if path:
-        return topofile.read_cable_library(path)
-    return builtin_cable_library()
+def _write_topology(path, net, timestamp):
+    """``write_topology`` in the writer form ``main`` calls; it has no timestamp."""
+    topofile.write_topology(net, path)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, grid) -> Output:
     report = topofile.read_topology(args.topology).report
     print(report)
-    return EXIT_OK if report.valid else EXIT_INVALID
+    return Output([], status=EXIT_OK if report.valid else EXIT_INVALID)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, grid) -> Output:
     net = _load_topology(args)
-    grid = _parse_grid(args.grid)
     port = _single_port(net, args.port)
-    out = _outdir(args)
-    ts = not args.no_timestamp
-
     ev = Evaluation(grid)
-    red = reduce_to_port(net, port, grid, ev)
-    topofile.write_spectrum_csv(out / "yin.csv", red.y_in, ts)
-    rho = network_input_reflection(net, port, grid, ev)
-    topofile.write_spectrum_csv(out / "rhoin.csv", rho, ts)
-    written = ["yin.csv", "rhoin.csv"]
+    files = [("yin.csv", topofile.write_spectrum_csv,
+              reduce_to_port(net, port, grid, ev).y_in),
+             ("rhoin.csv", topofile.write_spectrum_csv,
+              network_input_reflection(net, port, grid, ev))]
     if args.tx_port:
         rx = args.rx_node or net.ports[port].node
-        h = end_to_end_ctf(net, args.tx_port, rx, grid, ev)
-        topofile.write_spectrum_csv(out / "htot.csv", h, ts)
-        written.append("htot.csv")
-    print("wrote " + ", ".join(str(out / w) for w in written))
-    return EXIT_OK
+        files.append(("htot.csv", topofile.write_spectrum_csv,
+                      end_to_end_ctf(net, args.tx_port, rx, grid, ev)))
+    return Output(files)
 
 
-def cmd_tdr(args) -> int:
+def cmd_tdr(args, grid) -> Output:
     net = _load_topology(args)
-    grid = _parse_grid(args.grid)
     port = _single_port(net, args.port)
-    out = _outdir(args)
-    ts = not args.no_timestamp
-
     if args.quantity == "admittance":
         spec = reduce_to_port(net, port, grid).y_in
     else:
         spec = network_input_reflection(net, port, grid)
     trace = to_time_domain(spec, args.window)
     peaks = detect_peaks(trace, args.threshold, args.min_separation)
-    v = _velocity(args, net)
+    v = _velocity(args, grid, net)
     located = time_to_distance(peaks, v, "reflectometric")
-    topofile.write_trace_csv(out / "trace.csv", trace, ts)
-    topofile.write_peaks_csv(out / "peaks.csv", located, ts)
-    print(f"wrote {out / 'trace.csv'}, {out / 'peaks.csv'} "
-          f"({len(located)} peaks, v = {v:.6g} m/s)")
-    return EXIT_OK
+    return Output([("trace.csv", topofile.write_trace_csv, trace),
+                   ("peaks.csv", topofile.write_peaks_csv, located)],
+                  f" ({len(located)} peaks, v = {v:.6g} m/s)")
 
 
-def cmd_ctf(args) -> int:
+def cmd_ctf(args, grid) -> Output:
     net = _load_topology(args)
-    grid = _parse_grid(args.grid)
-    out = _outdir(args)
-    ts = not args.no_timestamp
     if args.rx_port:
         rx_node = net.ports[_single_port(net, args.rx_port)].node
     elif args.rx_node:
@@ -161,75 +148,59 @@ def cmd_ctf(args) -> int:
 
     ev = Evaluation(grid)
     h = end_to_end_ctf(net, args.tx_port, rx_node, grid, ev)
-    topofile.write_spectrum_csv(out / "htot.csv", h, ts)
     trace = to_time_domain(h, args.window)
-    topofile.write_trace_csv(out / "htot_trace.csv", trace, ts)
-    written = ["htot.csv", "htot_trace.csv"]
+    files = [("htot.csv", topofile.write_spectrum_csv, h),
+             ("htot_trace.csv", topofile.write_trace_csv, trace)]
+    if not args.check_symmetry:
+        return Output(files)
 
-    if args.check_symmetry:
-        if not args.rx_port:
-            raise UsageError("--check-symmetry needs --rx-port (the reverse "
-                             "direction transmits from there)")
-        tx_node = net.ports[args.tx_port].node
-        h_rev = end_to_end_ctf(net, args.rx_port, tx_node, grid, ev)
-        trace_rev = to_time_domain(h_rev, args.window)
-        topofile.write_trace_csv(out / "htot_trace_reverse.csv", trace_rev, ts)
-        rep = check_peak_spacing_symmetry(trace, trace_rev,
-                                          rel_threshold=args.threshold,
-                                          min_separation=args.min_separation)
-        topofile.write_json(out / "symmetry.json", {
-            "symmetric": rep.symmetric,
-            "inconclusive": rep.inconclusive,
-            "max_spacing_error_samples": rep.max_spacing_error_samples,
-            "spacings_forward_s": rep.spacings_ab_s,
-            "spacings_reverse_s": rep.spacings_ba_s,
-            "notes": rep.notes,
-        }, ts)
-        written += ["htot_trace_reverse.csv", "symmetry.json"]
-        print(f"peak spacing symmetric: {rep.symmetric} "
-              f"(inconclusive: {rep.inconclusive})")
-    print("wrote " + ", ".join(str(out / w) for w in written))
-    return EXIT_OK
+    if not args.rx_port:
+        raise UsageError("--check-symmetry needs --rx-port (the reverse "
+                         "direction transmits from there)")
+    tx_node = net.ports[args.tx_port].node
+    h_rev = end_to_end_ctf(net, args.rx_port, tx_node, grid, ev)
+    trace_rev = to_time_domain(h_rev, args.window)
+    rep = check_peak_spacing_symmetry(trace, trace_rev,
+                                      rel_threshold=args.threshold,
+                                      min_separation=args.min_separation)
+    files += [("htot_trace_reverse.csv", topofile.write_trace_csv, trace_rev),
+              ("symmetry.json", topofile.write_json, {
+                  "symmetric": rep.symmetric,
+                  "inconclusive": rep.inconclusive,
+                  "max_spacing_error_samples": rep.max_spacing_error_samples,
+                  "spacings_forward_s": rep.spacings_ab_s,
+                  "spacings_reverse_s": rep.spacings_ba_s,
+                  "notes": rep.notes,
+              })]
+    return Output(files, f"\npeak spacing symmetric: {rep.symmetric} "
+                         f"(inconclusive: {rep.inconclusive})")
 
 
-def cmd_inject(args) -> int:
+def cmd_inject(args, grid) -> Output:
     net = _load_topology(args)
-    grid = _parse_grid(args.grid)
     anomaly = topofile.read_anomaly(args.anomaly, net)
     perturbed = apply_anomaly(net, anomaly, grid)
-    out = _outdir(args)
-    topofile.write_topology(perturbed, out / "perturbed_topology.json")
-    print(f"wrote {out / 'perturbed_topology.json'}")
-    return EXIT_OK
+    return Output([("perturbed_topology.json", _write_topology, perturbed)])
 
 
-def _quantity_spectra(net, net_a, quantity, port, tx_port, rx_node, grid):
+def _anomaly_spectra(args, net, grid, quantity):
+    """(perturbed, baseline) spectra of ``quantity`` for ``net`` with and
+    without the anomaly that ``args.anomaly`` names."""
+    pair = (apply_anomaly(net, topofile.read_anomaly(args.anomaly, net), grid), net)
     ev = Evaluation(grid)
-    if quantity == "admittance":
-        return (reduce_to_port(net_a, port, grid, ev).y_in,
-                reduce_to_port(net, port, grid, ev).y_in)
-    if quantity == "reflection":
-        return (network_input_reflection(net_a, port, grid, ev),
-                network_input_reflection(net, port, grid, ev))
     if quantity == "ctf":
-        if not tx_port or not rx_node:
+        if not args.tx_port or not args.rx_node:
             raise UsageError("--quantity ctf needs --tx-port and --rx-node")
-        return (end_to_end_ctf(net_a, tx_port, rx_node, grid, ev),
-                end_to_end_ctf(net, tx_port, rx_node, grid, ev))
-    raise UsageError(f"unknown quantity {quantity!r}")
+        return tuple(end_to_end_ctf(n, args.tx_port, args.rx_node, grid, ev) for n in pair)
+    port = _single_port(net, args.port)
+    if quantity == "reflection":
+        return tuple(network_input_reflection(n, port, grid, ev) for n in pair)
+    return tuple(reduce_to_port(n, port, grid, ev).y_in for n in pair)
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args, grid) -> Output:
     net = _load_topology(args)
-    grid = _parse_grid(args.grid)
-    anomaly = topofile.read_anomaly(args.anomaly, net)
-    net_a = apply_anomaly(net, anomaly, grid)
-    port = _single_port(net, args.port) if args.quantity != "ctf" else args.port
-    out = _outdir(args)
-    ts = not args.no_timestamp
-
-    perturbed, baseline = _quantity_spectra(net, net_a, args.quantity, port,
-                                            args.tx_port, args.rx_node, grid)
+    perturbed, baseline = _anomaly_spectra(args, net, grid, args.quantity)
     if args.model == "chain":
         delta = delta_chain(perturbed, baseline)
     else:
@@ -237,76 +208,54 @@ def cmd_delta(args) -> int:
                                     normalize=args.model == "superposition_normalized")
     if delta.warning:
         print(f"warning: {delta.warning}", file=sys.stderr)
-    topofile.write_spectrum_csv(out / "delta_spectrum.csv", delta.values, ts)
-    trace = to_time_domain(delta, args.window)
-    topofile.write_trace_csv(out / "delta_trace.csv", trace, ts)
-    print(f"wrote {out / 'delta_spectrum.csv'}, {out / 'delta_trace.csv'}")
-    return EXIT_OK
+    return Output([("delta_spectrum.csv", topofile.write_spectrum_csv, delta.values),
+                   ("delta_trace.csv", topofile.write_trace_csv,
+                    to_time_domain(delta, args.window))])
 
 
-def cmd_locate(args) -> int:
+def cmd_locate(args, grid) -> Output:
     net = _load_topology(args)
-    grid = _parse_grid(args.grid)
-    anomaly = topofile.read_anomaly(args.anomaly, net)
-    net_a = apply_anomaly(net, anomaly, grid)
-    port = _single_port(net, args.port)
-    out = _outdir(args)
-    ts = not args.no_timestamp
-
-    ev = Evaluation(grid)
-    baseline = reduce_to_port(net, port, grid, ev).y_in
-    perturbed = reduce_to_port(net_a, port, grid, ev).y_in
-    delta = delta_superposition(perturbed, baseline)
+    delta = delta_superposition(*_anomaly_spectra(args, net, grid, "admittance"))
     trace = to_time_domain(delta, args.window)
-    v = _velocity(args, net)
+    v = _velocity(args, grid, net)
     res = locate_anomaly_reflectometric(trace, v, args.threshold,
                                         args.min_separation)
     payload = {"found": res.found, "distance_m": res.distance_m,
                "time_s": res.time_s, "confidence": res.confidence,
                "velocity_m_per_s": v}
-    topofile.write_json(out / "locate.json", payload, ts)
     if res.found:
-        print(f"anomaly at {res.distance_m:.3f} m "
-              f"(confidence {res.confidence:.3f})")
+        text = f"anomaly at {res.distance_m:.3f} m (confidence {res.confidence:.3f})"
     else:
-        print("no anomaly signature above threshold")
-    return EXIT_OK
+        text = "no anomaly signature above threshold"
+    return Output([("locate.json", topofile.write_json, payload)], "\n" + text)
 
 
-def cmd_sweep(args) -> int:
-    lib = _cable_library()
+def cmd_sweep(args, grid) -> Output:
+    path = os.environ.get("PLNSIM_CABLE_LIBRARY")
+    lib = topofile.read_cable_library(path) if path else builtin_cable_library()
     names = args.cables.split(",") if args.cables else []
     for name in names:
         if name not in lib:
             raise UsageError(f"cable {name!r} not in library {sorted(lib)}")
-    cables = tuple(lib[n] for n in names)
     cfg = EnsembleConfig(
         n_networks=args.n_networks,
         n_nodes=(args.n_nodes_min, args.n_nodes_max),
         fault_severity_s=(args.severity_min, args.severity_max),
-        cables=cables,
+        cables=tuple(lib[n] for n in names),
         seed=args.seed)
-    grid = _parse_grid(args.grid)
     result = run_distance_sweep(cfg, grid, n_bins=args.bins)
-    out = _outdir(args)
-    ts = not args.no_timestamp
-
-    topofile.write_sweep_records_csv(out / "records.csv", result.records, ts)
-    topofile.write_sweep_bins_csv(out / "bins.csv", result.bins, ts)
-    topofile.write_json(out / "summary.json", result.summary, ts)
-    print(f"{len(result.records)} records, {len(result.skipped)} skipped; "
-          f"summary: {topofile._dumps(result.summary)}")
-    return EXIT_OK
+    return Output([("records.csv", topofile.write_sweep_records_csv, result.records),
+                   ("bins.csv", topofile.write_sweep_bins_csv, result.bins),
+                   ("summary.json", topofile.write_json, result.summary)],
+                  f"\n{len(result.records)} records, {len(result.skipped)} skipped; "
+                  f"summary: {topofile._dumps(result.summary)}")
 
 
-def cmd_scenarios(args) -> int:
-    grid = _parse_grid(args.grid)
+def cmd_scenarios(args, grid) -> Output:
     net, scenarios = bundled_single_line_scenarios()
     results = run_scenario_suite(net, scenarios, grid, window=args.window,
                                  rel_threshold=args.threshold,
                                  min_separation=args.min_separation)
-    out = _outdir(args)
-    ts = not args.no_timestamp
     payload = {
         "scenarios": [
             {"name": r.name,
@@ -318,14 +267,11 @@ def cmd_scenarios(args) -> int:
              "ambiguities": r.ambiguities}
             for r in results]
     }
-    topofile.write_json(out / "scenarios.json", payload, ts)
-    ok = True
-    for r in results:
-        status = "ok" if r.passed else "MISMATCH"
-        ok = ok and r.passed
-        print(f"{r.name}: {sorted(r.classification)} "
-              f"(expected {sorted(r.expected)}) [{status}]")
-    return EXIT_OK if ok else EXIT_INVALID
+    text = "".join(f"\n{r.name}: {sorted(r.classification)} "
+                   f"(expected {sorted(r.expected)}) "
+                   f"[{'ok' if r.passed else 'MISMATCH'}]" for r in results)
+    return Output([("scenarios.json", topofile.write_json, payload)], text,
+                  EXIT_OK if all(r.passed for r in results) else EXIT_INVALID)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +381,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        grid = _parse_grid(args.grid) if "grid" in args else None
+        result = args.func(args, grid)
+        if result.files:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            timestamp = not getattr(args, "no_timestamp", False)
+            for name, write, content in result.files:
+                write(out / name, content, timestamp)
+            print("wrote " + ", ".join(str(out / name) for name, _, _ in result.files)
+                  + result.text)
+        return result.status
     except UsageError as exc:
         print(f"plnsim: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -445,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularityError, DecompositionError) as exc:
         print(f"plnsim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"plnsim: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -249,6 +249,31 @@ def test_bad_velocity_is_invalid(two_node, tmp_path, capsys, command, velocity):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "TWO_NODE", "--tx-port", "nope"],
+    ["ctf", "STAR3", "--tx-port", "tx", "--rx-node", "n0", "--check-symmetry"],
+], ids=["simulate-unknown-tx-port", "ctf-symmetry-without-rx-port"])
+def test_failing_command_writes_nothing(two_node, star3, tmp_path, capsys, argv):
+    # both usage errors are found after the first spectra are computed
+    out = tmp_path / "out"
+    argv = [{"TWO_NODE": str(two_node), "STAR3": str(star3)}.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(out), "--no-timestamp"]) == 64
+    assert capsys.readouterr().err.startswith("plnsim: usage error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_of_memory_is_one_message(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr("plnsim.cli.run_distance_sweep", exhausted)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--n-networks", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("plnsim: out of memory: Unable to "
+                                       "allocate 7.45 GiB for an array\n")
+    assert not out.exists()
+
+
 def test_simulate_emits_spectra(two_node, tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", str(two_node), "--out", str(out),

@@ -481,6 +481,23 @@ def test_tree_matches_chain_parameters(n_conductors, seed):
     assert_matches_chain_parameters(net, "tx", net.ports["probe"].node)
 
 
+@pytest.mark.parametrize("cable", [powerline_cable(2), powerline_cable(3), FLAT_3C],
+                         ids=lambda cable: cable.label)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_port_admittance_is_reciprocal_and_passive(cable, seed):
+    # a tree of passive lines and loads: at each frequency Y_in = Y_in^T, and
+    # the Hermitian part of Y_in has no negative eigenvalue
+    cfg = EnsembleConfig(n_nodes=(4, 12), cables=(cable,), seed=seed)
+    net = generate_random_network(cfg, 0)
+    for port in ("probe", "tx"):
+        y = reduce_to_port(net, port, CHAIN_GRID).y_in.values
+        scale = np.max(np.abs(y), axis=(1, 2))
+        yt = np.swapaxes(y, 1, 2)
+        assert np.all(np.max(np.abs(y - yt), axis=(1, 2)) <= 1e-10 * scale)
+        assert np.all(np.linalg.eigvalsh(0.5 * (y + yt.conj()))[:, 0] >= -1e-10 * scale)
+
+
 @pytest.mark.parametrize("n_conductors", [1, 2, 3])
 @pytest.mark.parametrize("scale", [1e-2, 1e1, 1e3, 1e6, 1e9])
 def test_near_short_transfer_matches_chain_parameters(n_conductors, scale):
