@@ -3,9 +3,8 @@ multiconductor power-line networks: reflectometric and end-to-end responses,
 anomaly injection, chain/superposition effect models, and time-domain
 localization."""
 
-from .anomalies import (Anomaly, DeltaSpectrum, DistributedFault, LoadChange,
-                        LumpedFault, apply_anomaly, delta_chain,
-                        delta_superposition)
+from .anomalies import (Anomaly, DistributedFault, LoadChange, LumpedFault,
+                        apply_anomaly, delta_chain, delta_superposition)
 from .cables import (builtin_cable_library, cable_velocities,
                      constant_rlgc_cable, powerline_cable, scaled_cable)
 from .errors import (DecompositionError, ParseError, PlnsimError,

@@ -13,10 +13,14 @@ the chain model describes the anomaly as a multiplicative factor
 delta_chain = X_a X^-1 and the superposition model as an additive term
 delta_sup = X_a - X, with the normalized variant
 delta_sup_n = (X_a - X) X^-1 = delta_chain - I (an exact identity).
+A delta is a ``MatrixSpectrum`` of the response's kind with ``model`` set;
+chain deltas are dimensionless, superposition deltas carry the units of the
+quantity.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -32,8 +36,6 @@ __all__ = [
     "DistributedFault",
     "Anomaly",
     "apply_anomaly",
-    "describe_anomaly",
-    "DeltaSpectrum",
     "delta_chain",
     "delta_superposition",
     "REFLECTION_CHAIN_WARNING",
@@ -77,7 +79,8 @@ class DistributedFault:
 Anomaly = Union[LumpedFault, LoadChange, DistributedFault]
 
 
-def _unique(name: str, taken: set[str]) -> str:
+def _unique(name: str, taken: Container[str]) -> str:
+    """``name``, or the first free ``name~k`` for k = 2, 3, ..."""
     candidate = name
     k = 2
     while candidate in taken:
@@ -177,69 +180,35 @@ def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
     raise ValidationError(f"unknown anomaly type {type(anomaly).__name__}")
 
 
-def describe_anomaly(anomaly: Anomaly) -> dict:
-    """Plain-dict descriptor for reports and CSV records."""
-    if isinstance(anomaly, LumpedFault):
-        return {"type": "lumped_fault", "branch": anomaly.branch_id,
-                "offset_m": anomaly.offset_m, "y_f": anomaly.y_f.label}
-    if isinstance(anomaly, LoadChange):
-        return {"type": "load_change", "node": anomaly.node_id,
-                "load": anomaly.new_load.label}
-    if isinstance(anomaly, DistributedFault):
-        return {"type": "distributed_fault", "branch": anomaly.branch_id,
-                "start_m": anomaly.start_m, "extent_m": anomaly.extent_m,
-                "cable": anomaly.degraded.label}
-    raise ValidationError(f"unknown anomaly type {type(anomaly).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # effect models
 
-@dataclass(eq=False)
-class DeltaSpectrum:
-    """Anomaly effect on one quantity under one model.  Chain deltas are
-    dimensionless multiplicative factors; superposition deltas carry the
-    quantity's units."""
-
-    model: str     # chain | superposition | superposition_normalized
-    quantity: str  # admittance | reflection | ctf
-    values: MatrixSpectrum
-    warning: str | None = None
-
-
-def _check_pair(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> str:
+def _check_pair(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> None:
     if perturbed.grid != baseline.grid:
         raise ValidationError("perturbed and baseline spectra use different grids")
     if perturbed.kind != baseline.kind:
         raise ValidationError("perturbed and baseline spectra are different quantities")
-    if baseline.kind not in ("admittance", "reflection", "ctf"):
-        raise ValidationError(f"deltas are undefined for kind {baseline.kind!r}")
-    return baseline.kind
+    if perturbed.model or baseline.model:
+        raise ValidationError("deltas are undefined for a delta spectrum")
 
 
-def delta_chain(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> DeltaSpectrum:
+def delta_chain(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> MatrixSpectrum:
     """Multiplicative anomaly factor X_a X^-1 per frequency."""
-    quantity = _check_pair(perturbed, baseline)
+    _check_pair(perturbed, baseline)
     vals = _rdiv(perturbed.values, baseline.values, baseline.grid.frequencies,
                  _SINGULAR_BASELINE)
-    warning = REFLECTION_CHAIN_WARNING if quantity == "reflection" else None
-    return DeltaSpectrum(model="chain", quantity=quantity,
-                         values=MatrixSpectrum(baseline.grid, vals, "delta"),
-                         warning=warning)
+    return MatrixSpectrum(baseline.grid, vals, baseline.kind, "chain")
 
 
 def delta_superposition(perturbed: MatrixSpectrum, baseline: MatrixSpectrum,
-                        normalize: bool = False) -> DeltaSpectrum:
+                        normalize: bool = False) -> MatrixSpectrum:
     """Additive anomaly term X_a - X; normalized variant (X_a - X) X^-1,
     which equals the chain delta minus the identity."""
-    quantity = _check_pair(perturbed, baseline)
-    diff = perturbed.values - baseline.values
+    _check_pair(perturbed, baseline)
+    vals = perturbed.values - baseline.values
+    model = "superposition"
     if normalize:
-        vals = _rdiv(diff, baseline.values, baseline.grid.frequencies,
+        vals = _rdiv(vals, baseline.values, baseline.grid.frequencies,
                      _SINGULAR_BASELINE)
         model = "superposition_normalized"
-    else:
-        vals = diff
-        model = "superposition"
-    return DeltaSpectrum(model=model, quantity=quantity,
-                         values=MatrixSpectrum(baseline.grid, vals, "delta"))
+    return MatrixSpectrum(baseline.grid, vals, baseline.kind, model)

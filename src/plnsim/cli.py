@@ -24,13 +24,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import topofile
-from .anomalies import apply_anomaly, delta_chain, delta_superposition
+from .anomalies import (REFLECTION_CHAIN_WARNING, apply_anomaly, delta_chain,
+                        delta_superposition)
 from .cables import builtin_cable_library, cable_velocities
 from .errors import (DecompositionError, ParseError, SingularityError,
                      UsageError, ValidationError)
 from .experiments import (EnsembleConfig, bundled_single_line_scenarios,
                           run_distance_sweep, run_scenario_suite)
-from .mtl import FrequencyGrid
+from .mtl import DELTA_MODELS, FrequencyGrid
 from .network import (Evaluation, end_to_end_ctf, network_input_reflection,
                       reduce_to_port)
 from .timedomain import (DEFAULT_MIN_SEPARATION, DEFAULT_REL_THRESHOLD,
@@ -206,9 +207,9 @@ def cmd_delta(args, grid) -> Output:
     else:
         delta = delta_superposition(perturbed, baseline,
                                     normalize=args.model == "superposition_normalized")
-    if delta.warning:
-        print(f"warning: {delta.warning}", file=sys.stderr)
-    return Output([("delta_spectrum.csv", topofile.write_spectrum_csv, delta.values),
+    if args.model == "chain" and args.quantity == "reflection":
+        print(f"warning: {REFLECTION_CHAIN_WARNING}", file=sys.stderr)
+    return Output([("delta_spectrum.csv", topofile.write_spectrum_csv, delta),
                    ("delta_trace.csv", topofile.write_trace_csv,
                     to_time_domain(delta, args.window))])
 
@@ -341,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("topology")
     p.add_argument("--anomaly", required=True)
     p.add_argument("--model", default="superposition",
-                   choices=["chain", "superposition", "superposition_normalized"])
+                   choices=DELTA_MODELS)
     p.add_argument("--quantity", default="admittance",
                    choices=["admittance", "reflection", "ctf"])
     p.add_argument("--port", default=None)

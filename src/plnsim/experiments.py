@@ -24,8 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .anomalies import (Anomaly, DistributedFault, LoadChange, LumpedFault,
-                        apply_anomaly, delta_chain, delta_superposition,
-                        describe_anomaly)
+                        apply_anomaly, delta_chain, delta_superposition)
 from .cables import builtin_cable_library, powerline_cable, scaled_cable
 from .errors import PlnsimError, ValidationError
 from .mtl import FrequencyGrid, MatrixSpectrum, _cols
@@ -282,7 +281,7 @@ def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
 def _band_delta(perturbed: MatrixSpectrum, baseline: MatrixSpectrum) -> float:
     """Band-mean magnitude of the normalized superposition delta."""
     return band_mean_magnitude(
-        delta_superposition(perturbed, baseline, normalize=True).values.values)
+        delta_superposition(perturbed, baseline, normalize=True).values)
 
 
 def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepRecord:
@@ -314,7 +313,8 @@ def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepReco
 
     return SweepRecord(
         network_index=i,
-        anomaly=describe_anomaly(fault),
+        anomaly={"type": "lumped_fault", "branch": fault.branch_id,
+                 "offset_m": offset, "y_f": fault.y_f.label},
         distance_m=d,
         link_position=d / (d + d_tx),
         delta_y=delta_y,
@@ -555,7 +555,7 @@ def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
                                     conductance(severity, net.n_conductors))
                 net_a = apply_anomaly(net, fault, grid)
                 h1 = end_to_end_ctf(net_a, "tx", probe, grid, ev)
-                out.append(band_mean_db(delta_chain(h1, h0).values.values))
+                out.append(band_mean_db(delta_chain(h1, h0).values))
             backbone_db.append(out[0])
             lateral_db.append(out[1])
         except PlnsimError:

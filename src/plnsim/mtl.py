@@ -73,6 +73,7 @@ __all__ = [
     "PropagationParams",
     "MatrixSpectrum",
     "SPECTRUM_KINDS",
+    "DELTA_MODELS",
     "line_propagation_params",
     "load_reflection",
     "modal_transform",
@@ -85,7 +86,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-SPECTRUM_KINDS = ("admittance", "reflection", "ctf", "delta")
+SPECTRUM_KINDS = ("admittance", "reflection", "ctf")
+DELTA_MODELS = ("chain", "superposition", "superposition_normalized")
 
 # relative tolerance for the off-diagonal residual of T^-1 (YZ) T
 DIAGONALIZATION_RTOL = 1e-9
@@ -153,11 +155,13 @@ class PropagationParams:
 
 @dataclass(eq=False)
 class MatrixSpectrum:
-    """Frequency-indexed L x L complex matrix signal."""
+    """Frequency-indexed L x L complex matrix signal: a response, or with
+    ``model`` set, the anomaly delta of that response under that model."""
 
     grid: FrequencyGrid
     values: np.ndarray  # (n_points, L, L) complex
     kind: str           # one of SPECTRUM_KINDS
+    model: str | None = None  # one of DELTA_MODELS for a delta
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -167,6 +171,8 @@ class MatrixSpectrum:
             raise ValidationError("spectrum length does not match its grid")
         if self.kind not in SPECTRUM_KINDS:
             raise ValidationError(f"unknown spectrum kind {self.kind!r}")
+        if self.model is not None and self.model not in DELTA_MODELS:
+            raise ValidationError(f"unknown delta model {self.model!r}")
         if not np.all(np.isfinite(self.values)):
             bad = int(np.argwhere(~np.isfinite(self.values))[0, 0])
             raise ValidationError(

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anomalies import DeltaSpectrum
 from .errors import UsageError, ValidationError
 from .mtl import MatrixSpectrum
 
 __all__ = [
-    "TraceOrigin",
     "TimeTrace",
     "to_time_domain",
     "Peak",
@@ -58,20 +56,15 @@ DEFAULT_MIN_SEPARATION = 3
 WINDOWS = ("rect", "hann")
 
 
-@dataclass(frozen=True)
-class TraceOrigin:
-    """What a time trace was computed from: the quantity (admittance,
-    reflection, ctf) and, for anomaly deltas, the delta model."""
-
-    quantity: str
-    model: str | None = None
-
-
 @dataclass(eq=False)
 class TimeTrace:
+    """Real time-domain trace of a spectrum, labelled with the spectrum's
+    ``kind`` and, for an anomaly delta, its ``model``."""
+
     t_step: float          # s
     samples: np.ndarray    # (n_t, L, L) real
-    origin: TraceOrigin
+    kind: str              # admittance | reflection | ctf
+    model: str | None = None
 
     @property
     def n_samples(self) -> int:
@@ -86,22 +79,16 @@ class TimeTrace:
         return self.t_step * np.arange(self.n_samples)
 
 
-def to_time_domain(source: MatrixSpectrum | DeltaSpectrum,
-                   window: str = "hann") -> TimeTrace:
+def to_time_domain(spec: MatrixSpectrum, window: str = "hann") -> TimeTrace:
     """Entrywise inverse transform of a one-sided matrix spectrum.
 
     The spectrum is extended to DC by linear extrapolation from its two
     lowest points (grids start above 0 Hz), multiplied by the window over
     the full extended band, and inverse-transformed assuming Hermitian
     symmetry, which yields an exactly real trace.  Requires the grid start
-    to sit on the step lattice so the extension stays uniform.
+    to sit on the step lattice so the extension stays uniform.  The trace
+    keeps the spectrum's ``kind`` and ``model``.
     """
-    if isinstance(source, DeltaSpectrum):
-        spec = source.values
-        origin = TraceOrigin(quantity=source.quantity, model=source.model)
-    else:
-        spec = source
-        origin = TraceOrigin(quantity=spec.kind, model=None)
     if window not in WINDOWS:
         raise ValidationError(f"unknown window {window!r}; use one of {WINDOWS}")
 
@@ -126,7 +113,7 @@ def to_time_domain(source: MatrixSpectrum | DeltaSpectrum,
     n_t = 2 * (n_ext - 1)
     samples = np.fft.irfft(ext, n=n_t, axis=0)
     t_step = 1.0 / (n_t * grid.f_step)  # == 1 / (2 f_max_extended)
-    return TimeTrace(t_step=t_step, samples=samples, origin=origin)
+    return TimeTrace(t_step, samples, spec.kind, spec.model)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +260,10 @@ def locate_anomaly_reflectometric(delta_trace: TimeTrace, velocity: float,
     """Distance of the first significant echo in a reflectometric anomaly
     delta trace; everything before the anomaly cancels between baseline and
     perturbed responses, so the first peak is the anomaly itself."""
-    if delta_trace.origin.model is None or delta_trace.origin.quantity != "admittance":
+    if delta_trace.model is None or delta_trace.kind != "admittance":
         raise UsageError(
             "localization expects a trace of an admittance delta "
-            f"(got quantity={delta_trace.origin.quantity!r}, "
-            f"model={delta_trace.origin.model!r})")
+            f"(got quantity={delta_trace.kind!r}, model={delta_trace.model!r})")
     _check_velocity(velocity)
     peaks = detect_peaks(delta_trace, rel_threshold, min_separation).merged()
     if not peaks:

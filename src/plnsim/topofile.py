@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anomalies import Anomaly, DistributedFault, LoadChange, LumpedFault
+from .anomalies import Anomaly, DistributedFault, LoadChange, LumpedFault, _unique
 from .cables import constant_rlgc_cable, powerline_cable
 from .errors import ParseError, ValidationError
 from .mtl import CableSpec, MatrixSpectrum
@@ -237,11 +237,7 @@ def topology_to_dict(net: NetworkTopology) -> dict:
     cable_names: dict[int, str] = {}
     for b in net.branches:
         if id(b.cable) not in cable_names:
-            name = b.cable.label
-            k = 2
-            while name in cables:
-                name = f"{b.cable.label}~{k}"
-                k += 1
+            name = _unique(b.cable.label, cables)
             cables[name] = cable_to_dict(b.cable, f"cables[{name!r}]")
             cable_names[id(b.cable)] = name
     return {
@@ -364,9 +360,10 @@ def _write_table(path: str | Path, lines: list[str], columns: str, rows) -> None
 
 def write_spectrum_csv(path: str | Path, spec: MatrixSpectrum,
                        timestamp: bool = True) -> None:
+    """A delta is headed ``kind=delta``, without its quantity or model."""
     f, v = spec.grid.frequencies, spec.values
     L = spec.n_conductors
-    _write_table(path, _header_lines(spec.kind, timestamp),
+    _write_table(path, _header_lines("delta" if spec.model else spec.kind, timestamp),
                  "f_or_t,entry_row,entry_col,re,im",
                  (f"{_fmt(f[k])},{r},{c},{_fmt(v[k, r, c].real)},"
                   f"{_fmt(v[k, r, c].imag)}"
@@ -376,9 +373,9 @@ def write_spectrum_csv(path: str | Path, spec: MatrixSpectrum,
 
 def write_trace_csv(path: str | Path, trace: TimeTrace,
                     timestamp: bool = True) -> None:
-    extra = {"quantity": trace.origin.quantity}
-    if trace.origin.model:
-        extra["model"] = trace.origin.model
+    extra = {"quantity": trace.kind}
+    if trace.model:
+        extra["model"] = trace.model
     t = trace.times
     L = trace.n_conductors
     _write_table(path, _header_lines("trace", timestamp, extra),

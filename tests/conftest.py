@@ -10,7 +10,7 @@ from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import FrequencyGrid, line_propagation_params
 from plnsim.network import (AdmittanceSpec, Branch, NetworkTopology, Port,
                             constant_admittance)
-from plnsim.timedomain import TimeTrace, TraceOrigin
+from plnsim.timedomain import TimeTrace
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +46,11 @@ FLAT_3C = constant_rlgc_cable(
     np.diag([0.08, 0.1, 0.13]), 5e-7 * np.array([[1, .4, .15], [.4, 1, .4], [.15, .4, 1]]),
     1e-6 * np.eye(3), 1e-10 * np.array([[1, -.3, -.05], [-.3, 1, -.3], [-.05, -.3, 1]]),
     label="flat-3c")
+
+
+def rel_err(a, b):
+    """Largest entry error relative to the largest entry of ``b``."""
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
 def lossless_cable(l=5e-7, c=1e-10, label="lossless"):
@@ -125,4 +130,4 @@ def spike_trace(peaks):
     samples = np.zeros((512, 1, 1))
     for i, amplitude in peaks.items():
         samples[i, 0, 0] = amplitude
-    return TimeTrace(SPIKE_T_STEP, samples, TraceOrigin("admittance"))
+    return TimeTrace(SPIKE_T_STEP, samples, "admittance")

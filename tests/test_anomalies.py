@@ -1,26 +1,21 @@
 """Anomaly insertion and the chain/superposition effect models."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
-                              REFLECTION_CHAIN_WARNING, apply_anomaly,
-                              delta_chain, delta_superposition,
-                              describe_anomaly)
+                              apply_anomaly, delta_chain, delta_superposition)
 from plnsim.cables import scaled_cable
 from plnsim.errors import SingularityError, ValidationError
 from plnsim.mtl import FrequencyGrid, MatrixSpectrum
-from plnsim.network import (conductance, constant_admittance,
+from plnsim.network import (Branch, conductance, constant_admittance,
                             end_to_end_ctf, network_input_reflection,
                             parallel_rc_admittance, reduce_to_port)
 
-from conftest import single_line_net
-
-
-def rel_err(a, b):
-    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+from conftest import rel_err, single_line_net
 
 
 @pytest.fixture()
@@ -49,6 +44,16 @@ def test_lumped_fault_adds_loaded_node(base_net, grid):
     assert node in out.loads
     assert {b.length_m for b in out.branches} == {40.0, 80.0}
     assert base_net.nodes == ("a", "b")  # input untouched
+
+
+def test_lumped_fault_node_id_is_made_unique(base_net, grid, std_cable):
+    # the far node already carries the id the fault node would get
+    net = replace(base_net, nodes=("a", "s@40m"),
+                  branches=(Branch("s", "a", "s@40m", std_cable, 120.0),),
+                  loads={"s@40m": base_net.loads["b"]})
+    out = apply_anomaly(net, LumpedFault("s", 40.0, conductance(0.01)), grid)
+    assert out.nodes == ("a", "s@40m", "s@40m~2")
+    assert "s@40m~2" in out.loads and out.report.valid
 
 
 def test_lumped_fault_offset_range(base_net, grid):
@@ -128,11 +133,6 @@ def test_distributed_fault_rejects_non_finite_range(base_net, grid, std_cable,
         apply_anomaly(base_net, DistributedFault("s", start, extent, degraded), grid)
 
 
-def test_describe_anomaly(base_net):
-    d = describe_anomaly(LumpedFault("s", 40.0, conductance(0.05)))
-    assert d["type"] == "lumped_fault" and d["offset_m"] == 40.0
-
-
 # ---------------------------------------------------------------------------
 # zero-severity identities (all three variants)
 
@@ -161,9 +161,8 @@ def test_zero_severity_distributed(base_net, grid, std_cable):
 def test_chain_identity_on_equal_spectra(base_net, grid):
     y, _, _ = responses(base_net, grid)
     d = delta_chain(y, y)
-    assert np.max(np.abs(d.values.values - np.eye(1))) < 1e-13
-    assert d.model == "chain" and d.quantity == "admittance"
-    assert d.warning is None
+    assert np.max(np.abs(d.values - np.eye(1))) < 1e-13
+    assert d.model == "chain" and d.kind == "admittance"
 
 
 def test_chain_is_scalar_division(base_net, grid):
@@ -172,13 +171,7 @@ def test_chain_is_scalar_division(base_net, grid):
     y1, _, _ = responses(out, grid)
     d = delta_chain(y1, y0)
     ref = y1.values[:, 0, 0] / y0.values[:, 0, 0]
-    assert rel_err(d.values.values[:, 0, 0], ref) < 1e-12
-
-
-def test_reflection_chain_carries_warning(base_net, grid):
-    _, rho, _ = responses(base_net, grid)
-    d = delta_chain(rho, rho)
-    assert d.warning == REFLECTION_CHAIN_WARNING
+    assert rel_err(d.values[:, 0, 0], ref) < 1e-12
 
 
 def test_superposition_zero_and_normalized_identity(base_net, grid):
@@ -186,12 +179,11 @@ def test_superposition_zero_and_normalized_identity(base_net, grid):
     out = apply_anomaly(base_net, LumpedFault("s", 40.0, conductance(0.03)), grid)
     y1, _, _ = responses(out, grid)
     plain = delta_superposition(y0, y0)
-    assert np.max(np.abs(plain.values.values)) == 0.0
+    assert np.max(np.abs(plain.values)) == 0.0
     norm = delta_superposition(y1, y0, normalize=True)
     chain = delta_chain(y1, y0)
     # the normalized superposition delta is the chain delta minus identity
-    assert np.max(np.abs(norm.values.values
-                         - (chain.values.values - np.eye(1)))) < 1e-12
+    assert np.max(np.abs(norm.values - (chain.values - np.eye(1)))) < 1e-12
 
 
 def test_delta_grid_mismatch(base_net, grid):
@@ -212,5 +204,15 @@ def test_delta_singular_baseline(grid):
 def test_delta_rejects_delta_kind(base_net, grid):
     y0, _, _ = responses(base_net, grid)
     d = delta_superposition(y0, y0)
+    for pair in ((d, d), (d, y0), (y0, d)):
+        with pytest.raises(ValidationError, match="delta spectrum"):
+            delta_chain(*pair)
+        with pytest.raises(ValidationError, match="delta spectrum"):
+            delta_superposition(*pair)
+
+
+def test_spectrum_rejects_unknown_model(grid):
+    with pytest.raises(ValidationError, match="delta model"):
+        MatrixSpectrum(grid, np.ones((grid.n_points, 1, 1)), "admittance", "ratio")
     with pytest.raises(ValidationError, match="kind"):
-        delta_chain(d.values, d.values)
+        MatrixSpectrum(grid, np.ones((grid.n_points, 1, 1)), "delta")

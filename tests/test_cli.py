@@ -17,7 +17,8 @@ from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
 from plnsim.cli import main
 from plnsim.errors import ValidationError
 from plnsim.mtl import FrequencyGrid, MatrixSpectrum
-from plnsim.network import open_circuit
+from plnsim.network import (Branch, NetworkTopology, Port, constant_admittance,
+                            open_circuit)
 from plnsim.topofile import (read_topology, write_json, write_topology,
                              topology_from_dict, topology_to_dict)
 
@@ -32,16 +33,21 @@ DIST_FAULT = {"type": "distributed_fault", "branch": "b0", "start_m": 30.0,
 NAN, INF = float("nan"), float("inf")
 
 
-def read_spectrum_csv(path):
+def read_spectrum_csv(path, delta_of=None):
     """A spectrum as ``simulate`` or ``delta`` wrote it, its data rows
-    ordered by frequency, row and column."""
+    ordered by frequency, row and column.  A delta file's header reads
+    ``kind=delta`` and names neither quantity nor model, so ``delta_of``
+    gives the (quantity, model) the command was run with."""
     lines = Path(path).read_text().splitlines()
+    header = lines[0].removeprefix("# kind=")
+    kind, model = delta_of or (header, None)
+    assert (header == "delta") == (model is not None)
     data = np.loadtxt([ln for ln in lines if ln[:1].isdigit()], delimiter=",")
     f = np.unique(data[:, 0])
     n = int(data[:, 1].max()) + 1
     values = (data[:, 3] + 1j * data[:, 4]).reshape(f.size, n, n)
     return MatrixSpectrum(FrequencyGrid(f[0], f[1] - f[0], f.size), values,
-                          lines[0].removeprefix("# kind="))
+                          kind, model)
 
 
 @pytest.fixture()
@@ -323,8 +329,29 @@ def test_delta_zero_severity(two_node, tmp_path):
     assert main(["delta", str(two_node), "--anomaly", str(anomaly),
                  "--model", "superposition", "--quantity", "admittance",
                  "--out", str(out), "--no-timestamp"]) == 0
-    spec = read_spectrum_csv(out / "delta_spectrum.csv")
+    spec = read_spectrum_csv(out / "delta_spectrum.csv",
+                             ("admittance", "superposition"))
     assert np.max(np.abs(spec.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("quantity", ["admittance", "reflection", "ctf"])
+@pytest.mark.parametrize("model", ["chain", "superposition",
+                                   "superposition_normalized"])
+def test_delta_warns_only_for_chain_of_reflection(star3, tmp_path, capsys,
+                                                  model, quantity):
+    anomaly = tmp_path / "anomaly.json"
+    anomaly.write_text(json.dumps(FAULT))
+    ends = (["--tx-port", "tx", "--rx-node", "n0"] if quantity == "ctf"
+            else ["--port", "probe"])
+    out = tmp_path / "delta"
+    assert main(["delta", str(star3), "--anomaly", str(anomaly), "--model", model,
+                 "--quantity", quantity, *ends, "--out", str(out),
+                 "--no-timestamp"]) == 0
+    warned = capsys.readouterr().err.startswith("warning: chain deltas")
+    assert warned == (model == "chain" and quantity == "reflection")
+    read_spectrum_csv(out / "delta_spectrum.csv", (quantity, model))
+    header = (out / "delta_trace.csv").read_text().splitlines()[:3]
+    assert header == ["# kind=trace", f"# model={model}", f"# quantity={quantity}"]
 
 
 def test_inject_roundtrip(two_node, tmp_path):
@@ -446,6 +473,25 @@ def test_custom_cable_library_env(tmp_path, monkeypatch):
         raise SystemExit(main(["sweep", "--cables", "nothere",
                                "--grid", "1e5,4e5,80", "--out", str(out)]))
     assert exc.value.code == 64
+
+
+def test_cables_sharing_a_label_stay_distinct():
+    # two distinct cables with one label are written as "pl" and "pl~2"
+    net = NetworkTopology(
+        nodes=("a", "j", "b"),
+        branches=(Branch("b0", "a", "j", powerline_cable(label="pl"), 50.0),
+                  Branch("b1", "j", "b",
+                         powerline_cable(c_f_per_m=1.3e-10, label="pl"), 70.0)),
+        loads={"b": open_circuit()},
+        ports={"p": Port("a", constant_admittance(0.02))})
+    data = topology_to_dict(net)
+    assert sorted(data["cables"]) == ["pl", "pl~2"]
+    assert [b["cable"] for b in data["branches"]] == ["pl", "pl~2"]
+    back = topology_from_dict(json.loads(json.dumps(data)))
+    f = np.array([1e6])
+    c_farad = [b.cable.rlgc(f)[3][0, 0, 0] for b in back.branches]
+    assert c_farad == [1e-10, 1.3e-10]
+    assert topology_to_dict(back) == data
 
 
 def test_bundled_topologies_are_valid():

@@ -165,6 +165,14 @@ def test_sweep_records_are_sane_and_deterministic():
         assert 0.0 <= r.link_position <= 1.0
         assert np.isfinite([r.delta_y, r.delta_rho, r.delta_h]).all()
     assert res1.summary["skip_rate"] < 0.05
+    # a record names its fault by the draws that placed it
+    r = res1.records[0]
+    net = generate_random_network(cfg, r.network_index)
+    rng = experiments._rng(cfg.seed, r.network_index, 1)
+    branch, offset = experiments._fault_position(net, rng)
+    severity = float(rng.uniform(*cfg.fault_severity_s))
+    assert r.anomaly == {"type": "lumped_fault", "branch": branch.id,
+                         "offset_m": offset, "y_f": f"g={severity:g}S"}
 
 
 def test_band_mean_magnitude_ignores_memory_layout():

@@ -21,14 +21,11 @@ from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationPar
                         input_reflection, line_propagation_params, line_responses,
                         load_reflection, modal_transform, propagator)
 
-from conftest import FLAT_3C, lossless_cable, random_passive_matrix, spectrum_const
+from conftest import (FLAT_3C, lossless_cable, random_passive_matrix, rel_err,
+                      spectrum_const)
 from oracles import input_reflection_modal, reflection, series_truncated_responses
 
 TWO_PI = 2.0 * np.pi
-
-
-def rel_err(a, b):
-    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
 def random_spd_cable(rng, L, label="random-spd"):

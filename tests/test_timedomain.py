@@ -13,7 +13,7 @@ from plnsim.mtl import FrequencyGrid, MatrixSpectrum
 from plnsim.network import (NetworkTopology, Branch, Port, conductance,
                             constant_admittance, end_to_end_ctf, open_circuit,
                             parallel_rc_admittance, reduce_to_port)
-from plnsim.timedomain import (TimeTrace, TraceOrigin, _find_peaks,
+from plnsim.timedomain import (TimeTrace, _find_peaks,
                                check_peak_spacing_symmetry, detect_peaks,
                                locate_anomaly_reflectometric, time_to_distance,
                                to_time_domain)
@@ -90,7 +90,7 @@ def test_off_lattice_grid_rejected():
 
 def make_trace(x, t_step=1e-8):
     return TimeTrace(t_step=t_step, samples=np.asarray(x, float)[:, None, None],
-                     origin=TraceOrigin("admittance"))
+                     kind="admittance")
 
 
 def test_detect_peaks_zero_trace():
@@ -189,8 +189,7 @@ def test_locate_requires_admittance_delta_origin():
 
 
 def test_locate_zero_delta_not_found():
-    tr = TimeTrace(1e-8, np.zeros((64, 1, 1)),
-                   TraceOrigin("admittance", "superposition"))
+    tr = TimeTrace(1e-8, np.zeros((64, 1, 1)), "admittance", "superposition")
     res = locate_anomaly_reflectometric(tr, 2e8)
     assert not res.found
 
@@ -258,7 +257,7 @@ def test_first_peak_envelope_independence(grid_wide, std_cable, lib):
     ref = traces[0]
     e_total = segment_energy(ref, 0.0, ref.times[-1] + ref.t_step)
     for other in traces[1:]:
-        diff = TimeTrace(ref.t_step, ref.samples - other.samples, ref.origin)
+        diff = TimeTrace(ref.t_step, ref.samples - other.samples, ref.kind)
         assert segment_energy(diff, 0.0, t_guard) < 0.01 * e_total
 
 
@@ -325,7 +324,7 @@ def test_symmetry_detects_time_scaling(grid_wide, lib):
     tr = to_time_domain(end_to_end_ctf(net, "tx", probe, grid_wide), "hann")
     n = tr.n_samples
     idx = np.clip((np.arange(n) / 1.05).round().astype(int), 0, n - 1)
-    scaled = TimeTrace(tr.t_step, tr.samples[idx], tr.origin)
+    scaled = TimeTrace(tr.t_step, tr.samples[idx], tr.kind)
     rep = check_peak_spacing_symmetry(tr, scaled)
     assert not rep.symmetric and not rep.inconclusive
 
@@ -353,13 +352,13 @@ def test_symmetry_one_sided_peak_against_the_dominant_cut(fraction,
 
 
 def test_symmetry_inconclusive_on_empty():
-    quiet = TimeTrace(1e-8, np.zeros((128, 1, 1)), TraceOrigin("ctf"))
+    quiet = TimeTrace(1e-8, np.zeros((128, 1, 1)), "ctf")
     rep = check_peak_spacing_symmetry(quiet, quiet)
     assert rep.inconclusive
 
 
 def test_symmetry_t_step_mismatch():
-    a = TimeTrace(1e-8, np.zeros((16, 1, 1)), TraceOrigin("ctf"))
-    b = TimeTrace(2e-8, np.zeros((16, 1, 1)), TraceOrigin("ctf"))
+    a = TimeTrace(1e-8, np.zeros((16, 1, 1)), "ctf")
+    b = TimeTrace(2e-8, np.zeros((16, 1, 1)), "ctf")
     with pytest.raises(ValidationError):
         check_peak_spacing_symmetry(a, b)
