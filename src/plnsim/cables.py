@@ -9,6 +9,8 @@ keep resonances at finite Q.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import ValidationError
@@ -48,6 +50,7 @@ def powerline_cable(n_conductors: int = 1,
             f"n_conductors must be a whole number >= 1, got {n_conductors!r}")
     n = int(n_conductors)
     name = label or f"powerline-{n}c"
+    params = {"n_conductors": n, "coupling": float(coupling)}
     for key, value, positive in (("r0_ohm_per_m", r0_ohm_per_m, False),
                                  ("l_h_per_m", l_h_per_m, True),
                                  ("c_f_per_m", c_f_per_m, True),
@@ -57,53 +60,41 @@ def powerline_cable(n_conductors: int = 1,
             raise ValidationError(
                 f"cable {name!r}: {key} must be finite and "
                 f"{'positive' if positive else '>= 0'}, got {value!r}")
-    l_mat = _coupled(l_h_per_m, coupling, n)
-    c_mat = _coupled(c_f_per_m, coupling, n)
+        params[key] = float(value)
+    params = MappingProxyType(params)
+    l_mat = _coupled(params["l_h_per_m"], params["coupling"], n)
+    c_mat = _coupled(params["c_f_per_m"], params["coupling"], n)
     eye = np.eye(n)
 
     def rlgc(f: np.ndarray):
         nf = f.size
-        r = (r0_ohm_per_m * np.sqrt(f / f_ref_hz))[:, None, None] * eye
+        r = (params["r0_ohm_per_m"] * np.sqrt(f / params["f_ref_hz"]))[:, None, None] * eye
         l = np.broadcast_to(l_mat, (nf, n, n)).copy()
-        g = (2.0 * np.pi * f * g_factor)[:, None, None] * c_mat
+        g = (2.0 * np.pi * f * params["g_factor"])[:, None, None] * c_mat
         c = np.broadcast_to(c_mat, (nf, n, n)).copy()
         return r, l, g, c
 
-    params = {
-        "n_conductors": n,
-        "r0_ohm_per_m": r0_ohm_per_m,
-        "l_h_per_m": l_h_per_m,
-        "c_f_per_m": c_f_per_m,
-        "g_factor": g_factor,
-        "coupling": coupling,
-        "f_ref_hz": f_ref_hz,
-    }
-    return CableSpec(label=name, n_conductors=n, rlgc=rlgc,
-                     meta={"model": "powerline", "params": params})
+    return CableSpec(label=name, n_conductors=n, rlgc=rlgc, meta=("powerline", params))
 
 
-def constant_rlgc_cable(r, l, g, c, label: str = "constant-rlgc") -> CableSpec:
+def constant_rlgc_cable(r, l, g, c, label: str | None = None) -> CableSpec:
     """Cable with frequency-independent R, L, G, C.  Scalars describe a
     single-conductor line; full matrices are accepted as nested lists.  The
     matrices are checked here, as the decomposition checks every cable:
     finite and symmetric, R and G diagonals >= 0, L and C positive definite."""
-    mats = []
-    for m in (r, l, g, c):
-        a = np.atleast_2d(np.asarray(m, dtype=float))
-        mats.append(a)
+    mats = [np.atleast_2d(np.array(m, dtype=float)) for m in (r, l, g, c)]
     n = mats[1].shape[0]
     for a in mats:
         if a.shape != (n, n):
             raise ValidationError("constant R, L, G, C matrices must share one shape")
+        a.flags.writeable = False
 
     def rlgc(f: np.ndarray):
         nf = f.size
         return tuple(np.broadcast_to(a, (nf, n, n)).copy() for a in mats)
 
-    params = {"r": mats[0].tolist(), "l": mats[1].tolist(),
-              "g": mats[2].tolist(), "c": mats[3].tolist()}
-    cable = CableSpec(label=label, n_conductors=n, rlgc=rlgc,
-                      meta={"model": "constant_rlgc", "params": params})
+    cable = CableSpec(label=label or "constant-rlgc", n_conductors=n, rlgc=rlgc,
+                      meta=("constant_rlgc", MappingProxyType(dict(zip("rlgc", mats)))))
     _validate_rlgc(cable, np.ones(1), tuple(a[None] for a in mats))
     return cable
 
@@ -119,17 +110,15 @@ def scaled_cable(base: CableSpec, r_scale: float = 1.0, l_scale: float = 1.0,
         raise ValidationError(
             "cable scale factors must be >= 0 for R and G and > 0 for L and C")
     name = label or f"{base.label}-degraded"
-    meta = base.meta or {}
-    p = meta.get("params")
-    if meta.get("model") == "powerline":
+    model, p = base.meta or (None, None)
+    if model == "powerline":
         return powerline_cable(**dict(
             p, r0_ohm_per_m=p["r0_ohm_per_m"] * r_scale,
             l_h_per_m=p["l_h_per_m"] * l_scale, c_f_per_m=p["c_f_per_m"] * c_scale,
             g_factor=p["g_factor"] * g_scale / c_scale), label=name)
-    if meta.get("model") == "constant_rlgc":
+    if model == "constant_rlgc":
         scales = (r_scale, l_scale, g_scale, c_scale)
-        return constant_rlgc_cable(*(np.asarray(p[k]) * s for k, s in zip("rlgc", scales)),
-                                   label=name)
+        return constant_rlgc_cable(*(p[k] * s for k, s in zip("rlgc", scales)), label=name)
     raise ValidationError(f"cable {base.label!r} has no parametric form to scale")
 
 

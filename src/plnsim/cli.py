@@ -386,7 +386,12 @@ def main(argv: list[str] | None = None) -> int:
         result = args.func(args, grid)
         if result.files:
             out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                print(f"plnsim: cannot make the --out directory {out}: {exc.strerror}",
+                      file=sys.stderr)
+                return EXIT_INVALID
             timestamp = not getattr(args, "no_timestamp", False)
             for name, write, content in result.files:
                 write(out / name, content, timestamp)

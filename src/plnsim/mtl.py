@@ -61,7 +61,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -133,7 +133,9 @@ class CableSpec:
     label: str
     n_conductors: int
     rlgc: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    meta: dict | None = None  # parametric description, used by the file layer
+    # (model, params): the constructor's name in topology files and its
+    # arguments but ``label``, as it holds them
+    meta: tuple[str, Mapping] | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -76,12 +76,14 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class AdmittanceSpec:
     """Frequency-dependent L x L admittance used for loads, sources and
-    shunt faults.  ``evaluate(f)`` maps (n_f,) -> (n_f, L, L) complex, S."""
+    shunt faults.  ``evaluate(f)`` maps (n_f,) -> (n_f, L, L) complex, S.
+    ``meta`` is (model, params): the constructor's name in topology files
+    and its arguments but ``n_conductors`` and ``label``, as it holds them."""
 
     n_conductors: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    meta: dict | None = None
+    meta: tuple[str, Mapping] | None = None
 
     def is_passive(self, f: np.ndarray) -> bool:
         """True when the Hermitian part Y / 2 + Y^H / 2 (halved first, so a
@@ -93,27 +95,23 @@ class AdmittanceSpec:
         return bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-9 * scale)
 
 
-def _as_matrix(y, n: int) -> np.ndarray:
-    a = np.asarray(y, dtype=complex)
-    if a.ndim == 0:
-        return a * np.eye(n)
-    if a.shape != (n, n):
-        raise ValidationError(f"admittance matrix has shape {a.shape}, expected {(n, n)}")
-    return a
-
-
-def constant_admittance(y, n_conductors: int = 1, label: str = "") -> AdmittanceSpec:
-    """Frequency-independent admittance.  A scalar y means y * identity."""
-    if not np.all(np.isfinite(y)):
+def constant_admittance(y_s, n_conductors: int = 1, label: str = "") -> AdmittanceSpec:
+    """Frequency-independent admittance.  A scalar y_s means y_s * identity."""
+    if not np.all(np.isfinite(y_s)):
         raise ValidationError("constant admittance y_s must be finite")
-    mat = _as_matrix(y, n_conductors)
+    n = n_conductors
+    mat = np.array(y_s, dtype=complex)
+    if mat.ndim == 0:
+        mat = mat * np.eye(n)
+    if mat.shape != (n, n):
+        raise ValidationError(f"admittance matrix has shape {mat.shape}, expected {(n, n)}")
+    mat.flags.writeable = False
 
     def evaluate(f: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(mat, (f.size, n_conductors, n_conductors)).copy()
+        return np.broadcast_to(mat, (f.size, n, n)).copy()
 
-    meta = {"model": "constant", "params": {
-        "y_s": [[[v.real, v.imag] for v in row] for row in mat]}}
-    return AdmittanceSpec(n_conductors, evaluate, label or "constant", meta)
+    return AdmittanceSpec(n, evaluate, label or "constant",
+                          ("constant", MappingProxyType({"y_s": mat})))
 
 
 def parallel_rc_admittance(r_ohm: float, c_farad: float,
@@ -123,13 +121,15 @@ def parallel_rc_admittance(r_ohm: float, c_farad: float,
         raise ValidationError("parallel RC load needs finite r_ohm > 0 and c_farad >= 0, "
                               f"got r_ohm={r_ohm!r}, c_farad={c_farad!r}")
     n = n_conductors
+    r_ohm, c_farad = float(r_ohm), float(c_farad)
 
     def evaluate(f: np.ndarray) -> np.ndarray:
         y = 1.0 / r_ohm + 1j * 2.0 * np.pi * f * c_farad
         return y[:, None, None] * np.eye(n)
 
-    meta = {"model": "parallel_rc", "params": {"r_ohm": r_ohm, "c_farad": c_farad}}
-    return AdmittanceSpec(n, evaluate, f"rc({r_ohm:g},{c_farad:g})", meta)
+    return AdmittanceSpec(n, evaluate, f"rc({r_ohm:g},{c_farad:g})",
+                          ("parallel_rc", MappingProxyType({"r_ohm": r_ohm,
+                                                            "c_farad": c_farad})))
 
 
 def open_circuit(n_conductors: int = 1) -> AdmittanceSpec:
@@ -139,7 +139,7 @@ def open_circuit(n_conductors: int = 1) -> AdmittanceSpec:
     def evaluate(f: np.ndarray) -> np.ndarray:
         return np.zeros((f.size, n, n), dtype=complex)
 
-    return AdmittanceSpec(n, evaluate, "open", {"model": "open", "params": {}})
+    return AdmittanceSpec(n, evaluate, "open", ("open", MappingProxyType({})))
 
 
 def conductance(g_siemens: float, n_conductors: int = 1) -> AdmittanceSpec:
@@ -151,8 +151,8 @@ def conductance(g_siemens: float, n_conductors: int = 1) -> AdmittanceSpec:
 def table_admittance(f_hz, y_s, n_conductors: int = 1) -> AdmittanceSpec:
     """Tabulated admittance, linearly interpolated per entry.  ``y_s`` is
     (n_table,) for scalar-diagonal loads or (n_table, L, L)."""
-    ft = np.asarray(f_hz, dtype=float)
-    yt = np.asarray(y_s, dtype=complex)
+    ft = np.array(f_hz, dtype=float)
+    yt = np.array(y_s, dtype=complex)
     if ft.ndim != 1 or ft.size < 2 or np.any(np.diff(ft) <= 0):
         raise ValidationError("table frequencies must be increasing, length >= 2")
     if not (np.all(np.isfinite(ft)) and np.all(np.isfinite(yt))):
@@ -162,6 +162,7 @@ def table_admittance(f_hz, y_s, n_conductors: int = 1) -> AdmittanceSpec:
         yt = yt[:, None, None] * np.eye(n)
     if yt.shape != (ft.size, n, n):
         raise ValidationError("table values must have shape (n_table,) or (n_table, L, L)")
+    ft.flags.writeable = yt.flags.writeable = False
 
     def evaluate(f: np.ndarray) -> np.ndarray:
         out = np.empty((f.size, n, n), dtype=complex)
@@ -170,11 +171,8 @@ def table_admittance(f_hz, y_s, n_conductors: int = 1) -> AdmittanceSpec:
                 out[:, r, c] = np.interp(f, ft, yt[:, r, c])
         return out
 
-    meta = {"model": "table", "params": {
-        "f_hz": ft.tolist(),
-        "y_s": [[[ [yt[k, r, c].real, yt[k, r, c].imag] for c in range(n)]
-                 for r in range(n)] for k in range(ft.size)]}}
-    return AdmittanceSpec(n, evaluate, "table", meta)
+    return AdmittanceSpec(n, evaluate, "table",
+                          ("table", MappingProxyType({"f_hz": ft, "y_s": yt})))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ produce byte-stable output.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from datetime import datetime, timezone
@@ -66,119 +67,111 @@ def _read_json(path: Path):
         raise ParseError(f"{path}: non-standard JSON constant {token}")
 
     try:
-        return json.loads(path.read_text(), parse_constant=reject)
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _complex_from(pair, context: str) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    if (isinstance(pair, (list, tuple)) and len(pair) == 2
-            and all(isinstance(v, (int, float)) for v in pair)):
-        return complex(pair[0], pair[1])
-    raise _fail(context, f"expected a number or [re, im] pair, got {pair!r}")
+def _value(name: str, v):
+    """A file value, decoded strictly by its field name.  ``active`` is a
+    JSON boolean; ``y_s`` is complex, numbers or [re, im] pairs at any depth
+    (a list of two numbers is always a pair); ``f_hz``, ``r``, ``l``, ``g``
+    and ``c`` are real, numbers at any depth; arrays are regular.  Any
+    other field is a JSON number, returned as a float.  A bad value is a
+    TypeError or ValueError that names the field."""
+    if name == "active":
+        if not isinstance(v, bool):
+            raise TypeError(f"active must be true or false, got {v!r}")
+        return v
+    pairs = name == "y_s"
+    array = pairs or name in ("f_hz", "r", "l", "g", "c")
 
+    def entries(x):
+        if array and isinstance(x, list):
+            x = [entries(e) for e in x]
+            if pairs and len(x) == 2 and all(isinstance(e, (int, float)) for e in x):
+                return complex(*x)
+            return x
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError
+        return x
 
-def _matrix_from(obj, n: int, context: str) -> np.ndarray:
-    if isinstance(obj, (int, float)) or (
-            isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) for v in obj)):
-        with np.errstate(invalid="ignore"):  # inf * 0; the model rejects the value
-            return _complex_from(obj, context) * np.eye(n)
     try:
-        rows = [[_complex_from(v, context) for v in row] for row in obj]
-        mat = np.array(rows, dtype=complex)
-    except (TypeError, ParseError) as exc:
-        raise _fail(context, "expected a scalar, [re, im], or matrix of pairs") from exc
-    if mat.shape != (n, n):
-        raise _fail(context, f"matrix has shape {mat.shape}, expected {(n, n)}")
-    return mat
+        a = np.array(entries(v), dtype=complex if pairs else float)
+    except (TypeError, ValueError, OverflowError):  # a ragged array is a ValueError
+        what = ("a regular array of numbers or [re, im] pairs" if pairs
+                else "a regular array of numbers" if array else "a JSON number")
+        raise ValueError(f"{name} must be {what}, got {v!r}") from None
+    return a if array else float(a)
 
 
 # ---------------------------------------------------------------------------
-# admittance and cable model registries
+# admittance and cable models: the name each has in a file, and its
+# constructor, whose signature states the parameters it takes
 
-# the parameters each model takes; a model's defaults live in its constructor
-_MODEL_PARAMS = {
-    "constant": ("y_s",),
-    "parallel_rc": ("r_ohm", "c_farad"),
-    "open": (),
-    "table": ("f_hz", "y_s"),
-    "powerline": ("n_conductors", "r0_ohm_per_m", "l_h_per_m", "c_f_per_m",
-                  "g_factor", "coupling", "f_ref_hz"),
-    "constant_rlgc": ("r", "l", "g", "c"),
-}
+_ADMITTANCES = {"constant": constant_admittance, "parallel_rc": parallel_rc_admittance,
+                "open": open_circuit, "table": table_admittance}
+_CABLES = {"powerline": powerline_cable, "constant_rlgc": constant_rlgc_cable}
 
 
-def _model_params(d, context: str) -> tuple[str, dict]:
-    """The model name and params object of a model dict; a params key that
-    a known model does not take is an error (the caller rejects an unknown
-    model)."""
+def _from_dict(models: dict, d, context: str, **given):
+    """The model that ``d`` names, built from its params.  A label is never
+    a parameter, nor is what the file states elsewhere (``given``); of the
+    other arguments of the constructor, those without a default are
+    required."""
     if not isinstance(d, dict) or "model" not in d:
         raise _fail(context, "expected an object with a 'model' field")
     model = d["model"]
+    if not isinstance(model, str) or model not in models:
+        raise _fail(context, f"unknown model {model!r}, "
+                             f"expected one of {', '.join(models)}")
+    build = models[model]
     params = _section(d.get("params", {}), dict, f"{context}.params")
-    known = _MODEL_PARAMS.get(model, params) if isinstance(model, str) else params
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise _fail(context, f"model {model!r} has unknown parameter {unknown[0]!r}")
-    return model, params
+    takes = {name: p.default is p.empty
+             for name, p in inspect.signature(build).parameters.items()
+             if name != "label" and name not in given}
+    for name in sorted(params):
+        if name not in takes:
+            raise _fail(context, f"model {model!r} has unknown parameter {name!r}")
+    for name, required in takes.items():
+        if required and name not in params:
+            raise _fail(context, f"model {model!r} is missing parameter {name!r}")
+    try:
+        return build(**{k: _value(k, v) for k, v in params.items()}, **given)
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
+
+
+def _to_dict(spec: AdmittanceSpec | CableSpec, context: str) -> dict:
+    """The file form of a model: arrays as lists, complex entries as
+    [re, im] pairs."""
+    if spec.meta is None:
+        raise _fail(context, "no parametric form to write")
+    model, params = spec.meta
+    encoded = {}
+    for name, v in params.items():
+        if isinstance(v, np.ndarray):
+            v = (np.stack([v.real, v.imag], -1) if np.iscomplexobj(v) else v).tolist()
+        encoded[name] = v
+    return {"model": model, "params": encoded}
 
 
 def admittance_from_dict(d: dict, n_conductors: int, context: str) -> AdmittanceSpec:
-    model, params = _model_params(d, context)
-    try:
-        if model == "constant":
-            return constant_admittance(_matrix_from(params["y_s"], n_conductors,
-                                                    f"{context}.y_s"), n_conductors)
-        if model == "parallel_rc":
-            return parallel_rc_admittance(float(params["r_ohm"]),
-                                          float(params["c_farad"]), n_conductors)
-        if model == "open":
-            return open_circuit(n_conductors)
-        if model == "table":
-            f_hz = np.asarray(params["f_hz"], dtype=float)
-            raw = params["y_s"]
-            y = np.array([_matrix_from(entry, n_conductors, f"{context}.y_s[{k}]")
-                          for k, entry in enumerate(raw)])
-            return table_admittance(f_hz, y, n_conductors)
-    except KeyError as exc:
-        raise _fail(context, f"model {model!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
-    raise _fail(context, f"unknown admittance model {model!r}")
-
-
-def admittance_to_dict(spec: AdmittanceSpec, context: str) -> dict:
-    if spec.meta is None:
-        raise _fail(context, "admittance has no serializable parametric form")
-    return spec.meta
+    return _from_dict(_ADMITTANCES, d, context, n_conductors=n_conductors)
 
 
 def cable_from_dict(d: dict, context: str) -> CableSpec:
-    model, params = _model_params(d, context)
-    try:
-        if model == "powerline":
-            return powerline_cable(**{k: float(v) for k, v in params.items()},
-                                   label=d.get("label"))
-        if model == "constant_rlgc":
-            return constant_rlgc_cable(params["r"], params["l"], params["g"],
-                                       params["c"],
-                                       label=d.get("label", "constant-rlgc"))
-    except KeyError as exc:
-        raise _fail(context, f"model {model!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise _fail(context, f"model {model!r} has a bad parameter: {exc}") from None
-    raise _fail(context, f"unknown cable model {model!r}")
-
-
-def cable_to_dict(cable: CableSpec, context: str) -> dict:
-    if cable.meta is None:
-        raise _fail(context, f"cable {cable.label!r} has no serializable parametric form")
-    return dict(cable.meta, label=cable.label)
+    # _from_dict rejects a d that is not an object
+    label = d.get("label") if isinstance(d, dict) else None
+    if not isinstance(label, (str, type(None))):
+        raise _fail(context, f"label must be a string, got {label!r}")
+    return _from_dict(_CABLES, d, context, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +201,7 @@ def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology
             branches.append(Branch(id=str(bd["id"]), node_a=str(bd["node_a"]),
                                    node_b=str(bd["node_b"]),
                                    cable=cables[cable_name],
-                                   length_m=float(bd["length_m"])))
+                                   length_m=_value("length_m", bd["length_m"])))
         except KeyError as exc:
             raise _fail(ctx, f"missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -238,7 +231,8 @@ def topology_to_dict(net: NetworkTopology) -> dict:
     for b in net.branches:
         if id(b.cable) not in cable_names:
             name = _unique(b.cable.label, cables)
-            cables[name] = cable_to_dict(b.cable, f"cables[{name!r}]")
+            cables[name] = dict(_to_dict(b.cable, f"cables[{name!r}]"),
+                                label=b.cable.label)
             cable_names[id(b.cable)] = name
     return {
         "nodes": list(net.nodes),
@@ -247,11 +241,10 @@ def topology_to_dict(net: NetworkTopology) -> dict:
             {"id": b.id, "node_a": b.node_a, "node_b": b.node_b,
              "cable": cable_names[id(b.cable)], "length_m": b.length_m}
             for b in net.branches],
-        "loads": {node: admittance_to_dict(spec, f"loads[{node!r}]")
+        "loads": {node: _to_dict(spec, f"loads[{node!r}]")
                   for node, spec in sorted(net.loads.items())},
         "ports": {name: {"node": p.node,
-                         "source": admittance_to_dict(p.source,
-                                                      f"ports[{name!r}].source")}
+                         "source": _to_dict(p.source, f"ports[{name!r}].source")}
                   for name, p in sorted(net.ports.items())},
     }
 
@@ -308,18 +301,18 @@ def read_anomaly(source: str | Path | dict, net: NetworkTopology) -> Anomaly:
     try:
         if kind == "lumped_fault":
             return LumpedFault(branch_id=str(data["branch"]),
-                               offset_m=float(data["offset_m"]),
+                               offset_m=_value("offset_m", data["offset_m"]),
                                y_f=admittance_from_dict(data["y_f"], n,
                                                         f"{context}.y_f"),
-                               active=bool(data.get("active", False)))
+                               active=_value("active", data.get("active", False)))
         if kind == "load_change":
             return LoadChange(node_id=str(data["node"]),
                               new_load=admittance_from_dict(data["load"], n,
                                                             f"{context}.load"))
         if kind == "distributed_fault":
             return DistributedFault(branch_id=str(data["branch"]),
-                                    start_m=float(data["start_m"]),
-                                    extent_m=float(data["extent_m"]),
+                                    start_m=_value("start_m", data["start_m"]),
+                                    extent_m=_value("extent_m", data["extent_m"]),
                                     degraded=cable_from_dict(data["degraded"],
                                                              f"{context}.degraded"))
     except KeyError as exc:

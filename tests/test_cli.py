@@ -18,7 +18,7 @@ from plnsim.cli import main
 from plnsim.errors import ValidationError
 from plnsim.mtl import FrequencyGrid, MatrixSpectrum
 from plnsim.network import (Branch, NetworkTopology, Port, constant_admittance,
-                            open_circuit)
+                            open_circuit, parallel_rc_admittance, table_admittance)
 from plnsim.topofile import (read_topology, write_json, write_topology,
                              topology_from_dict, topology_to_dict)
 
@@ -133,14 +133,36 @@ def test_missing_field_reports_context(tmp_path, two_node, capsys):
     ("topology", {**TWO_NODE, "cables": {"fast": {
         "model": "powerline", "params": {"r0_ohm_per_meter": 5.0}}}}),
     ("topology", {**TWO_NODE, "cables": {"fast": {"model": ["powerline"]}}}),
+    ("topology", {**TWO_NODE, "cables": {"fast": ["powerline"]}}),
+    ("topology", {**TWO_NODE, "cables": {"fast": {**TWO_NODE["cables"]["fast"],
+                                                  "label": ["fast"]}}}),
+    # numbers and booleans are JSON numbers and booleans: bool("false") is
+    # True, and an active fault skips the passivity check
+    ("anomaly", {**FAULT, "active": "false",
+                 "y_f": {"model": "constant", "params": {"y_s": [-0.05, 0]}}}),
+    ("anomaly", {**FAULT, "offset_m": "40"}),
+    ("topology", {**TWO_NODE, "loads": {"n1": {
+        "model": "parallel_rc", "params": {"r_ohm": True, "c_farad": 0}}}}),
+    # None stands for a directory, bytes for a file that is not UTF-8
+    ("topology", None), ("anomaly", None), ("cables", None),
+    ("topology", b"\xff{}"), ("anomaly", b"\xff{}"), ("cables", b"\xff{}"),
 ], ids=["cables-list", "loads-list", "top-level-number", "length-text",
         "offset-text", "params-list", "cable-param-text", "cable-params-list",
         "start-nan", "extent-nan", "admittance-nan", "cable-param-nan",
-        "length-infinity", "cable-param-misspelled", "cable-model-list"])
+        "length-infinity", "cable-param-misspelled", "cable-model-list",
+        "cable-entry-list", "cable-label-list", "active-text", "offset-number-text",
+        "rc-param-bool",
+        "topology-directory", "anomaly-directory", "cables-directory",
+        "topology-not-utf8", "anomaly-not-utf8", "cables-not-utf8"])
 def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
                                        role, content):
     bad = tmp_path / f"bad_{role}.json"
-    bad.write_text(json.dumps(content))
+    if content is None:
+        bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(json.dumps(content))
     out = str(tmp_path / "out")
     if role == "topology":
         argv = ["validate", str(bad)]
@@ -153,6 +175,15 @@ def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_is_one_line(tmp_path, two_node, capsys, out):
+    (tmp_path / "file").write_text("")
+    assert main(["simulate", str(two_node), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"plnsim: cannot make the --out directory {tmp_path / out}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -494,6 +525,48 @@ def test_cables_sharing_a_label_stay_distinct():
     assert topology_to_dict(back) == data
 
 
+Y2 = np.array([[0.02 + 1e-3j, -5e-3], [-5e-3, 0.03 - 2e-3j]])
+
+
+@pytest.mark.parametrize("cable,load", [
+    (powerline_cable(2, coupling=0.2), constant_admittance(Y2, 2)),
+    (powerline_cable(), parallel_rc_admittance(50.0, 1e-9)),
+    (powerline_cable(2), open_circuit(2)),
+    (powerline_cable(2), table_admittance([1e5, 1e6, 1e7], [Y2, 2 * Y2, 3 * Y2], 2)),
+    (constant_rlgc_cable(0.1, 5e-7, 1e-6, 1e-10), constant_admittance(0.02)),
+], ids=["constant-2x2", "parallel_rc", "open", "table-2x2", "constant_rlgc-scalars"])
+def test_every_model_round_trips_byte_identical(cable, load):
+    # the bundled topologies cover powerline cables and constant loads
+    text = json.dumps(topology_to_dict(single_line_net(cable, 50.0, load)), sort_keys=True)
+    back = topology_to_dict(topology_from_dict(json.loads(text)))
+    assert json.dumps(back, sort_keys=True) == text
+
+
+def test_models_hold_read_only_copies_of_their_arguments():
+    y, f_hz = Y2.copy(), np.array([1e5, 1e6])
+    y_t = np.stack([Y2, 2 * Y2])
+    rlgc = [a * np.eye(2) for a in (0.1, 5e-7, 1e-6, 1e-10)]
+    load, source = constant_admittance(y, 2), table_admittance(f_hz, y_t, 2)
+    cable = constant_rlgc_cable(*rlgc)
+    net = NetworkTopology(("a", "b"), (Branch("s", "a", "b", cable, 50.0),),
+                          {"b": load}, {"p": Port("a", source)})
+    f = np.array([3e5, 7e5])
+
+    def state():
+        return [load.evaluate(f), source.evaluate(f), *cable.rlgc(f),
+                json.dumps(topology_to_dict(net), sort_keys=True)]
+
+    before = state()
+    for a in (y, f_hz, y_t, *rlgc):
+        a *= 3
+    for got, want in zip(state(), before):
+        np.testing.assert_array_equal(got, want)
+    for spec in (load, source, cable):
+        for value in spec.meta[1].values():
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 0
+
+
 def test_bundled_topologies_are_valid():
     for name in ("two_node.json", "single_line_200m.json", "star3.json"):
         net = read_topology(str(BUNDLED / name))
@@ -573,11 +646,23 @@ def test_one_shot_path_imports_no_scipy(tmp_path):
                         "params": {"r": [[0.1, 0.0], [0.05, 0.1]], "l": [[5e-7, 0], [0, 5e-7]],
                                    "g": [[0, 0], [0, 0]], "c": [[1e-10, 0], [0, 1e-10]]}},
      "R matrix is not symmetric"),
+    ("loads", "n1", {"model": "parallel_rc",
+                     "params": {"r_ohm": 50, "c_farad": 0, "l_henry": 1e-6}},
+     "unknown parameter 'l_henry'"),
+    ("loads", "n1", {"model": "parallel_rc", "params": {"r_ohm": 50}},
+     "missing parameter 'c_farad'"),
+    ("loads", "n1", {"model": "table", "params": {"f_hz": [1e5, 1e6],
+                                                  "y_s": [0.01, [[[0.02, 0]]]]}},
+     "y_s must be a regular array"),
+    ("cables", "fast", {"model": "constant_rlgc",
+                        "params": {"r": [[0.1, 0], [0.1]], "l": 5e-7, "g": 0, "c": 1e-10}},
+     "r must be a regular array"),
 ], ids=["zero", "negative", "load-resistance", "misspelled", "fractional-conductors",
         "zero-inductance", "negative-resistance", "infinite-capacitance",
         "negative-g-factor", "infinite-constant", "infinite-rc-capacitance",
         "infinite-rc-resistance", "infinite-table", "constant-rlgc-zero-inductance",
-        "constant-rlgc-asymmetric"])
+        "constant-rlgc-asymmetric", "admittance-unknown", "admittance-missing",
+        "table-mixed-entries", "constant-rlgc-ragged"])
 def test_bad_reference_frequency_is_rejected(tmp_path, recwarn, capsys, section,
                                              name, model, field):
     # R(f) = r0 sqrt(f / f_ref) needs f_ref > 0; the cable is rejected when it
