@@ -7,31 +7,32 @@ constant, RLC and tabulated models share one interface.  Junctions are ideal:
 voltages equal, currents sum, no parasitics.
 
 Every rooted traversal is one breadth-first walk (``_walk``).  The reduction
-carries the tree from the leaves toward a port, replacing each subtree by its
-equivalent admittance (carry-back).  The end-to-end transfer function is the
-ordered product of per-segment voltage transfers along the
-transmitter-receiver backbone, each segment terminated by the equivalent
-admittance of everything beyond it.  It is read from the transmit port's
-reduction: a segment is terminated by the equivalent that the carry-back
-across the same branch has just used, so one line step gives both, from one
-elimination.  A step hands that equivalent admittance to the line function
-as it is; no reflection is formed on the way.  The tests check this
-reduction against a two-section closed form and a chain-parameter solution
-of their own.
+carries the tree from the leaves toward a port: a branch's carry-back is the
+admittance its far subtree presents through it, and a node's equivalent
+admittance is its load plus its child branches' carry-backs.  The end-to-end
+transfer function is the ordered product of per-segment voltage transfers
+along the transmitter-receiver backbone, each segment terminated by the
+equivalent admittance of everything beyond it.  It is read from the transmit
+port's reduction, where one line step, one elimination, gives a path
+branch's carry-back and its segment; no reflection is formed on the way.
+The tests check this reduction against a two-section closed form and a
+chain-parameter solution of their own.
 
 Reductions on one grid share work through an ``Evaluation``, which the caller
 makes and drops; a call without one makes a private one.  It holds, read-only,
-each branch's propagation factor E = exp(-Gamma l), computed on the branch's
-first step, and the last reduction's node equivalents, keyed by subtree
-structure: a node's load object and its (branch, child key) pairs, built from
-the leaves up.  Branches and loads are frozen and hash by identity, so a key
-names one whole subtree exactly, and equal keys have bit-identical
-equivalents.  A reduction keeps the entries it reuses and frees the rest
-before it computes.  So a second reduction at the same port computes nothing,
-one at another port recomputes only the path between the two, and a perturbed
-copy only the nodes whose subtree the anomaly changed.  Topologies and
-branches hold no such state.  The one process-wide result cache is the cable
-decomposition, ``mtl.line_propagation_params``, keyed by cable and grid.
+each branch's propagation factor E = exp(-Gamma l), computed on its first
+step, and the last reduction's carry-backs, each with the segment transfer a
+path needed.  A carry-back's key is its branch, its far node's load object
+and the keys of the carry-backs into that node, built from the leaves up.
+Branches and loads are frozen and hash by identity, so a key names a branch
+and its whole far subtree exactly, and equal keys have bit-identical
+carry-backs.  A reduction
+keeps the entries it reuses, frees the rest before it computes, and sums a
+node only at the port or to step a branch into it.  So a second reduction at
+the same port steps no line, one at another port only the path between the
+two, and a perturbed copy only the branches whose far subtree the anomaly
+changed.  Topologies and branches hold no such state.  The one process-wide
+result cache is the cable decomposition, ``mtl.line_propagation_params``.
 """
 
 from __future__ import annotations
@@ -364,14 +365,14 @@ def _located(prefix: str, exc: SingularityError) -> SingularityError:
 
 class Evaluation:
     """The work that the reductions on one grid share (see the module
-    docstring): each branch's E and the last reduction's node equivalents.
-    Make one per unit of work, such as a sweep realization, and use it from
-    one thread at a time."""
+    docstring): each branch's E, and its carry-back keyed by its far
+    subtree, as (Y_in, segment or None).  Make one per unit of work, such as a sweep
+    realization, and use it from one thread at a time."""
 
     def __init__(self, grid: FrequencyGrid):
         self.grid = grid
         self.propagators: dict[Branch, np.ndarray] = {}
-        self.equivalents: dict[tuple, np.ndarray] = {}
+        self.carry_backs: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
 
 
 def _evaluation(grid: FrequencyGrid, ev: Evaluation | None) -> Evaluation:
@@ -397,13 +398,10 @@ def _branch_step(line: Callable, kind: str, br: Branch, ev: Evaluation,
 
 @dataclass(eq=False)
 class PortReduction:
-    """A port's input admittance, every node's equivalent admittance seen
-    from the port side (all read-only, and shared with the evaluation's
-    equivalents) and, for a receiver node, the voltage transfer from the
-    port node to it."""
+    """A port's input admittance and, for a receiver node, the voltage
+    transfer from the port node to it, both read-only."""
 
     y_in: MatrixSpectrum
-    node_equivalents: dict[str, np.ndarray]  # node -> (n_f, L, L) admittance, S
     transfer: np.ndarray | None  # (n_f, L, L); None unless rx is another node
 
 
@@ -411,18 +409,15 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
                    ev: Evaluation | None = None, rx: str | None = None) -> PortReduction:
     """Carry all terminations back to a port, from the leaves up.
 
-    Every node's equivalent admittance (its own load plus the carried-back
-    admittances of its child branches, seen from the port side) is returned
-    alongside the port input admittance.  Subtrees whose equivalents ``ev``
-    holds are reused; the rest are computed, and replace what ``ev`` held.
-
-    Given a receiver node ``rx`` other than the port node, the transfer to
-    it is the ordered product of the segment transfers along the path, each
-    multiplied in as it is computed, from the receiver back.  A path branch
-    that is stepped gives its admittance and its segment from one
-    elimination (``line_responses``); one whose near node ``ev`` held gets
-    its segment from ``ctf_line``, the same core, so a warm transfer equals
-    a cold one bit for bit.
+    Carry-backs that ``ev`` holds for the same branch and far subtree are
+    reused; the rest are computed, and replace what ``ev`` held.  Given a
+    receiver node ``rx`` other than the port node, the transfer to it is the
+    ordered product of the segment transfers along the path, from the
+    receiver back.  A path branch that is stepped gives its admittance and
+    its segment from one elimination (``line_responses``); one whose
+    admittance ``ev`` held without its segment gets the segment from
+    ``ctf_line``, the same core, so a warm transfer equals a cold one bit
+    for bit.
     """
     if not net.report.valid:
         raise ValidationError("invalid topology: " + "; ".join(net.report.problems))
@@ -442,50 +437,52 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
         br, u = parent[v]
         children[u].append((br, v))
 
-    key: dict[str, tuple] = {}
-    for node in reversed(order):  # children come before parents
-        key[node] = (net.loads.get(node),
-                     tuple((br, key[child]) for br, child in children[node]))
+    cb: dict[str, tuple] = {}  # far node -> key of the branch's carry-back
+    for v in reversed(order[1:]):  # children come before parents
+        cb[v] = (parent[v][0], net.loads.get(v), tuple(cb[c] for _, c in children[v]))
     # keep what this reduction reuses, and free the rest before computing
-    by_key = ev.equivalents = {k: y for k in key.values()
-                               if (y := ev.equivalents.get(k)) is not None}
+    held = ev.carry_backs = {k: c for k in cb.values()
+                             if (c := ev.carry_backs.get(k)) is not None}
 
-    # the transfer accumulates from the receiver back; the path's held near
-    # nodes, if any, are its last ones, so their segments come first
-    h = None
-    for br, near, far in reversed(path):
-        if key[near] not in by_key:
-            break
-        s = _branch_step(ctf_line, "segment", br, ev, by_key[key[far]])
-        h = s if h is None else _matmul(h, s)
-    for node in reversed(order):
-        if key[node] in by_key:
-            continue
+    def equivalent(node: str) -> np.ndarray:
         # summed in a fresh array of entry columns, the line functions'
         # layout, so no operand is buffered and no evaluator's array written
         if node in net.loads:
             y = net.loads[node].evaluate(f)
             if y.shape != (f.size, L, L):
-                raise ValidationError(
-                    f"load at {node!r} evaluates to shape {y.shape}")
+                raise ValidationError(f"load at {node!r} evaluates to shape {y.shape}")
             acc = np.array(y.transpose(1, 2, 0), dtype=complex, order="C")
         else:
             acc = np.zeros((L, L, f.size), dtype=complex)
-        for br, child in children[node]:
-            y_far = by_key[key[child]]
-            if br in on_path:
-                y, s = _branch_step(line_responses, "branch", br, ev, y_far)
-                h = s if h is None else _matmul(h, s)
-            else:
-                y = _branch_step(input_admittance_line, "branch", br, ev, y_far)
-            acc += _cols(y)
+        for _, child in children[node]:
+            acc += _cols(held[cb[child]][0])
         y = _stack(acc)
         y.flags.writeable = False
-        by_key[key[node]] = y
+        return y
 
-    equiv = {node: by_key[key[node]] for node in reversed(order)}
-    return PortReduction(y_in=MatrixSpectrum(grid, equiv[root], "admittance"),
-                         node_equivalents=equiv, transfer=h)
+    for v in reversed(order[1:]):  # step only what ``held`` lacks
+        br = parent[v][0]
+        y, s = held.get(cb[v], (None, None))
+        if y is None and br in on_path:
+            y, s = _branch_step(line_responses, "branch", br, ev, equivalent(v))
+        elif y is None:
+            y = _branch_step(input_admittance_line, "branch", br, ev, equivalent(v))
+        elif s is None and br in on_path:
+            s = _branch_step(ctf_line, "segment", br, ev, equivalent(v))
+        else:
+            continue
+        held[cb[v]] = (y, s)
+        y.flags.writeable = False
+        if s is not None:
+            s.flags.writeable = False
+
+    h = None
+    for _, _, far in reversed(path):
+        s = held[cb[far]][1]
+        h = s if h is None else _matmul(h, s)
+        h.flags.writeable = False
+    return PortReduction(y_in=MatrixSpectrum(grid, equivalent(root), "admittance"),
+                         transfer=h)
 
 
 def network_input_reflection(net: NetworkTopology, port: str, grid: FrequencyGrid,

@@ -52,10 +52,11 @@ def _fail(context: str, message: str) -> ParseError:
     return ParseError(f"{context}: {message}")
 
 
-def _section(value, kind: type, context: str):
-    """``value`` if it is a ``kind`` (dict or list), else a ParseError."""
+def _expect(value, kind: type, context: str):
+    """``value`` if it is a ``kind`` (dict, list or str), else a ParseError.
+    An id must be a JSON string: 1 and 1.0 must not name two nodes."""
     if not isinstance(value, kind):
-        what = "an object" if kind is dict else "a list"
+        what = {dict: "an object", list: "a list", str: "a JSON string"}[kind]
         raise _fail(context, f"expected {what}, got {type(value).__name__}")
     return value
 
@@ -132,7 +133,7 @@ def _from_dict(models: dict, d, context: str, **given):
         raise _fail(context, f"unknown model {model!r}, "
                              f"expected one of {', '.join(models)}")
     build = models[model]
-    params = _section(d.get("params", {}), dict, f"{context}.params")
+    params = _expect(d.get("params", {}), dict, f"{context}.params")
     takes = {name: p.default is p.empty
              for name, p in inspect.signature(build).parameters.items()
              if name != "label" and name not in given}
@@ -178,11 +179,11 @@ def cable_from_dict(d: dict, context: str) -> CableSpec:
 # topology files
 
 def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology:
-    _section(data, dict, context)
+    _expect(data, dict, context)
     for section in ("nodes", "cables", "branches"):
         if section not in data:
             raise _fail(context, f"missing section {section!r}")
-    sections = {name: _section(data.get(name, kind()), kind, f"{context}.{name}")
+    sections = {name: _expect(data.get(name, kind()), kind, f"{context}.{name}")
                 for name, kind in (("nodes", list), ("cables", dict),
                                    ("branches", list), ("loads", dict),
                                    ("ports", dict))}
@@ -198,8 +199,8 @@ def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology
             cable_name = bd["cable"]
             if cable_name not in cables:
                 raise _fail(ctx, f"unknown cable {cable_name!r}")
-            branches.append(Branch(id=str(bd["id"]), node_a=str(bd["node_a"]),
-                                   node_b=str(bd["node_b"]),
+            branches.append(Branch(*(_expect(bd[k], str, f"{ctx}.{k}")
+                                     for k in ("id", "node_a", "node_b")),
                                    cable=cables[cable_name],
                                    length_m=_value("length_m", bd["length_m"])))
         except KeyError as exc:
@@ -208,21 +209,21 @@ def topology_from_dict(data: dict, context: str = "topology") -> NetworkTopology
             raise _fail(ctx, f"bad value: {exc}") from None
 
     n = branches[0].cable.n_conductors
-    loads = {str(node): admittance_from_dict(d, n, f"{context}.loads[{node!r}]")
+    loads = {node: admittance_from_dict(d, n, f"{context}.loads[{node!r}]")
              for node, d in sections["loads"].items()}
     ports = {}
     for name, pd in sections["ports"].items():
         ctx = f"{context}.ports[{name!r}]"
         try:
-            ports[str(name)] = Port(
-                node=str(pd["node"]),
-                source=admittance_from_dict(pd["source"], n, f"{ctx}.source"))
+            ports[name] = Port(_expect(pd["node"], str, f"{ctx}.node"),
+                               admittance_from_dict(pd["source"], n, f"{ctx}.source"))
         except KeyError as exc:
             raise _fail(ctx, f"missing field {exc}") from exc
         except TypeError:
             raise _fail(ctx, "expected an object with 'node' and 'source'") from None
-    return NetworkTopology(nodes=tuple(str(x) for x in sections["nodes"]),
-                           branches=tuple(branches), loads=loads, ports=ports)
+    nodes = tuple(_expect(x, str, f"{context}.nodes[{k}]")
+                  for k, x in enumerate(sections["nodes"]))
+    return NetworkTopology(nodes, tuple(branches), loads, ports)
 
 
 def topology_to_dict(net: NetworkTopology) -> dict:
@@ -300,17 +301,18 @@ def read_anomaly(source: str | Path | dict, net: NetworkTopology) -> Anomaly:
     n = net.n_conductors
     try:
         if kind == "lumped_fault":
-            return LumpedFault(branch_id=str(data["branch"]),
+            return LumpedFault(branch_id=_expect(data["branch"], str, f"{context}.branch"),
                                offset_m=_value("offset_m", data["offset_m"]),
                                y_f=admittance_from_dict(data["y_f"], n,
                                                         f"{context}.y_f"),
                                active=_value("active", data.get("active", False)))
         if kind == "load_change":
-            return LoadChange(node_id=str(data["node"]),
+            return LoadChange(node_id=_expect(data["node"], str, f"{context}.node"),
                               new_load=admittance_from_dict(data["load"], n,
                                                             f"{context}.load"))
         if kind == "distributed_fault":
-            return DistributedFault(branch_id=str(data["branch"]),
+            return DistributedFault(branch_id=_expect(data["branch"], str,
+                                                      f"{context}.branch"),
                                     start_m=_value("start_m", data["start_m"]),
                                     extent_m=_value("extent_m", data["extent_m"]),
                                     degraded=cable_from_dict(data["degraded"],
@@ -325,7 +327,7 @@ def read_anomaly(source: str | Path | dict, net: NetworkTopology) -> Anomaly:
 def read_cable_library(path: str | Path) -> dict[str, CableSpec]:
     """Named cable collection: {"name": {cable model dict}, ...}."""
     path = Path(path)
-    data = _section(_read_json(path), dict, str(path))
+    data = _expect(_read_json(path), dict, str(path))
     return {name: cable_from_dict(d, f"{path}:cables[{name!r}]")
             for name, d in data.items()}
 

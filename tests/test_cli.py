@@ -177,6 +177,33 @@ def test_malformed_file_is_parse_error(tmp_path, two_node, monkeypatch, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("role,content,field", [
+    ("topology", {**TWO_NODE, "nodes": ["n0", 1]}, "nodes[1]"),
+    ("topology", {**TWO_NODE, "branches": [{**TWO_NODE["branches"][0], "id": 0}]},
+     "branches[0].id"),
+    ("topology", {**TWO_NODE, "nodes": ["n0", "1"],
+                  "branches": [{**TWO_NODE["branches"][0], "node_b": 1.0}]},
+     "branches[0].node_b"),
+    ("topology", {**TWO_NODE, "branches": [{**TWO_NODE["branches"][0],
+                                            "node_a": ["n0"]}]}, "branches[0].node_a"),
+    ("topology", {**TWO_NODE, "ports": {"probe": {**TWO_NODE["ports"]["probe"],
+                                                  "node": 0}}}, "ports['probe'].node"),
+    ("anomaly", {**FAULT, "branch": 0}, ".branch"),
+    ("anomaly", {"type": "load_change", "node": 1, "load": FAULT["y_f"]}, ".node"),
+], ids=["node", "branch-id", "branch-node-number", "branch-node-list", "port-node",
+        "anomaly-branch", "anomaly-node"])
+def test_ids_must_be_json_strings(tmp_path, two_node, capsys, role, content, field):
+    # str() would read 1 and 1.0 as two different nodes
+    bad = tmp_path / f"bad_{role}.json"
+    bad.write_text(json.dumps(content))
+    argv = (["validate", str(bad)] if role == "topology" else
+            ["inject", str(two_node), "--anomaly", str(bad), "--out", str(tmp_path / "out")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"plnsim: {bad}") and err.count("\n") == 1
+    assert f"{field}: expected a JSON string" in err
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_out_that_cannot_be_a_directory_is_one_line(tmp_path, two_node, capsys, out):
     (tmp_path / "file").write_text("")

@@ -253,11 +253,11 @@ def test_spearman_matches_scipy(x, y):
 
 def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
     # a realization reduces the probe port twice on the baseline and the
-    # perturbed network, then the tx port on each; their evaluation
-    # recomputes only the subtrees that changed (249 carry-back steps here
-    # without it), and a tx reduction steps each path branch's admittance
-    # and segment transfer together, so only a segment whose near node was
-    # held is a step of its own (45 here when every segment was)
+    # perturbed network, then the tx port on each; their evaluation keeps
+    # each branch's carry-back, so a reduction steps only the branches whose
+    # far subtree changed (249 steps here without it), and a tx reduction
+    # steps each path branch's admittance and segment transfer together, so
+    # no segment is a step of its own
     steps = Counter()
     step = network._branch_step
 
@@ -268,8 +268,8 @@ def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
     monkeypatch.setattr(network, "_branch_step", counting)
     result = run_distance_sweep(EnsembleConfig(n_networks=5, seed=1000), default_grid())
     assert len(result.records) == 5
-    assert steps["branch"] <= 126
-    assert steps["segment"] == 8
+    assert steps["branch"] <= 100
+    assert steps["segment"] == 0
 
 
 def test_sweep_frees_each_realization_before_the_next(monkeypatch):

@@ -131,7 +131,7 @@ def test_star_of_matched_branches(grid, std_cable):
 
 
 def test_junction_additivity(grid, std_cable, lib):
-    # equivalent admittance at the junction equals the sum of the children's
+    # the admittance seen at a junction port equals the sum of its branches'
     # carried-back admittances, reconstructed here by hand per branch
     low = lib["pl-lowloss"]
     net = NetworkTopology(
@@ -144,15 +144,16 @@ def test_junction_additivity(grid, std_cable, lib):
                "y": parallel_rc_admittance(400.0, 5e-9),
                "z": constant_admittance(1 / 50)},
         ports={"p": Port("p0", modem())})
-    red = reduce_to_port(net, "p", grid)
+    red = reduce_to_port(net.with_port("pj", Port("j", modem())), "pj", grid)
     f = grid.frequencies
     total = np.zeros((grid.n_points, 1, 1), complex)
-    for bid in ("1", "2", "3"):
+    for bid in ("t", "1", "2", "3"):
         br = net.branch(bid)
         pp = line_propagation_params(br.cable, grid)
-        y_leaf = net.loads[br.node_b].evaluate(f)
-        total += input_admittance_line(pp, propagator(pp, br.length_m), y_leaf)
-    assert rel_err(red.node_equivalents["j"], total) < 1e-12
+        far = br.node_a if bid == "t" else br.node_b
+        y_far = net.loads[far].evaluate(f) if far in net.loads else np.zeros_like(total)
+        total += input_admittance_line(pp, propagator(pp, br.length_m), y_far)
+    assert rel_err(red.y_in.values, total) < 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -494,6 +495,29 @@ def test_port_admittance_is_reciprocal_and_passive(cable, seed):
         assert np.all(np.linalg.eigvalsh(0.5 * (y + yt.conj()))[:, 0] >= -1e-10 * scale)
 
 
+# the default band on 80 points, where km-long lines are dark at the top
+LONG_GRID = FrequencyGrid(1e5, 1e6, 80)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([1, 3]), length=st.floats(1e4, 1e6),
+       r_ohm=st.floats(1.0, 1e4), c_farad=st.floats(0.0, 1e-7))
+def test_km_long_line_stays_finite(n, length, r_ohm, c_farad):
+    # E = exp(-Gamma l) underflows, to exact zeros at 1e6 m: every response
+    # stays finite, and where no wave comes back the port sees Y_C
+    cab = powerline_cable(n)
+    net = single_line_net(cab, length, parallel_rc_admittance(r_ohm, c_farad, n))
+    y = reduce_to_port(net, "p", LONG_GRID).y_in.values
+    rho = network_input_reflection(net, "p", LONG_GRID).values
+    h = end_to_end_ctf(net, "p", "b", LONG_GRID).values
+    assert all(np.all(np.isfinite(a)) for a in (y, rho, h))
+    params = line_propagation_params(cab, LONG_GRID)
+    dark = np.max(np.abs(propagator(params, length)), axis=0) < 1e-15
+    err = np.max(np.abs(y - params.yc), axis=(1, 2)) / np.max(np.abs(params.yc), axis=(1, 2))
+    assert np.all(err[dark] <= 1e-12)
+
+
 @pytest.mark.parametrize("n_conductors", [1, 2, 3])
 @pytest.mark.parametrize("scale", [1e-2, 1e1, 1e3, 1e6, 1e9])
 def test_near_short_transfer_matches_chain_parameters(n_conductors, scale):
@@ -516,13 +540,13 @@ def test_near_short_transfer_matches_chain_parameters(n_conductors, scale):
 
 
 def responses(net, grid, ev=None):
-    """The sweep's three calls, then every node equivalent seen from either
-    port, all on ``ev`` (or each on a private evaluation)."""
+    """The sweep's three calls, then the input admittance at either port,
+    all on ``ev`` (or each on a private evaluation)."""
     out = [reduce_to_port(net, "probe", grid, ev).y_in.values,
            network_input_reflection(net, "probe", grid, ev).values,
            end_to_end_ctf(net, "tx", net.ports["probe"].node, grid, ev).values]
-    return out + [y for port in ("tx", "probe")
-                  for y in reduce_to_port(net, port, grid, ev).node_equivalents.values()]
+    return out + [reduce_to_port(net, port, grid, ev).y_in.values
+                  for port in ("tx", "probe")]
 
 
 def assert_same(got, want):
@@ -607,17 +631,84 @@ def test_values_hold_only_their_fields_after_reductions(grid):
             assert vars(value).keys() == fields | cached
 
 
-def test_equivalents_are_read_only_and_reused(grid):
+def test_carry_backs_are_read_only_and_reused(grid):
     net = random_tree(3, 22)
+    probe = net.ports["probe"].node
+    path = {br for br, _, _ in tree_path(net, net.ports["tx"].node, probe)}
     ev = Evaluation(grid)
     red = reduce_to_port(net, "probe", grid, ev)
-    assert reduce_to_port(net, "probe", grid, ev).y_in.values is red.y_in.values
-    # the evaluation holds the last reduction's equivalents and nothing else
-    at_tx = reduce_to_port(net, "tx", grid, ev).node_equivalents.values()
-    assert {id(y) for y in ev.equivalents.values()} == {id(y) for y in at_tx}
-    for y in (red.y_in.values, *red.node_equivalents.values()):
+    at_probe = dict(ev.carry_backs)
+    # one admittance per branch, keyed by the branch and its far subtree
+    assert sorted(k[0].id for k in at_probe) == sorted(br.id for br in net.branches)
+    assert all(s is None for _, s in at_probe.values())
+    again = reduce_to_port(net, "probe", grid, ev)
+    assert np.array_equal(again.y_in.values, red.y_in.values)
+    assert ev.carry_backs.keys() == at_probe.keys()
+    assert all(ev.carry_backs[k] is c for k, c in at_probe.items())
+    # the tx reduction keeps the off-path carry-backs as they were, and
+    # replaces the path ones by the other direction's, each with its segment
+    h = end_to_end_ctf(net, "tx", probe, grid, ev).values
+    at_tx = ev.carry_backs
+    assert sorted(k[0].id for k in at_tx) == sorted(br.id for br in net.branches)
+    for k, (y, s) in at_tx.items():
+        assert (s is not None) == (k[0] in path)
+        assert (at_probe.get(k) is at_tx[k]) == (k[0] not in path)
+    held = [a for c in at_tx.values() for a in c if a is not None]
+    for y in (red.y_in.values, h, *held):
         with pytest.raises(ValueError):
             y[...] = 0.0
+
+
+def test_tx_reduction_after_probe_steps_only_the_path(grid, std_cable, monkeypatch):
+    # laterals 'x' and 'y' hang from the path nodes 'j' and 'k', 'z' from a
+    # lateral: their carry-backs are the same seen from either port
+    steps = []
+    step = network._branch_step
+
+    def counting(line, kind, br, *args):
+        steps.append((kind, br.id))
+        return step(line, kind, br, *args)
+
+    monkeypatch.setattr(network, "_branch_step", counting)
+    net = NetworkTopology(
+        nodes=("t", "j", "k", "p", "x", "y", "z"),
+        branches=(Branch("1", "t", "j", std_cable, 40.0),
+                  Branch("2", "j", "k", std_cable, 55.0),
+                  Branch("3", "k", "p", std_cable, 30.0),
+                  Branch("4", "j", "x", std_cable, 25.0),
+                  Branch("5", "k", "y", std_cable, 70.0),
+                  Branch("6", "y", "z", std_cable, 15.0)),
+        loads={"t": modem(), "p": modem(), "x": parallel_rc_admittance(100.0, 1e-9),
+               "z": constant_admittance(1 / 50)},
+        ports={"tx": Port("t", modem()), "probe": Port("p", modem())})
+    ev = Evaluation(grid)
+    reduce_to_port(net, "probe", grid, ev)
+    assert sorted(steps) == [("branch", bid) for bid in "123456"]
+    steps.clear()
+    h = end_to_end_ctf(net, "tx", "p", grid, ev).values
+    assert sorted(steps) == [("branch", bid) for bid in "123"]
+    cold = end_to_end_ctf(net, "tx", "p", grid).values
+    assert np.array_equal(h, cold)
+    # after a tx reduction without a receiver, only the segments are missing
+    ev = Evaluation(grid)
+    reduce_to_port(net, "tx", grid, ev)
+    steps.clear()
+    h = end_to_end_ctf(net, "tx", "p", grid, ev).values
+    assert sorted(steps) == [("segment", bid) for bid in "123"]
+    assert np.array_equal(h, cold)
+
+
+def test_one_segment_transfer_and_admittance_are_read_only(grid, std_cable):
+    net = single_line_net(std_cable, 80.0, parallel_rc_admittance(150.0, 2e-9))
+    ev = Evaluation(grid)
+    for y in (end_to_end_ctf(net, "p", "b", grid, ev).values,
+              reduce_to_port(net, "p", grid, ev).y_in.values):
+        with pytest.raises(ValueError):
+            y[...] = 0.0
+    assert_same([end_to_end_ctf(net, "p", "b", grid, ev).values,
+                 reduce_to_port(net, "p", grid, ev).y_in.values],
+                [end_to_end_ctf(net, "p", "b", grid).values,
+                 reduce_to_port(net, "p", grid).y_in.values])
 
 
 def test_warm_singularity_names_the_cold_branch(grid, std_cable, monkeypatch):
