@@ -21,18 +21,21 @@ chain-parameter solution of their own.
 Reductions on one grid share work through an ``Evaluation``, which the caller
 makes and drops; a call without one makes a private one.  It holds, read-only,
 each branch's propagation factor E = exp(-Gamma l), computed on its first
-step, and the last reduction's carry-backs, each with the segment transfer a
-path needed.  A carry-back's key is its branch, its far node's load object
-and the keys of the carry-backs into that node, built from the leaves up.
-Branches and loads are frozen and hash by identity, so a key names a branch
-and its whole far subtree exactly, and equal keys have bit-identical
-carry-backs.  A reduction
-keeps the entries it reuses, frees the rest before it computes, and sums a
-node only at the port or to step a branch into it.  So a second reduction at
-the same port steps no line, one at another port only the path between the
-two, and a perturbed copy only the branches whose far subtree the anomaly
-changed.  Topologies and branches hold no such state.  The one process-wide
-result cache is the cable decomposition, ``mtl.line_propagation_params``.
+step, each load's and port source's value, evaluated on its first use, the
+last reduction's carry-backs, each with the segment transfer a path needed,
+and the last reduction with its call.  A call that repeats that one (the same
+topology object, port and receiver) gets its arrays back and does no work.
+A carry-back's key is its branch, its far node's load object and the keys of
+the carry-backs into that node, built from the leaves up.  Branches and loads
+are frozen and hash by identity, so a key names a branch and its whole far
+subtree exactly, and equal keys have bit-identical carry-backs.  A reduction
+keeps the entries it reuses, frees the rest before it computes, steps each
+branch it lacks in one elimination, and sums a node only at the port or to
+step a branch into it.  So a reduction of a copy steps no line, one at another
+port only the path between the two, and a perturbed copy only the branches
+whose far subtree the anomaly changed.  Topologies and branches hold no such
+state.  The one process-wide result cache is the cable decomposition,
+``mtl.line_propagation_params``.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ import numpy as np
 
 from .errors import SingularityError, UsageError, ValidationError
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, _cols, _matmul, _stack,
-                  ctf_line, input_admittance_line, input_reflection,
-                  line_propagation_params, line_responses, propagator)
+                  input_reflection, line_propagation_params, line_responses,
+                  propagator)
 
 __all__ = [
     "AdmittanceSpec",
@@ -89,11 +92,19 @@ class AdmittanceSpec:
     def is_passive(self, f: np.ndarray) -> bool:
         """True when the Hermitian part Y / 2 + Y^H / 2 (halved first, so a
         finite Y cannot overflow) is positive semidefinite at every frequency
-        to 1e-9 of the largest |Y(f)| entry: no voltage draws power out of Y."""
+        to 1e-9 of the largest |Y(f)| entry: no voltage draws power out of Y.
+        ``eigvalsh`` runs only where a Gershgorin disc (centre Re Y_ii, radius
+        at most the sum of (|Y_ij| + |Y_ji|) / 2 over j != i, all over that
+        scale so no sum overflows) reaches below -1e-9, or holds a NaN."""
         y = self.evaluate(f)
+        a = np.abs(y)
+        scale = float(np.max(a)) + 1e-300
+        a /= scale
+        lower = (np.diagonal(y, axis1=-2, axis2=-1).real / scale
+                 + np.diagonal(a, axis1=-2, axis2=-1) - 0.5 * (a.sum(-1) + a.sum(-2)))
+        y = y[~(lower >= -1e-9).all(axis=-1)]
         herm = 0.5 * y + 0.5 * np.conj(np.swapaxes(y, -1, -2))
-        scale = float(np.max(np.abs(y))) + 1e-300
-        return bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-9 * scale)
+        return y.size == 0 or bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-9 * scale)
 
 
 def constant_admittance(y_s, n_conductors: int = 1, label: str = "") -> AdmittanceSpec:
@@ -365,14 +376,29 @@ def _located(prefix: str, exc: SingularityError) -> SingularityError:
 
 class Evaluation:
     """The work that the reductions on one grid share (see the module
-    docstring): each branch's E, and its carry-back keyed by its far
-    subtree, as (Y_in, segment or None).  Make one per unit of work, such as a sweep
-    realization, and use it from one thread at a time."""
+    docstring): each branch's E, each load's and source's value as entry
+    columns, each branch's carry-back keyed by its far subtree, as (Y_in,
+    segment or None), and the last reduction with its call, as (topology,
+    port, rx, Y_in, transfer), all read-only.  Make one per unit of work,
+    such as a sweep realization, and use it from one thread at a time."""
 
     def __init__(self, grid: FrequencyGrid):
         self.grid = grid
         self.propagators: dict[Branch, np.ndarray] = {}
+        self.admittances: dict[AdmittanceSpec, np.ndarray] = {}
         self.carry_backs: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
+        self.last: tuple | None = None
+
+    def admittance(self, spec: AdmittanceSpec, where: str) -> np.ndarray:
+        """``spec`` on the grid as entry columns, evaluated on first use; a
+        value of the wrong shape is an error that names ``where``."""
+        if (y := self.admittances.get(spec)) is None:
+            f, n = self.grid.frequencies, spec.n_conductors
+            if (y := spec.evaluate(f)).shape != (f.size, n, n):
+                raise ValidationError(f"{where} evaluates to shape {y.shape}")
+            y = self.admittances[spec] = np.array(y.transpose(1, 2, 0), complex, order="C")
+            y.flags.writeable = False
+        return y
 
 
 def _evaluation(grid: FrequencyGrid, ev: Evaluation | None) -> Evaluation:
@@ -409,23 +435,30 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
                    ev: Evaluation | None = None, rx: str | None = None) -> PortReduction:
     """Carry all terminations back to a port, from the leaves up.
 
-    Carry-backs that ``ev`` holds for the same branch and far subtree are
-    reused; the rest are computed, and replace what ``ev`` held.  Given a
-    receiver node ``rx`` other than the port node, the transfer to it is the
-    ordered product of the segment transfers along the path, from the
-    receiver back.  A path branch that is stepped gives its admittance and
-    its segment from one elimination (``line_responses``); one whose
-    admittance ``ev`` held without its segment gets the segment from
-    ``ctf_line``, the same core, so a warm transfer equals a cold one bit
-    for bit.
+    A call that repeats ``ev``'s last one (the same topology object, port
+    and ``rx``) returns its arrays in a new wrapper.  Otherwise carry-backs
+    that ``ev`` holds for the same branch and far subtree are reused; the
+    rest are computed, and replace what ``ev`` held.  Given a receiver node
+    ``rx`` other than the port node, the transfer to it is the ordered
+    product of the segment transfers along the path, from the receiver back.
+    Every stepped branch is one elimination (``line_responses``), which
+    gives its admittance and its segment; only a path branch keeps the
+    segment, so a warm transfer equals a cold one bit for bit.
     """
     if not net.report.valid:
         raise ValidationError("invalid topology: " + "; ".join(net.report.problems))
     if port not in net.ports:
         raise UsageError(f"no port named {port!r}")
     ev = _evaluation(grid, ev)
+    if ev.last is None or ev.last[0] is not net or ev.last[1:3] != (port, rx):
+        ev.last = (net, port, rx, *_reduce(net, port, ev, rx))
+    return PortReduction(MatrixSpectrum(grid, ev.last[3], "admittance"), ev.last[4])
+
+
+def _reduce(net: NetworkTopology, port: str, ev: Evaluation, rx: str | None):
+    """``reduce_to_port``'s (Y_in, transfer) arrays, computed on ``ev``."""
     root = net.ports[port].node
-    f = grid.frequencies
+    f = ev.grid.frequencies
     L = net.n_conductors
     order, parent = _walk(net, root)
     if rx is not None and rx not in parent:
@@ -446,16 +479,16 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
 
     def equivalent(node: str) -> np.ndarray:
         # summed in a fresh array of entry columns, the line functions'
-        # layout, so no operand is buffered and no evaluator's array written
-        if node in net.loads:
-            y = net.loads[node].evaluate(f)
-            if y.shape != (f.size, L, L):
-                raise ValidationError(f"load at {node!r} evaluates to shape {y.shape}")
-            acc = np.array(y.transpose(1, 2, 0), dtype=complex, order="C")
-        else:
+        # layout, so no operand is buffered; a bare load is its held columns
+        kids = [_cols(held[cb[c]][0]) for _, c in children[node]]
+        if node not in net.loads:
             acc = np.zeros((L, L, f.size), dtype=complex)
-        for _, child in children[node]:
-            acc += _cols(held[cb[child]][0])
+        elif not kids:
+            return _stack(ev.admittance(net.loads[node], f"load at {node!r}"))
+        else:
+            acc = np.add(ev.admittance(net.loads[node], f"load at {node!r}"), kids.pop(0))
+        for kid in kids:
+            acc += kid
         y = _stack(acc)
         y.flags.writeable = False
         return y
@@ -463,34 +496,26 @@ def reduce_to_port(net: NetworkTopology, port: str, grid: FrequencyGrid,
     for v in reversed(order[1:]):  # step only what ``held`` lacks
         br = parent[v][0]
         y, s = held.get(cb[v], (None, None))
-        if y is None and br in on_path:
+        if y is None or (s is None and br in on_path):
             y, s = _branch_step(line_responses, "branch", br, ev, equivalent(v))
-        elif y is None:
-            y = _branch_step(input_admittance_line, "branch", br, ev, equivalent(v))
-        elif s is None and br in on_path:
-            s = _branch_step(ctf_line, "segment", br, ev, equivalent(v))
-        else:
-            continue
-        held[cb[v]] = (y, s)
-        y.flags.writeable = False
-        if s is not None:
-            s.flags.writeable = False
+            y.flags.writeable = s.flags.writeable = False
+            held[cb[v]] = (y, s if br in on_path else None)
 
     h = None
     for _, _, far in reversed(path):
         s = held[cb[far]][1]
         h = s if h is None else _matmul(h, s)
         h.flags.writeable = False
-    return PortReduction(y_in=MatrixSpectrum(grid, equivalent(root), "admittance"),
-                         transfer=h)
+    return equivalent(root), h
 
 
 def network_input_reflection(net: NetworkTopology, port: str, grid: FrequencyGrid,
                              ev: Evaluation | None = None) -> MatrixSpectrum:
     """Input reflection at a port: the port admittance against Y_R."""
-    red = reduce_to_port(net, port, grid, ev)
-    y_r = net.ports[port].source.evaluate(grid.frequencies)
-    rho = input_reflection(red.y_in.values, y_r, grid.frequencies)
+    ev = _evaluation(grid, ev)
+    y_in = reduce_to_port(net, port, grid, ev).y_in.values
+    y_r = _stack(ev.admittance(net.ports[port].source, f"source of port {port!r}"))
+    rho = input_reflection(y_in, y_r, grid.frequencies)
     return MatrixSpectrum(grid, rho, "reflection")
 
 

@@ -135,3 +135,12 @@ def chain_responses(net, port, rx_node, grid):
         a, b, _, _ = chain[br]
         h, v = h @ np.linalg.inv(a + b @ y[v]), u
     return y[root], reflection(y[root], net.ports[port].source.evaluate(f)), h
+
+
+def is_passive(y):
+    """The passivity check by ``eigvalsh`` alone: the Hermitian part of each
+    Y(f), halved before the sum, is positive semidefinite to 1e-9 of the
+    largest |Y(f)| entry."""
+    herm = 0.5 * y + 0.5 * np.conj(np.swapaxes(y, -1, -2))
+    scale = float(np.max(np.abs(y))) + 1e-300
+    return bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-9 * scale)

@@ -20,7 +20,7 @@ from plnsim.errors import SingularityError, UsageError, ValidationError
 from plnsim.experiments import EnsembleConfig, generate_random_network
 from plnsim.mtl import (FrequencyGrid, ctf_line, line_propagation_params,
                         input_admittance_line, propagator)
-from plnsim.network import (Branch, Evaluation, NetworkTopology, Port,
+from plnsim.network import (AdmittanceSpec, Branch, Evaluation, NetworkTopology, Port,
                             conductance, constant_admittance, end_to_end_ctf,
                             farthest_node, network_input_reflection,
                             node_distances, open_circuit, parallel_rc_admittance,
@@ -28,7 +28,7 @@ from plnsim.network import (Branch, Evaluation, NetworkTopology, Port,
 
 from conftest import (FLAT_3C, lossless_cable, matched_load, random_passive_matrix,
                       rel_err, single_line_net)
-from oracles import chain_responses, two_section_oracle
+from oracles import chain_responses, is_passive, two_section_oracle
 
 
 def modem(y=0.02, n=1):
@@ -689,12 +689,13 @@ def test_tx_reduction_after_probe_steps_only_the_path(grid, std_cable, monkeypat
     assert sorted(steps) == [("branch", bid) for bid in "123"]
     cold = end_to_end_ctf(net, "tx", "p", grid).values
     assert np.array_equal(h, cold)
-    # after a tx reduction without a receiver, only the segments are missing
+    # after a tx reduction without a receiver, only the segments are missing:
+    # each path branch is stepped again, giving its segment with its admittance
     ev = Evaluation(grid)
     reduce_to_port(net, "tx", grid, ev)
     steps.clear()
     h = end_to_end_ctf(net, "tx", "p", grid, ev).values
-    assert sorted(steps) == [("segment", bid) for bid in "123"]
+    assert sorted(steps) == [("branch", bid) for bid in "123"]
     assert np.array_equal(h, cold)
 
 
@@ -739,11 +740,13 @@ def test_branch_propagator_is_evaluated_once_and_shared(grid, monkeypatch):
     evaluate = network.propagator
     monkeypatch.setattr(network, "propagator",
                         lambda *args: evaluated.append(evaluate(*args)) or evaluated[-1])
-    for name in ("input_admittance_line", "ctf_line", "line_responses"):
-        def spy(params, e, y_l, line=getattr(network, name)):
-            passed.append(e)
-            return line(params, e, y_l)
-        monkeypatch.setattr(network, name, spy)
+    line = network.line_responses  # every branch step's one line function
+
+    def spy(params, e, y_l):
+        passed.append(e)
+        return line(params, e, y_l)
+
+    monkeypatch.setattr(network, "line_responses", spy)
 
     net = random_tree(3, 22)
     faulty = apply_anomaly(net, anomaly_case(net, "lumped"), grid)
@@ -794,6 +797,169 @@ def test_threads_sharing_branches_get_cold_results(grid):
                     assert_same(g, want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def counted(spec, calls):
+    """``spec`` whose evaluations are recorded in ``calls``."""
+    def evaluate(f):
+        calls.append(out)
+        return spec.evaluate(f)
+    out = AdmittanceSpec(spec.n_conductors, evaluate, spec.label)
+    return out
+
+
+def counting_tree(n_conductors, seed, calls, monkeypatch):
+    """A random tree whose loads and sources count their evaluations, with
+    every walk and line step recorded in ``calls`` too."""
+    net = random_tree(n_conductors, seed)
+    walk, step = network._walk, network._branch_step
+    monkeypatch.setattr(network, "_walk", lambda *a: calls.append("walk") or walk(*a))
+    monkeypatch.setattr(network, "_branch_step",
+                        lambda *a: calls.append("step") or step(*a))
+    return dataclasses.replace(
+        net, loads={n: counted(ld, calls) for n, ld in net.loads.items()},
+        ports={k: Port(p.node, counted(p.source, calls)) for k, p in net.ports.items()})
+
+
+@pytest.mark.parametrize("n_conductors", [1, 3])
+def test_repeated_reduction_does_no_work(grid, n_conductors, monkeypatch):
+    calls = []
+    net = counting_tree(n_conductors, 41, calls, monkeypatch)
+    probe = net.ports["probe"].node
+    ev = Evaluation(grid)
+    for port, rx in (("probe", None), ("tx", probe)):
+        first = reduce_to_port(net, port, grid, ev, rx)
+        calls.clear()
+        again = reduce_to_port(net, port, grid, ev, rx)
+        assert calls == []
+        cold = reduce_to_port(net, port, grid, rx=rx)
+        assert again.y_in is not first.y_in
+        assert_same([again.y_in.values, again.transfer], [cold.y_in.values, cold.transfer])
+    # the reflection's reduction repeats the one before it: only its source
+    # is evaluated, once
+    reduce_to_port(net, "probe", grid, ev)
+    calls.clear()
+    rho = [network_input_reflection(net, "probe", grid, ev).values for _ in range(2)]
+    assert calls == [net.ports["probe"].source]
+    assert_same(rho, [network_input_reflection(net, "probe", grid).values] * 2)
+
+
+def test_repeated_reduction_is_not_altered_through_a_result(grid):
+    net = random_tree(3, 42)
+    probe = net.ports["probe"].node
+    ev = Evaluation(grid)
+    red = reduce_to_port(net, "tx", grid, ev, probe)
+    y, h = red.y_in.values, red.transfer
+    red.y_in.values, red.transfer = np.zeros_like(y), None
+    again = reduce_to_port(net, "tx", grid, ev, probe)
+    assert again.y_in.values is y and again.transfer is h
+    for a in (y, h):
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_another_call_is_reduced_again(grid, monkeypatch):
+    calls = []
+    net = counting_tree(1, 43, calls, monkeypatch)
+    probe, tx = net.ports["probe"].node, net.ports["tx"].node
+    copy = dataclasses.replace(net)
+    assert copy.report.valid
+    ev = Evaluation(grid)
+    reduce_to_port(net, "probe", grid, ev)
+    # another receiver, port or topology object walks the tree again
+    for topo, port, rx in ((net, "probe", tx), (net, "tx", None), (copy, "tx", None),
+                           (net, "tx", None)):
+        calls.clear()
+        got = reduce_to_port(topo, port, grid, ev, rx)
+        assert calls.count("walk") == 1
+        cold = reduce_to_port(topo, port, grid, rx=rx)
+        assert_same([got.y_in.values, got.transfer], [cold.y_in.values, cold.transfer])
+    # another grid is refused before the last reduction is looked up
+    other = FrequencyGrid(2 * grid.f_start, grid.f_step, grid.n_points)
+    with pytest.raises(UsageError, match="evaluation is bound to"):
+        reduce_to_port(net, "tx", other, ev)
+
+
+def test_each_admittance_is_evaluated_once_per_evaluation(grid, std_cable):
+    calls = []
+    shared = counted(parallel_rc_admittance(100.0, 1e-9), calls)
+    net = NetworkTopology(
+        nodes=("t", "j", "p", "x", "y"),
+        branches=(Branch("1", "t", "j", std_cable, 40.0),
+                  Branch("2", "j", "p", std_cable, 55.0),
+                  Branch("3", "j", "x", std_cable, 25.0),
+                  Branch("4", "p", "y", std_cable, 30.0)),
+        loads={"t": counted(modem(), calls), "p": counted(modem(), calls),
+               "x": shared, "y": shared},
+        ports={"tx": Port("t", counted(modem(), calls)),
+               "probe": Port("p", counted(modem(), calls))})
+    faulty = apply_anomaly(net, anomaly_case(net, "lumped"), grid)
+    ev = Evaluation(grid)
+    for topo in (net, faulty):
+        responses(topo, grid, ev)
+    fault = faulty.loads[next(n for n in faulty.nodes if n not in net.nodes)]
+    # no reflection is formed at tx, so its source is never evaluated
+    specs = [net.loads["t"], net.loads["p"], shared, net.ports["probe"].source]
+    assert sorted(map(id, calls)) == sorted(map(id, specs))
+    assert set(ev.admittances) == set(specs) | {fault}
+    for y in ev.admittances.values():
+        with pytest.raises(ValueError):
+            y[...] = 0.0
+
+
+def test_admittance_of_the_wrong_shape_names_its_node(grid, std_cable):
+    wrong = AdmittanceSpec(1, lambda f: np.ones((f.size, 2, 2), complex), "wrong")
+    net = single_line_net(std_cable, 80.0, wrong)
+    with pytest.raises(ValidationError, match=r"^load at 'b' evaluates to shape \(120, 2, 2\)$"):
+        reduce_to_port(net, "p", grid)
+    net = single_line_net(std_cable, 80.0, modem())
+    net = net.with_port("p", Port("a", wrong))
+    with pytest.raises(ValidationError, match="^source of port 'p' evaluates to shape"):
+        network_input_reflection(net, "p", grid)
+
+
+def passivity_case(rng, kind, n_f, n):
+    """(n_f, n, n) admittances of one kind: passive diagonal or full ones,
+    ones whose Hermitian part has its smallest eigenvalue at 0.5 to 2 times
+    the -1e-9 tolerance (never within 10 % of it, where rounding alone
+    decides), active ones, or passive ones with a NaN entry."""
+    def draw(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a, b = draw((n_f, n, n)), draw((n_f, n, n))
+    diagonal = kind == "diagonal" or (kind != "full" and rng.random() < 0.5)
+    if diagonal:
+        a *= np.eye(n)
+    herm = a @ np.conj(np.swapaxes(a, -1, -2))
+    herm -= np.linalg.eigvalsh(herm)[:, :1, None] * np.eye(n)  # smallest at 0
+    y = herm + 0.5 * (b - np.conj(np.swapaxes(b, -1, -2)))
+    if diagonal:
+        y *= np.eye(n)
+    scale = np.max(np.abs(y))
+    if kind == "near":
+        k = rng.choice([0.5, 0.9, 1.1, 2.0], size=n_f)
+        y -= (k * 1e-9 * scale)[:, None, None] * np.eye(n)
+    elif kind == "active":
+        y[rng.integers(n_f)] -= 0.1 * scale * np.eye(n)
+    elif kind == "nan":
+        y[rng.integers(n_f), rng.integers(n), rng.integers(n)] = np.nan
+    else:
+        y += rng.uniform(0.0, 0.1 * scale, n_f)[:, None, None] * np.eye(n)
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["diagonal", "full", "near", "active", "nan"]),
+       n=st.integers(1, 4), n_f=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_screened_passivity_equals_eigvalsh(kind, n, n_f, seed):
+    y = passivity_case(np.random.default_rng(seed), kind, n_f, n)
+    spec = AdmittanceSpec(n, lambda f: y.copy(), "case")
+
+    def outcome(check, *args):  # a NaN may stop eigvalsh from converging
+        try:
+            return check(*args)
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+    assert outcome(spec.is_passive, np.arange(n_f, dtype=float)) == outcome(is_passive, y)
 
 
 # ---------------------------------------------------------------------------
