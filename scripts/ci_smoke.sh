@@ -153,6 +153,28 @@ if grep -qiE 'nan|inf' "$tmp/simulate-near-short"/*.csv "$tmp/ctf-near-short"/*.
   echo "expected finite spectra and transfer from a near-short load"
   exit 1
 fi
+# a lossless open line a quarter wave long at a grid frequency (50 m at
+# 1 MHz) is all but resonant there: its spectra and transfer are finite
+# (exit 0), or it fails as one numerical-failure line that names the
+# branch (exit 2), never as a traceback
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["cables"]["fast"] = {"model": "constant_rlgc", "params": {"r": 0.0, "l": 2.5e-7, "g": 0.0, "c": 1e-10}}; d["branches"][0]["length_m"] = 50.0; d["loads"]["n1"] = {"model": "open", "params": {}}; json.dump(d, open(sys.argv[2], "w"))' src/plnsim/data/two_node.json "$tmp/quarter-wave.json"
+resonant() {
+  out=$1; shift
+  code=0
+  python -m plnsim.cli "$@" --out "$out" --no-timestamp > /dev/null 2> "$tmp/resonant.stderr" || code=$?
+  if [ "$code" = 0 ] && [ -n "$(ls -A "$out")" ] && ! grep -qiE 'nan|inf' "$out"/*.csv; then
+    return
+  fi
+  if [ "$code" = 2 ] && [ "$(wc -l < "$tmp/resonant.stderr")" = 1 ] \
+      && grep -q "^plnsim: numerical failure: branch 'b0'" "$tmp/resonant.stderr"; then
+    return
+  fi
+  cat "$tmp/resonant.stderr"
+  echo "expected finite spectra or one numerical failure line, got exit $code: $*"
+  exit 1
+}
+resonant "$tmp/simulate-quarter-wave" simulate "$tmp/quarter-wave.json"
+resonant "$tmp/ctf-quarter-wave" ctf "$tmp/quarter-wave.json" --tx-port probe --rx-node n1
 # a value the cable model rejects names the file and the field
 sed 's/"f_ref_hz": 1000000.0/"f_ref_hz": 0/' src/plnsim/data/two_node.json > "$bad/f-ref-zero.json"
 fails python -m plnsim.cli simulate "$bad/f-ref-zero.json" --out "$bad/simulate"

@@ -14,8 +14,7 @@ from .experiments import (EnsembleConfig, Scenario, bundled_single_line_scenario
                           run_backbone_lateral_study, run_distance_sweep,
                           run_scenario_suite)
 from .mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
-                  ctf_line, input_admittance_line, input_reflection,
-                  line_propagation_params, load_reflection, modal_transform,
+                  input_reflection, line_propagation_params, line_responses,
                   propagator)
 from .network import (AdmittanceSpec, Branch, Evaluation, NetworkTopology, Port,
                       conductance, constant_admittance, end_to_end_ctf,

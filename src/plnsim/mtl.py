@@ -14,10 +14,10 @@ only an exactly zero pivot counts as singular, as in LAPACK getrf: it raises
 SingularityError at the first frequency that has one (DecompositionError
 for the one inverse of the modal decomposition, T^-1).
 
-The kernels and the line functions keep their temporaries in work arrays.
-They are thread-local, so threads share none.  They are bounded: one array
-per role, replaced when a call needs another shape.  They never escape a
-call: every array a function returns is fresh, and cached PropagationParams
+The kernels and the functions built on them keep their temporaries in work
+arrays.  They are thread-local, so threads share none.  They are bounded: one
+array per role, replaced when a call needs another shape.  They never escape
+a call: every array a function returns is fresh, and cached PropagationParams
 stay read-only.  Reusing them keeps the allocator from returning memory to
 the system and faulting it back in at every step of a coupled (L >= 2) run.
 For the same reason a product of several terms works a row at a time:
@@ -34,24 +34,25 @@ Conventions used throughout the package:
   Y(f) Z(f), where Z = R + j 2 pi f L and Y = G + j 2 pi f C; the modal
   counterpart of a matrix A is A_m = T^-1 A T.  T is eig's own basis: every
   response is a T ... T^-1 sandwich, so none needs a mode order or phase;
-* a line function (``input_admittance_line``, ``ctf_line`` and
-  ``line_responses``, which returns both) takes ``(params, E, Y_L)``: the
-  cable's decomposition, the section's propagation factor
+* ``line_responses``, the one line function, takes ``(params, E, Y_L)``:
+  the cable's decomposition, the section's propagation factor
   E = exp(-Gamma length) and its far-end admittance in the natural frame.
   Length enters only through E, and ``propagator`` is the one place E is
   evaluated, so a caller that steps the same section again (the ``network``
   reduction keeps E per branch) passes the same read-only array.  No
   reflection is formed: the function reads the load as G = T^-1 Y_L, one
   product on the decomposition's cached T^-1;
-* all three share one core and one elimination, for the section's
-  natural-frame voltage transfer H = V(l) when V(0) = I (Paul's
-  chain-parameter terms).  With W = T^-1 Y_C, the decomposition's cached
+* it returns the section's input admittance Y_in and its natural-frame
+  voltage transfer H = V(l) when V(0) = I from one elimination of Paul's
+  chain-parameter terms.  With W = T^-1 Y_C, the decomposition's cached
   ``t_inv_yc``, the forward and backward modal current amplitudes satisfy
   a + b = W at the input and a' + b' = W H, a' - b' = G H at the load,
   where a' = E a and b = E b'.  Eliminating them gives
   (W + G + E^2 (W - G)) H = 2 E W, and the input current T (a - b) gives
-  Y_in = Y_C - T E (W - G) H.  A section's admittance and transfer from
-  ``line_responses`` equal the single functions' results bit for bit;
+  Y_in = Y_C - T E (W - G) H.  ``input_admittance_line`` and ``ctf_line``
+  are its two projections.  They, ``load_reflection`` and
+  ``modal_transform`` have no production caller: they stay only because
+  perfbench's tracer looks them up by name;
 * the propagation constant branch satisfies Re(gamma) >= 0 (ties resolved
   with Im(gamma) >= 0) so exp(-gamma * length) is non-expanding.
 """
@@ -508,55 +509,49 @@ def modal_transform(a: np.ndarray, params: PropagationParams) -> np.ndarray:
                        _cols(params.t)))
 
 
-def _line(params: PropagationParams, e: np.ndarray, y_l: np.ndarray,
-          admittance: bool, transfer: bool) -> tuple:
-    """The line functions' one core: (Y_in, H) of a section, each None
-    unless asked for, from one elimination for the natural-frame transfer,
+def line_responses(params: PropagationParams, e: np.ndarray,
+                   y_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Y_in, H) of one line section with propagation factor
+    e = ``propagator(params, length)`` whose far end is loaded by the
+    natural-frame admittance y_l: its input admittance and its voltage
+    transfer V(l) = H V(0), from one elimination,
 
         (W + G + E^2 (W - G)) H = 2 E W,   Y_in = Y_C - T E (W - G) H,
 
-    with W = T^-1 Y_C, the decomposition's cached right-hand side, and
-    G = T^-1 Y_L.  The system is solved halved, as
+    with W = T^-1 Y_C, the decomposition's cached ``t_inv_yc``, and
+    G = T^-1 y_l.  The system is solved halved, as
     (W - (I - E^2) / 2 (W - G)) H = E W: no term then exceeds |W| + |G|,
     so nothing overflows before G does.  A near-short load makes H small
-    but never forms it as a difference.
-
-    Both results run the same operations whichever of them is asked for,
-    so a path step's pair equals the single functions' results bit for bit.
+    but never forms it as a difference.  At L = 1,
+    H = 1 / (cosh(gamma l) + Z_C Y_L sinh(gamma l)).  Both arrays are fresh.
     """
     f = params.grid.frequencies
     w = _cols(params.t_inv_yc)
-    # D = W - G, in the fresh array that ends as Y_in when one is asked for
-    d = np.empty(w.shape, complex) if admittance else _work("intermediate", w.shape)
+    d = np.empty(w.shape, complex)  # D = W - G, which ends as Y_in
     np.subtract(w, _mul(_cols(params.t_inv), _cols(y_l), d), out=d)
     m = np.multiply(e, e)  # (I - E^2) / 2, a diagonal
     np.subtract(1.0, m, out=m)
     m *= 0.5
-    c = np.multiply(m[:, None], d, out=_work("intermediate2", w.shape))
+    c = np.multiply(m[:, None], d, out=_work("intermediate", w.shape))
     np.subtract(w, c, out=c)
-    h = np.empty(w.shape, complex) if transfer else _work("intermediate", w.shape)
+    h = np.empty(w.shape, complex)
     _gauss(c, np.multiply(e[:, None], w, out=h), f,
            "reflection resonance: W + G + E^2 (W - G) is singular", h)
-    y = None
-    if admittance:
-        np.multiply(e[:, None], d, out=d)  # E D
-        _mul(_cols(params.t), _mul(d, h, c), d)
-        y = _stack(np.subtract(_cols(params.yc), d, out=d))
-    return y, _stack(h) if transfer else None
+    np.multiply(e[:, None], d, out=d)  # E D
+    _mul(_cols(params.t), _mul(d, h, c), d)
+    return _stack(np.subtract(_cols(params.yc), d, out=d)), _stack(h)
 
 
 def input_admittance_line(params: PropagationParams, e: np.ndarray,
                           y_l: np.ndarray) -> np.ndarray:
-    """Input admittance of one line section with propagation factor
-    e = ``propagator(params, length)`` whose far end is loaded by the
-    natural-frame admittance y_l:
+    """Y_in of ``line_responses``."""
+    return line_responses(params, e, y_l)[0]
 
-        Y_in = Y_C - T E (W - G) H,   (W + G + E^2 (W - G)) H = 2 E W,
 
-    with W = T^-1 Y_C, the decomposition's cached ``t_inv_yc``, and
-    G = T^-1 y_l: H, the section's transfer, is one exact linear solve.
-    """
-    return _line(params, e, y_l, admittance=True, transfer=False)[0]
+def ctf_line(params: PropagationParams, e: np.ndarray,
+             y_l: np.ndarray) -> np.ndarray:
+    """H of ``line_responses``."""
+    return line_responses(params, e, y_l)[1]
 
 
 def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
@@ -565,25 +560,3 @@ def input_reflection(y_in: np.ndarray, y_r: np.ndarray,
     I - 2 Y_R (Y_in + Y_R)^-1; a zero source admittance gives I, the limit
     of the form."""
     return _reflection(y_in, y_r, f, "Y_in + Y_R is singular")
-
-
-def ctf_line(params: PropagationParams, e: np.ndarray,
-             y_l: np.ndarray) -> np.ndarray:
-    """Voltage transfer V(l) = H V(0) across one line section with
-    propagation factor e = ``propagator(params, length)``, loaded by the
-    natural-frame admittance y_l:
-
-        (W + G + E^2 (W - G)) H = 2 E W,
-
-    with W = T^-1 Y_C and G = T^-1 y_l, the solve of input_admittance_line.
-    At L = 1 this is H = 1 / (cosh(gamma l) + Z_C Y_L sinh(gamma l)).
-    """
-    return _line(params, e, y_l, admittance=False, transfer=True)[1]
-
-
-def line_responses(params: PropagationParams, e: np.ndarray,
-                   y_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(``input_admittance_line``, ``ctf_line``) of one section from one
-    elimination, each bit-identical to the function's own result: the
-    step of a branch on a transfer path."""
-    return _line(params, e, y_l, admittance=True, transfer=True)

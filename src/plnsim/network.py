@@ -13,8 +13,9 @@ admittance is its load plus its child branches' carry-backs.  The end-to-end
 transfer function is the ordered product of per-segment voltage transfers
 along the transmitter-receiver backbone, each segment terminated by the
 equivalent admittance of everything beyond it.  It is read from the transmit
-port's reduction, where one line step, one elimination, gives a path
-branch's carry-back and its segment; no reflection is formed on the way.
+port's reduction.  Every branch step there is ``mtl.line_responses``, one
+elimination that gives the branch's carry-back and its segment, and a path
+branch keeps the segment; no reflection is formed on the way.
 The tests check this reduction against a two-section closed form and a
 chain-parameter solution of their own.
 
@@ -366,14 +367,6 @@ def farthest_node(net: NetworkTopology, origin: str) -> str:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _located(prefix: str, exc: SingularityError) -> SingularityError:
-    """``exc`` re-raised with a branch or segment prefix on its message; the
-    offending frequency and grid index carry over."""
-    err = SingularityError(f"{prefix}: {exc}")
-    err.frequency_hz, err.index = exc.frequency_hz, exc.index
-    return err
-
-
 class Evaluation:
     """The work that the reductions on one grid share (see the module
     docstring): each branch's E, each load's and source's value as entry
@@ -409,17 +402,19 @@ def _evaluation(grid: FrequencyGrid, ev: Evaluation | None) -> Evaluation:
     return ev
 
 
-def _branch_step(line: Callable, kind: str, br: Branch, ev: Evaluation,
-                 y_far: np.ndarray):
-    """``line`` (a line function of ``mtl``) of branch ``br`` with its far end
-    terminated by y_far; a singularity names the branch."""
+def _branch_step(br: Branch, ev: Evaluation, y_far: np.ndarray):
+    """``line_responses`` of branch ``br`` with its far end terminated by
+    y_far: its carry-back and its segment.  A singularity names the branch;
+    the offending frequency and grid index carry over."""
     params = line_propagation_params(br.cable, ev.grid)
     if (e := ev.propagators.get(br)) is None:
         e = ev.propagators[br] = propagator(params, br.length_m)
     try:
-        return line(params, e, y_far)
+        return line_responses(params, e, y_far)
     except SingularityError as exc:
-        raise _located(f"{kind} {br.id!r}", exc) from exc
+        err = SingularityError(f"branch {br.id!r}: {exc}")
+        err.frequency_hz, err.index = exc.frequency_hz, exc.index
+        raise err from exc
 
 
 @dataclass(eq=False)
@@ -497,7 +492,7 @@ def _reduce(net: NetworkTopology, port: str, ev: Evaluation, rx: str | None):
         br = parent[v][0]
         y, s = held.get(cb[v], (None, None))
         if y is None or (s is None and br in on_path):
-            y, s = _branch_step(line_responses, "branch", br, ev, equivalent(v))
+            y, s = _branch_step(br, ev, equivalent(v))
             y.flags.writeable = s.flags.writeable = False
             held[cb[v]] = (y, s if br in on_path else None)
 

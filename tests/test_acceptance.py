@@ -7,8 +7,10 @@ criteria are qualitative trend reproductions on seeded desk-scale runs.
 
 import functools
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
                               apply_anomaly, delta_chain, delta_superposition)
@@ -36,6 +38,21 @@ from oracles import (input_reflection_modal, series_truncated_responses,
 
 LIB = builtin_cable_library()
 GRID = default_grid()
+
+# c12's records and bins, written by the default sweep,
+#     plnsim sweep --no-timestamp --out tests/data/c12
+# and pinned to 1e-12 relative per field, room for a LAPACK eig that
+# rounds differently
+C12_REFERENCE = Path(__file__).parent / "data" / "c12"
+C12_RTOL = 1e-12
+
+
+def reference_rows(name):
+    """The rows of a reference table as dicts of its CSV cells."""
+    lines = [ln for ln in (C12_REFERENCE / name).read_text().splitlines()
+             if not ln.startswith("#")]
+    columns = lines[0].split(",")
+    return [dict(zip(columns, ln.split(","))) for ln in lines[1:]]
 
 
 def criterion(num, name):
@@ -279,6 +296,28 @@ def test_c12_distance_trends():
     assert s["spearman_y_vs_d"] <= -0.5
     assert s["rel_iqr_rho"] > s["rel_iqr_y"]
     assert s["h_u_shape"], s["h_bin_means"]
+
+    want = reference_rows("records.csv")
+    assert len(res.records) == len(want)
+    for r, row in zip(res.records, want):
+        assert r.network_index == int(row["network_index"])
+        assert f"{r.anomaly['type']}@{r.anomaly['branch']}" == row["anomaly"]
+        for name in ("distance_m", "link_position", "delta_y", "delta_rho", "delta_h"):
+            assert getattr(r, name) == pytest.approx(float(row[name]), rel=C12_RTOL, abs=0), (
+                r.network_index, name)
+    want = reference_rows("bins.csv")
+    assert len(res.bins) == len(want)
+    for b, row in zip(res.bins, want):
+        assert b.count == int(row["count"])
+        got = {"d_lo": b.d_lo, "d_hi": b.d_hi}
+        if b.count:
+            for q in ("y", "rho", "h"):
+                got[f"median_{q}"] = b.median[f"delta_{q}"]
+                got[f"iqr_{q}"] = b.iqr[f"delta_{q}"]
+            got["mean_h"] = b.mean["delta_h"]
+        for name, value in got.items():
+            assert value == pytest.approx(float(row[name]), rel=C12_RTOL, abs=0), (
+                b.d_lo, name)
 
 
 @criterion(13, "backbone vs lateral fault effect on the transfer")

@@ -610,6 +610,38 @@ def test_resonance_singularity_error(grid, std_cable):
         input_admittance_line(p, e, np.zeros_like(p.yc))
 
 
+# lossless cables, one conductor and three shaped like FLAT_3C, whose modes
+# have distinct velocities
+LOSSLESS_CABLES = (
+    lossless_cable(2.5e-7, 1e-10),
+    constant_rlgc_cable(np.zeros((3, 3)), FLAT_3C.meta[1]["l"], np.zeros((3, 3)),
+                        FLAT_3C.meta[1]["c"], label="lossless-flat-3c"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(cable=st.sampled_from(LOSSLESS_CABLES), k=st.integers(0, 119),
+       mode=st.integers(0, 2), odd=st.integers(0, 20),
+       offset=st.floats(-17.0, -8.0), sign=st.sampled_from([-1.0, 1.0]),
+       load=st.sampled_from([0.0, 1e12]))
+def test_near_quarter_wave_is_finite_or_a_located_singularity(
+        grid, cable, k, mode, odd, offset, sign, load):
+    # a section within 1e-17 to 1e-8 (relative) of an odd quarter wave of
+    # one mode at grid frequency k, open or loaded by 1e12 S: there
+    # W + G + E^2 (W - G) is all but singular at that frequency, and the
+    # line step either names the frequency or returns finite arrays
+    p = line_propagation_params(cable, grid)
+    beta = p.gamma[k, mode % cable.n_conductors].imag
+    length = (2 * odd + 1) * np.pi / (2 * beta) * (1.0 + sign * 10.0 ** offset)
+    y_l = spectrum_const(load, grid, cable.n_conductors)
+    try:
+        y, h = line_responses(p, propagator(p, length), y_l)
+    except SingularityError as exc:
+        assert exc.frequency_hz in grid.frequencies
+    else:
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(h))
+
+
 def test_propagator_is_read_only_and_rejects_negative_length(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     e = propagator(p, 40.0)
@@ -682,10 +714,18 @@ def test_line_functions_match_their_two_solve_forms(cable, length):
 
 @LINE_CASES
 def test_path_step_pair_equals_the_line_functions(cable, length):
+    # the projections equal the pair, and the pair's arrays are fresh: they
+    # share no memory with each other, the operands or a work array, so the
+    # next step (which reuses the work arrays) leaves them as they were
     p, e, y_l = _line_case(cable, length)
     y, h = line_responses(p, e, y_l)
+    kept = y.copy(), h.copy()
     assert np.array_equal(y, input_admittance_line(p, e, y_l))
     assert np.array_equal(h, ctf_line(p, e, y_l))
+    assert np.array_equal(y, kept[0]) and np.array_equal(h, kept[1])
+    assert not np.may_share_memory(y, h)
+    for a in (y_l, e, p.t, p.t_inv, p.yc, p.t_inv_yc, *vars(mtl._pool).values()):
+        assert not (np.may_share_memory(y, a) or np.may_share_memory(h, a))
 
 
 @pytest.mark.parametrize("length", [10.0, 150.0])
@@ -728,10 +768,10 @@ def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatc
         return wrapper
     for name in calls:
         monkeypatch.setattr(mtl, name, counted(name))
-    for line, products in ((input_admittance_line, 3), (ctf_line, 1), (line_responses, 3)):
+    for line in (input_admittance_line, ctf_line, line_responses):
         calls.update(_mul=0, _gauss=0)
         line(p, e, y)
-        assert calls == {"_mul": products, "_gauss": 1}, line.__name__
+        assert calls == {"_mul": 3, "_gauss": 1}, line.__name__
 
 
 def test_identity_is_one_read_only_array_per_size():

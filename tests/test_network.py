@@ -665,9 +665,9 @@ def test_tx_reduction_after_probe_steps_only_the_path(grid, std_cable, monkeypat
     steps = []
     step = network._branch_step
 
-    def counting(line, kind, br, *args):
-        steps.append((kind, br.id))
-        return step(line, kind, br, *args)
+    def counting(br, *args):
+        steps.append(br.id)
+        return step(br, *args)
 
     monkeypatch.setattr(network, "_branch_step", counting)
     net = NetworkTopology(
@@ -683,10 +683,10 @@ def test_tx_reduction_after_probe_steps_only_the_path(grid, std_cable, monkeypat
         ports={"tx": Port("t", modem()), "probe": Port("p", modem())})
     ev = Evaluation(grid)
     reduce_to_port(net, "probe", grid, ev)
-    assert sorted(steps) == [("branch", bid) for bid in "123456"]
+    assert sorted(steps) == list("123456")
     steps.clear()
     h = end_to_end_ctf(net, "tx", "p", grid, ev).values
-    assert sorted(steps) == [("branch", bid) for bid in "123"]
+    assert sorted(steps) == list("123")
     cold = end_to_end_ctf(net, "tx", "p", grid).values
     assert np.array_equal(h, cold)
     # after a tx reduction without a receiver, only the segments are missing:
@@ -695,7 +695,7 @@ def test_tx_reduction_after_probe_steps_only_the_path(grid, std_cable, monkeypat
     reduce_to_port(net, "tx", grid, ev)
     steps.clear()
     h = end_to_end_ctf(net, "tx", "p", grid, ev).values
-    assert sorted(steps) == [("branch", bid) for bid in "123"]
+    assert sorted(steps) == list("123")
     assert np.array_equal(h, cold)
 
 
