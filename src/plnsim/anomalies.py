@@ -61,6 +61,8 @@ class LumpedFault:
 
 @dataclass(frozen=True, eq=False)
 class LoadChange:
+    """The load at ``node_id`` replaced by ``new_load``."""
+
     node_id: str
     new_load: AdmittanceSpec
 

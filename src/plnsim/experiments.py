@@ -221,6 +221,8 @@ class _Record:
 
 @dataclass(frozen=True)
 class SweepRecord(_Record):
+    """One sweep realization: where its fault sits and the three deltas."""
+
     __slots__ = ("network_index", "anomaly", "distance_m", "link_position",
                  "delta_y", "delta_rho", "delta_h")
     network_index: int
@@ -234,6 +236,8 @@ class SweepRecord(_Record):
 
 @dataclass(frozen=True)
 class BinStat(_Record):
+    """Median, mean and IQR of each delta over one fault-distance bin."""
+
     __slots__ = ("d_lo", "d_hi", "count", "median", "mean", "iqr")
     d_lo: float
     d_hi: float
@@ -245,6 +249,8 @@ class BinStat(_Record):
 
 @dataclass(eq=False)
 class SweepResult:
+    """A distance sweep's records, skipped realizations, bins and summary."""
+
     records: list[SweepRecord]
     skipped: list[tuple[int, str]]
     bins: list[BinStat]
@@ -387,6 +393,8 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """An anomaly and the peak-set changes it is expected to make."""
+
     name: str
     anomaly: Anomaly
     expected: frozenset  # subset of {"new-peak", "amplitude-only", "shifted-peak"}
@@ -394,6 +402,8 @@ class Scenario:
 
 @dataclass(eq=False)
 class ScenarioResult:
+    """The peak-set changes a scenario made, against those expected."""
+
     name: str
     classification: set
     expected: set
@@ -509,6 +519,8 @@ def bundled_single_line_scenarios() -> tuple[NetworkTopology, list[Scenario]]:
 
 @dataclass(eq=False)
 class BackboneLateralResult:
+    """Band-mean chain deltas of backbone and lateral faults."""
+
     backbone_db: list[float]   # per-network band-mean dB of the chain delta
     lateral_db: list[float]
     mean_backbone_db: float

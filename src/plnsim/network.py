@@ -204,12 +204,16 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class Port:
+    """A modem attached at ``node``."""
+
     node: str
     source: AdmittanceSpec  # admittance of the attached generator/modem
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Whether a topology is valid, and each problem found if not."""
+
     valid: bool
     problems: tuple[str, ...]
 

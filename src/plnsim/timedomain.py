@@ -121,6 +121,8 @@ def to_time_domain(spec: MatrixSpectrum, window: str = "hann") -> TimeTrace:
 
 @dataclass(frozen=True)
 class Peak:
+    """A local maximum of one trace entry."""
+
     time_s: float
     amplitude: float  # |trace entry| at the peak
 
@@ -212,6 +214,8 @@ def detect_peaks(trace: TimeTrace,
 
 @dataclass(frozen=True)
 class LocatedPeak:
+    """A peak of trace entry ``entry`` with its distance."""
+
     entry: tuple[int, int]
     time_s: float
     distance_m: float
@@ -247,6 +251,8 @@ def time_to_distance(peaks: PeakList, velocity: float,
 
 @dataclass(frozen=True)
 class LocateResult:
+    """The anomaly distance, if an echo was found."""
+
     found: bool
     distance_m: float | None = None
     time_s: float | None = None
@@ -280,6 +286,8 @@ def locate_anomaly_reflectometric(delta_trace: TimeTrace, velocity: float,
 
 @dataclass(eq=False)
 class SymmetryReport:
+    """Whether forward and reverse transfers share their peak spacings."""
+
     symmetric: bool
     inconclusive: bool
     spacings_ab_s: list[float]

@@ -356,14 +356,14 @@ def _write_table(path: str | Path, lines: list[str], columns: str, rows) -> None
 def write_spectrum_csv(path: str | Path, spec: MatrixSpectrum,
                        timestamp: bool = True) -> None:
     """A delta is headed ``kind=delta``, without its quantity or model."""
-    f, v = spec.grid.frequencies, spec.values
     L = spec.n_conductors
+    entries = [(r, c) for r in range(L) for c in range(L)]
+    rows = spec.values.reshape(spec.grid.n_points, L * L).tolist()
     _write_table(path, _header_lines("delta" if spec.model else spec.kind, timestamp),
                  "f_or_t,entry_row,entry_col,re,im",
-                 (f"{_fmt(f[k])},{r},{c},{_fmt(v[k, r, c].real)},"
-                  f"{_fmt(v[k, r, c].imag)}"
-                  for k in range(spec.grid.n_points) for r in range(L)
-                  for c in range(L)))
+                 (f"{f:.17g},{r},{c},{v.real:.17g},{v.imag:.17g}"
+                  for f, row in zip(spec.grid.frequencies.tolist(), rows)
+                  for (r, c), v in zip(entries, row)))
 
 
 def write_trace_csv(path: str | Path, trace: TimeTrace,
@@ -371,13 +371,14 @@ def write_trace_csv(path: str | Path, trace: TimeTrace,
     extra = {"quantity": trace.kind}
     if trace.model:
         extra["model"] = trace.model
-    t = trace.times
     L = trace.n_conductors
+    entries = [(r, c) for r in range(L) for c in range(L)]
+    rows = trace.samples.reshape(trace.n_samples, L * L).tolist()
     _write_table(path, _header_lines("trace", timestamp, extra),
                  "f_or_t,entry_row,entry_col,re,im",
-                 (f"{_fmt(t[k])},{r},{c},{_fmt(trace.samples[k, r, c])},0"
-                  for k in range(trace.n_samples) for r in range(L)
-                  for c in range(L)))
+                 (f"{t:.17g},{r},{c},{v:.17g},0"
+                  for t, row in zip(trace.times.tolist(), rows)
+                  for (r, c), v in zip(entries, row)))
 
 
 def write_peaks_csv(path: str | Path, peaks: list[LocatedPeak],

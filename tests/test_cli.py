@@ -16,13 +16,13 @@ import plnsim
 from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
 from plnsim.cli import main
 from plnsim.errors import ValidationError
-from plnsim.mtl import FrequencyGrid, MatrixSpectrum
+from plnsim.mtl import DELTA_MODELS, FrequencyGrid, MatrixSpectrum
 from plnsim.network import (Branch, NetworkTopology, Port, constant_admittance,
                             open_circuit, parallel_rc_admittance, table_admittance)
 from plnsim.topofile import (read_topology, write_json, write_topology,
                              topology_from_dict, topology_to_dict)
 
-from conftest import single_line_net
+from conftest import FLAT_3C, single_line_net
 
 BUNDLED = resources.files("plnsim") / "data"
 TWO_NODE = json.loads((BUNDLED / "two_node.json").read_text())
@@ -600,47 +600,147 @@ def test_bundled_topologies_are_valid():
         assert topology_to_dict(net)  # serializable both ways
 
 
-IMPORT_GUARD = """
-import json, sys
+NUMPY_ONLY = """
+import contextlib, io, json, os, runpy, sys, traceback
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"no scipy: import of {name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
 import plnsim.cli
-data, out, fault = sys.argv[1:]
-codes = [
-    plnsim.cli.main(["tdr", f"{data}/single_line_200m.json", "--quantity",
-                     "admittance", "--out", f"{out}/tdr-y", "--no-timestamp"]),
-    plnsim.cli.main(["tdr", f"{data}/star3.json", "--port", "probe",
-                     "--quantity", "reflection", "--out", f"{out}/tdr-rho",
-                     "--no-timestamp"]),
-    plnsim.cli.main(["locate", f"{data}/single_line_200m.json", "--anomaly",
-                     fault, "--out", f"{out}/locate", "--no-timestamp"]),
-]
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-scipy = loaded()
-
-from plnsim.cables import powerline_cable
-from plnsim.mtl import FrequencyGrid, line_propagation_params
-p = line_propagation_params(powerline_cable(n_conductors=3),
-                            FrequencyGrid(1e5, 1e5, 20))
-print(json.dumps({"codes": codes, "scipy": scipy, "l3_scipy": loaded(),
-                  "l3_gamma_shape": list(p.gamma.shape)}))
+report, commands = sys.argv[1], json.loads(sys.argv[2])
+results = []
+for argv, env in commands:
+    os.environ.update(env)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            if argv[0].endswith(".py"):
+                sys.argv = argv
+                runpy.run_path(argv[0], run_name="__main__")
+                code = 0
+            else:
+                code = plnsim.cli.main(argv)
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+    results.append((code, err.getvalue()))
+    for name in env:
+        del os.environ[name]
+with open(report, "w") as f:
+    json.dump(results, f)
 """
+SCRIPT = str(Path(__file__).parents[1] / "scripts" / "backbone_vs_lateral.py")
 
 
-def test_one_shot_path_imports_no_scipy(tmp_path):
-    # a fresh interpreter: scipy must stay unloaded through tdr and locate on
-    # the bundled single-conductor topologies, and through the decomposition
-    # of a coupled cable
-    fault = tmp_path / "fault.json"
-    fault.write_text(json.dumps({**FAULT, "offset_m": 120.0}))
+def numpy_only_cases(ins):
+    """``(argv, env, exit codes)`` of each subcommand that writes files, on
+    the bundled topologies, cable models and edge-case inputs, and of the
+    one script; the input files go to ``ins``."""
+    def write(name, data):
+        # json reads the literal 1e400, written for "1e400", as inf
+        (ins / name).write_text(json.dumps(data).replace('"1e400"', "1e400"))
+        return str(ins / name)
+
+    def library(cable):
+        net = single_line_net(cable, 50.0, open_circuit(cable.n_conductors))
+        return {"PLNSIM_CABLE_LIBRARY": write(f"{cable.label}.json",
+                                              topology_to_dict(net)["cables"])}
+
+    b0, fast = TWO_NODE["branches"][0], TWO_NODE["cables"]["fast"]
+    two_node, star3 = str(BUNDLED / "two_node.json"), str(BUNDLED / "star3.json")
+    fault = write("fault.json", {**FAULT, "offset_m": 50.0})
+    # a receiver load near a short (1e300 S) keeps the transfer finite
+    near_short = write("near-short.json", {**TWO_NODE, "loads": {"n1": {
+        "model": "constant", "params": {"y_s": [[[1e300, 0.0]]]}}}})
+    # a lossless open line a quarter wave long at 1 MHz, a grid point
+    resonant = write("quarter-wave.json", {
+        **TWO_NODE, "branches": [{**b0, "length_m": 50.0}],
+        "loads": {"n1": {"model": "open", "params": {}}},
+        "cables": {"fast": {"model": "constant_rlgc",
+                            "params": {"r": 0.0, "l": 2.5e-7, "g": 0.0, "c": 1e-10}}}})
+    sweep = ["sweep", "--n-networks", "3", "--grid", "1e5,4e5,100", "--bins", "2"]
+    cases = [([command, str(BUNDLED / name), "--port", "probe", *extra], {}, [0])
+             for name in ("two_node.json", "single_line_200m.json", "star3.json")
+             for command, extra in (("simulate", []), ("tdr", []),
+                                    ("locate", ["--anomaly", fault]))]
+    cases += [(["delta", star3, "--anomaly", fault, "--model", model, "--quantity",
+                quantity, *(["--tx-port", "tx", "--rx-node", "n0"] if quantity == "ctf"
+                            else ["--port", "probe"])], {}, [0])
+              for model in DELTA_MODELS for quantity in ("admittance", "reflection", "ctf")]
+    return cases + [
+        (["ctf", star3, "--tx-port", "tx", "--rx-port", "probe", "--check-symmetry"],
+         {}, [0]),
+        (["inject", two_node, "--anomaly", fault], {}, [0]),
+        (["scenarios"], {}, [0]),
+        (["sweep", "--n-networks", "4", "--grid", "1e5,4e5,80", "--bins", "2"], {}, [0]),
+        ([*sweep, "--cables", "pl3"], library(powerline_cable(3, label="pl3")), [0]),
+        ([*sweep, "--cables", "flat-3c"], library(FLAT_3C), [0]),
+        ([*sweep, "--cables", "pl4"], library(powerline_cable(4, label="pl4")), [0]),
+        # a fault near the largest float passes the passivity check
+        (["locate", two_node, "--anomaly", write("huge-fault.json", {**FAULT, "y_f": {
+            "model": "constant", "params": {"y_s": [1.7e308, 0.0]}}})], {}, [0]),
+        (["simulate", near_short], {}, [0]),
+        (["ctf", near_short, "--tx-port", "probe", "--rx-node", "n1"], {}, [0]),
+        # finite spectra, or one numerical failure line
+        (["simulate", resonant], {}, [0, 2]),
+        (["ctf", resonant, "--tx-port", "probe", "--rx-node", "n1"], {}, [0, 2]),
+        ([SCRIPT, "--n-networks", "2"], {}, [0]),
+        (["inject", two_node, "--anomaly",
+          write("nan-fault.json", {**DIST_FAULT, "start_m": NAN})], {}, [1]),
+        (["sweep", "--seed", "-1", "--n-networks", "2"], {}, [1]),
+        (["simulate", write("l-huge.json", {**TWO_NODE, "cables": {"fast": {
+            **fast, "params": {**fast["params"], "l_h_per_m": 1e300}}}})], {}, [2]),
+        # an invalid topology lists its faults below the plnsim: line
+        (["simulate", write("length-inf.json", {
+            **TWO_NODE, "branches": [{**b0, "length_m": "1e400"}]})], {}, [1]),
+        (["simulate", two_node, "--tx-port", "nope"], {}, [64])]
+
+
+def with_out(argv, out):
+    if argv[0] == SCRIPT:
+        return argv
+    return [*argv, "--out", str(out)] + ["--no-timestamp"] * (argv[0] != "inject")
+
+
+def test_one_shot_path_imports_no_scipy(tmp_path, monkeypatch):
+    # a fresh interpreter in which every scipy import fails runs each case;
+    # each must end as it does in this process and write the same bytes,
+    # with finite CSVs, strict JSON, and a failure as one plnsim: line
+    (tmp_path / "in").mkdir()
+    cases = numpy_only_cases(tmp_path / "in")
+    child, here = tmp_path / "child", tmp_path / "here"
     src = str(Path(plnsim.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(BUNDLED), str(tmp_path), str(fault)],
-        env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "scipy": [], "l3_scipy": [],
-                      "l3_gamma_shape": [20, 3]}
+    child_env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", "PYTHONPATH":
+                 os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = [(with_out(argv, child / str(i)), env) for i, (argv, env, _) in enumerate(cases)]
+    with subprocess.Popen([sys.executable, "-c", NUMPY_ONLY, str(tmp_path / "child.json"),
+                           json.dumps(argvs)], env=child_env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        codes = []  # this process runs the cases while the child does
+        for i, (argv, env, _) in enumerate(cases):
+            with monkeypatch.context() as m:
+                for name, value in env.items():
+                    m.setenv(name, value)
+                codes.append(0 if argv[0] == SCRIPT else main(with_out(argv, here / str(i))))
+        assert proc.wait(timeout=120) == 0, proc.stderr.read()
+    results = json.loads((tmp_path / "child.json").read_text())
+    for i, ((argv, _, want), (code, err)) in enumerate(zip(cases, results)):
+        assert code in want and code == codes[i] and "Traceback" not in err, (argv, err)
+        if code:
+            assert err.startswith("plnsim: ") and err.count("plnsim: ") == 1, err
+        names = sorted(p.name for p in (child / str(i)).glob("*"))
+        assert names == sorted(p.name for p in (here / str(i)).glob("*")), argv
+        for name in names:
+            data = (child / str(i) / name).read_bytes()
+            assert data == (here / str(i) / name).read_bytes(), (argv, name)
+            if name.endswith(".csv"):
+                text = data.decode().lower()
+                assert "nan" not in text and "inf" not in text, (argv, name)
+            else:
+                json.loads(data, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("section,name,model,field", [

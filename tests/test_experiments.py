@@ -94,7 +94,7 @@ def test_branch_length_range_may_be_one_value():
 
 
 def test_sweep_results_are_slotted_with_float_edges():
-    # the CLI smoke sweep whose middle distance bin is empty
+    # test_cli.py::test_sweep_small_run, whose middle distance bin is empty
     res = run_distance_sweep(EnsembleConfig(n_networks=6, seed=3),
                              FrequencyGrid(1e5, 4e5, 100), n_bins=3)
     assert [b.count for b in res.bins] == [4, 0, 2]
