@@ -73,7 +73,7 @@ def _parse_grid(text: str) -> FrequencyGrid:
 def _load_topology(args):
     net = topofile.read_topology(args.topology)
     if not net.report.valid:
-        raise ValidationError(str(net.report))
+        raise ValidationError(f"{args.topology}: {net.report}")
     return net
 
 

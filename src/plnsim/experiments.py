@@ -18,7 +18,9 @@ distributed (aged-cable) faults from one another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -182,27 +184,38 @@ def band_mean_db(values: np.ndarray) -> float:
     return float(np.mean(20.0 * np.log10(np.maximum(mag, 1e-300))))
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
+def _average_ranks(x: list[float]) -> list[float]:
     """1-based ranks of ``x``; tied values share the mean of their ranks."""
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    counts = np.diff(np.r_[starts, x.size])
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    ranks = [0.0] * len(x)
+    start = 0
+    for _, tied in groupby(sorted(range(len(x)), key=x.__getitem__), key=x.__getitem__):
+        tied = list(tied)
+        for i in tied:
+            ranks[i] = start + (len(tied) + 1) / 2
+        start += len(tied)
     return ranks
 
 
 def _spearman(x, y) -> float:
     """Spearman rank correlation: the Pearson correlation of average-tie
-    ranks, NaN when an input is constant or holds NaN (the statistic of
-    ``scipy.stats.spearmanr``, computed in the same order)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if (np.all(x == x[0]) or np.all(y == y[0])
-            or np.isnan(x).any() or np.isnan(y).any()):
+    ranks, NaN when an input is constant or holds NaN.  It is the statistic
+    of ``scipy.stats.spearmanr`` bit for bit, on Python floats, which for a
+    few points cost far less than a numpy call: the centred ranks are
+    multiples of 1/2, so their sums of products are exact, and only the
+    steps of ``np.corrcoef`` round, here in its order (each sum times
+    1 / (n - 1), then divided by the square root of y's and then of x's)."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if (all(v == x[0] for v in x) or all(v == y[0] for v in y)
+            or any(v != v for v in x + y)):
         return float("nan")
-    return float(np.corrcoef(np.vstack((_average_ranks(x), _average_ranks(y))))[1, 0])
+    n = len(x)
+    mid = (n + 1) / 2  # the mean of any n average-tie ranks
+    a = [r - mid for r in _average_ranks(x)]
+    b = [r - mid for r in _average_ranks(y)]
+    inv = 1.0 / (n - 1)
+    r = (sum(p * q for p, q in zip(b, a)) * inv
+         / math.sqrt(sum(q * q for q in b) * inv) / math.sqrt(sum(p * p for p in a) * inv))
+    return min(1.0, max(-1.0, r))
 
 
 class _Record:
@@ -260,9 +273,24 @@ class SweepResult:
 _DELTAS = ("delta_y", "delta_rho", "delta_h")
 
 
+def _quantile(s: list[float], q: float) -> float:
+    """Quantile q of the sorted values s by numpy's linear rule, rounded as
+    ``np.percentile`` rounds it: a + (b - a) t below t = 1/2, and
+    b - (b - a) (1 - t) from there."""
+    v = (len(s) - 1) * q
+    i = int(v)
+    t = v - i
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
     """Per distance bin, the median, mean and IQR of each delta, taken for
-    the three deltas at once along the rows of one (3, k) array."""
+    the three deltas at once along the rows of one (3, k) array.  The means
+    are ``np.mean``'s along its rows; then the rows are sorted once, and the
+    median (``np.median``'s mean of the middle pair) and the quartiles
+    (``_quantile``) are read from them on Python floats, which for a few
+    values cost far less than numpy's statistics calls."""
     if not records:
         return []
     d = np.array([r.distance_m for r in records])
@@ -277,10 +305,13 @@ def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
         if not v.size:
             out.append(BinStat(lo, hi, 0, {}, {}, {}))
             continue
-        q25, q75 = np.percentile(v, [25, 75], axis=1)
-        stats = [dict(zip(_DELTAS, map(float, x)))
-                 for x in (np.median(v, axis=1), np.mean(v, axis=1), q75 - q25)]
-        out.append(BinStat(lo, hi, v.shape[1], *stats))
+        k, h = v.shape[1], v.shape[1] // 2
+        mean = np.mean(v, axis=1).tolist()
+        v.sort(axis=1)
+        rows = v.tolist()
+        median = [s[h] if k % 2 else (s[h - 1] + s[h]) / 2 for s in rows]
+        iqr = [_quantile(s, 0.75) - _quantile(s, 0.25) for s in rows]
+        out.append(BinStat(lo, hi, k, *(dict(zip(_DELTAS, x)) for x in (median, mean, iqr))))
     return out
 
 

@@ -5,14 +5,21 @@ Per-frequency L x L matrices are stacked into complex arrays of shape
 has one evaluation route here, built on exact solves; the tests check them
 against closed-form, echo-series and chain-parameter forms of their own.
 
-Every matrix product and solve goes through two small-matrix kernels that
-work entry by entry: a product is, row by row, K multiply-adds of an (n_f,)
-entry with an (M, n_f) row, and a solve is Gaussian elimination with partial
-pivoting, each step one vectorized operation over the grid.  The pivot is
-the first candidate of largest |re| + |im|, as LAPACK izamax picks it, and
-only an exactly zero pivot counts as singular, as in LAPACK getrf: it raises
-SingularityError at the first frequency that has one (DecompositionError
-for the one inverse of the modal decomposition, T^-1).
+At L >= 2 every matrix product and solve goes through two small-matrix
+kernels that work entry by entry: a product is, row by row, K multiply-adds
+of an (n_f,) entry with an (M, n_f) row, and a solve is Gaussian elimination
+with partial pivoting, each step one vectorized operation over the grid.
+The pivot is the first candidate of largest |re| + |im|, as LAPACK izamax
+picks it, and only an exactly zero pivot counts as singular, as in LAPACK
+getrf: it raises SingularityError at the first frequency that has one
+(DecompositionError for the one inverse of the modal decomposition, T^-1).
+At L = 1 every per-frequency matrix is a scalar, and the four entry points
+the reductions call (``line_responses``, ``_reflection``, ``_rdiv`` and
+``_matmul``) compute the same formulas elementwise on (n_f,) vectors, with no
+entry columns, work arrays or kernel call.  Each tests its divisor for an
+exact zero first and raises the same SingularityError at the first such
+frequency, so no division warns.  There only the decomposition reaches the
+kernels.
 
 The kernels and the functions built on them keep their temporaries in work
 arrays.  They are thread-local, so threads share none.  They are bounded: one
@@ -59,6 +66,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -100,7 +108,7 @@ class FrequencyGrid:
 
     f_start: float  # Hz, finite, > 0
     f_step: float   # Hz, finite, > 0
-    n_points: int   # >= 2
+    n_points: int   # an integer >= 2
 
     def __post_init__(self):
         if not (np.isfinite(self.f_start) and self.f_start > 0.0):
@@ -108,8 +116,13 @@ class FrequencyGrid:
                 "f_start must be finite and positive (grids start above DC)")
         if not (np.isfinite(self.f_step) and self.f_step > 0.0):
             raise ValidationError("f_step must be finite and positive")
-        if self.n_points < 2:
-            raise ValidationError("a frequency grid needs at least 2 points")
+        try:
+            n = operator.index(self.n_points)  # numpy integers pass, 2.5 and nan do not
+        except TypeError:
+            n = None
+        if n is None or n < 2:
+            raise ValidationError("a frequency grid needs an integer n_points >= 2, "
+                                  f"got {self.n_points!r}")
 
     @cached_property
     def frequencies(self) -> np.ndarray:
@@ -231,6 +244,13 @@ def _singular(context: str, f: np.ndarray | None, k: int) -> SingularityError:
                             index=k)
 
 
+def _check_nonzero(d: np.ndarray, f: np.ndarray | None, context: str) -> None:
+    """SingularityError at the first frequency where the scalar divisor d,
+    (n_f,) or (n_f, 1, 1), is exactly zero."""
+    if not d.all():
+        raise _singular(context, f, int(np.argmax(d == 0)))
+
+
 def _work(role: str, shape: tuple, dtype=complex) -> np.ndarray:
     """This thread's work array for ``role``, replaced when a call needs
     another shape or dtype."""
@@ -248,11 +268,8 @@ def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     Row i of the product is the sum over k of a[i, k] times row k of b,
     accumulated through one product work array.  A row at a time, numpy
     broadcasts an (n_f,) entry, not an (L, 1, n_f) column, so the buffer it
-    allocates for that is a row's size, not the product's.  One term (K = 1,
-    as at L = 1) is one broadcast product."""
+    allocates for that is a row's size, not the product's."""
     L, K = a.shape[:2]
-    if K == 1:
-        return np.multiply(a[:, 0, None], b[None, 0], out=out)
     if out is None:
         n = a.shape[2] if b.shape[2] == 1 else b.shape[2]
         out = np.empty((L, b.shape[1], n), np.promote_types(a.dtype, b.dtype))
@@ -277,14 +294,9 @@ def _gauss(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str,
     candidate row of largest |re| + |im| (the LAPACK izamax rule), swapped in
     per frequency with masked copies.  As in LAPACK getrf, only an exactly
     zero pivot is singular: it raises SingularityError at the first frequency
-    that has one.  A 1 x 1 system is one division.
+    that has one.
     """
     L, M = a.shape[0], b.shape[1]
-    if L == 1:
-        d = a[0, 0]
-        if not d.all():
-            raise _singular(context, f, int(np.argmax(d == 0)))
-        return np.divide(b, d, out=out)
     n = a.shape[2]
     aug = _work("augmented", (L, L + M, n), np.promote_types(a.dtype, b.dtype))
     np.copyto(aug[:, :L], a)
@@ -343,15 +355,22 @@ def _right(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str,
     return _t(_gauss(_t(b), _t(a), f, context, None if out is None else _t(out)))
 
 
-# the kernels on (n_f, L, M) stacks, for the decomposition and other modules
+# the kernels on (n_f, L, M) stacks, for the decomposition and other modules;
+# a product with one term per entry (K = 1, as at L = 1) and a 1 x 1 divisor
+# are elementwise and reach no kernel
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b per frequency."""
+    if a.shape[2] == 1:
+        return a * b
     return _stack(_mul(_cols(a), _cols(b)))
 
 
 def _rdiv(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
     """a b^-1 per frequency, singularities reported against the grid."""
+    if b.shape[1] == 1:
+        _check_nonzero(b, f, context)
+        return a / b
     return _stack(_right(_cols(a), _cols(b), f, context))
 
 
@@ -485,8 +504,15 @@ def _reflection(y: np.ndarray, y_ref: np.ndarray, f: np.ndarray | None,
                 singular: str) -> np.ndarray:
     """Y_ref (Y + Y_ref)^-1 (Y - Y_ref) Y_ref^-1, evaluated as the identical
     I - 2 Y_ref (Y + Y_ref)^-1 (write Y - Y_ref = (Y + Y_ref) - 2 Y_ref): one
-    solve, and Y_ref itself is never inverted."""
+    solve, and Y_ref itself is never inverted.  At L = 1 the same steps are
+    elementwise."""
     n, L = y.shape[:2]
+    if L == 1:
+        total = y + y_ref
+        _check_nonzero(total, f, singular)
+        x = np.divide(y_ref, total, out=total)
+        np.multiply(2.0, x, out=x)
+        return np.subtract(1.0, x, out=x)
     total = _work("intermediate", (L, L, n), np.promote_types(y.dtype, y_ref.dtype))
     np.add(y, y_ref, out=_stack(total))
     x = _right(_cols(y_ref), total, f, singular)
@@ -522,10 +548,28 @@ def line_responses(params: PropagationParams, e: np.ndarray,
     G = T^-1 y_l.  The system is solved halved, as
     (W - (I - E^2) / 2 (W - G)) H = E W: no term then exceeds |W| + |G|,
     so nothing overflows before G does.  A near-short load makes H small
-    but never forms it as a difference.  At L = 1,
+    but never forms it as a difference.  At L = 1 every term is a scalar, so
+    the same steps run elementwise on (n_f,) vectors, with no kernel, and
     H = 1 / (cosh(gamma l) + Z_C Y_L sinh(gamma l)).  Both arrays are fresh.
     """
     f = params.grid.frequencies
+    resonance = "reflection resonance: W + G + E^2 (W - G) is singular"
+    if params.gamma.shape[1] == 1:  # the steps below, on scalars
+        w, e = params.t_inv_yc[:, 0, 0], e[0]
+        d = w - params.t_inv[:, 0, 0] * y_l[:, 0, 0]
+        c = np.multiply(e, e)  # W - (1 - E^2) / 2 D
+        np.subtract(1.0, c, out=c)
+        c *= 0.5
+        c *= d
+        np.subtract(w, c, out=c)
+        _check_nonzero(c, f, resonance)
+        h = np.multiply(e, w)
+        h /= c
+        np.multiply(e, d, out=d)
+        d *= h
+        np.multiply(params.t[:, 0, 0], d, out=d)
+        y_in = np.subtract(params.yc[:, 0, 0], d, out=d)
+        return y_in[:, None, None], h[:, None, None]
     w = _cols(params.t_inv_yc)
     d = np.empty(w.shape, complex)  # D = W - G, which ends as Y_in
     np.subtract(w, _mul(_cols(params.t_inv), _cols(y_l), d), out=d)
@@ -535,8 +579,7 @@ def line_responses(params: PropagationParams, e: np.ndarray,
     c = np.multiply(m[:, None], d, out=_work("intermediate", w.shape))
     np.subtract(w, c, out=c)
     h = np.empty(w.shape, complex)
-    _gauss(c, np.multiply(e[:, None], w, out=h), f,
-           "reflection resonance: W + G + E^2 (W - G) is singular", h)
+    _gauss(c, np.multiply(e[:, None], w, out=h), f, resonance, h)
     np.multiply(e[:, None], d, out=d)  # E D
     _mul(_cols(params.t), _mul(d, h, c), d)
     return _stack(np.subtract(_cols(params.yc), d, out=d)), _stack(h)

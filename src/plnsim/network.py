@@ -477,17 +477,17 @@ def _reduce(net: NetworkTopology, port: str, ev: Evaluation, rx: str | None):
                              if (c := ev.carry_backs.get(k)) is not None}
 
     def equivalent(node: str) -> np.ndarray:
-        # summed in a fresh array of entry columns, the line functions'
-        # layout, so no operand is buffered; a bare load is its held columns
-        kids = [_cols(held[cb[c]][0]) for _, c in children[node]]
-        if node not in net.loads:
-            acc = np.zeros((L, L, f.size), dtype=complex)
-        elif not kids:
-            return _stack(ev.admittance(net.loads[node], f"load at {node!r}"))
-        else:
-            acc = np.add(ev.admittance(net.loads[node], f"load at {node!r}"), kids.pop(0))
-        for kid in kids:
-            acc += kid
+        # one term (a bare load, or one carry-back and no load) is its held,
+        # read-only array; more are summed in a fresh array of entry columns,
+        # the line functions' layout, so no operand is buffered
+        terms = [_cols(held[cb[c]][0]) for _, c in children[node]]
+        if node in net.loads:
+            terms.insert(0, ev.admittance(net.loads[node], f"load at {node!r}"))
+        if len(terms) == 1:
+            return _stack(terms[0])
+        acc = np.add(*terms[:2]) if terms else np.zeros((L, L, f.size), dtype=complex)
+        for term in terms[2:]:
+            acc += term
         y = _stack(acc)
         y.flags.writeable = False
         return y

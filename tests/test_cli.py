@@ -112,6 +112,17 @@ def test_missing_field_reports_context(tmp_path, two_node, capsys):
     assert "length_m" in capsys.readouterr().err
 
 
+def test_invalid_topology_names_its_file(tmp_path, capsys):
+    # json reads the literal 1e400 as inf: the file parses, but is invalid
+    bad = tmp_path / "length-inf.json"
+    bad.write_text(json.dumps({**TWO_NODE, "branches": [
+        {**TWO_NODE["branches"][0], "length_m": "1e400"}]}).replace('"1e400"', "1e400"))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"plnsim: {bad}: invalid:\n"
+        "  - branch 'b0' length must be finite and positive, got inf\n")
+
+
 @pytest.mark.parametrize("role,content", [
     ("topology", {**TWO_NODE, "cables": []}),
     ("topology", {**TWO_NODE, "loads": []}),

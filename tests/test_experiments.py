@@ -8,10 +8,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plnsim.experiments as experiments
 import plnsim.network as network
-from plnsim.experiments import (EnsembleConfig, _classify_peak_diff, _spearman,
+from plnsim.experiments import (EnsembleConfig, SweepRecord, _bin_stats,
+                                _classify_peak_diff, _spearman,
                                 bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
                                 run_distance_sweep, run_scenario_suite)
@@ -23,6 +26,8 @@ from plnsim.topofile import topology_to_dict
 
 from conftest import FLAT_3C, SPIKE_T_STEP, spike_trace
 from oracles import chain_responses, rdiv
+
+NAN = float("nan")
 
 
 def test_two_node_config_gives_single_branch():
@@ -236,6 +241,10 @@ def test_peak_diff_two_shift_candidates():
     ([0.1, 0.4, 0.2, 0.9], [0.3, 0.8, 0.4, 1.2]),                   # monotone
     ([1.0, 2.0, 3.0], [0.7, 0.7, 0.7]),                              # constant
     ([2.0, 2.0, 2.0, 2.0], [0.1, 0.3, 0.2, 0.4]),                    # constant
+    ([1.0, NAN, 3.0, 4.0], [0.5, 0.2, 0.3, 0.9]),                    # NaN in x
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 0.2, 0.3, NAN]),                    # NaN in y
+    ([NAN, NAN, NAN], [0.1, 0.2, 0.3]),  # all NaN, which is not constant
+    ([0.7, 0.7, 0.7], [NAN, 0.2, 0.3]),                              # both
 ])
 def test_spearman_matches_scipy(x, y):
     from scipy.stats import spearmanr  # the oracle only
@@ -248,6 +257,31 @@ def test_spearman_matches_scipy(x, y):
         assert np.isnan(got)
     else:
         assert got == expected
+
+
+# distances and deltas, some drawn from a few fixed values so that they tie
+TIED_OR_NOT = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[TIED_OR_NOT] * 4), min_size=1, max_size=40),
+       st.integers(1, 8))
+def test_bin_stats_match_numpy(rows, n_bins):
+    # each bin's median, mean and quartiles equal numpy's, to 1 ulp
+    records = [SweepRecord(i, {}, d, 0.5, y, rho, h)
+               for i, (y, rho, h, d) in enumerate(rows)]
+    bins = _bin_stats(records, n_bins)
+    assert len(bins) == n_bins
+    for b in bins:
+        inside = [r for r in records if b.d_lo <= r.distance_m < b.d_hi]
+        assert b.count == len(inside)
+        if not inside:
+            continue
+        for name in ("delta_y", "delta_rho", "delta_h"):
+            v = np.array([getattr(r, name) for r in inside])
+            q25, q75 = np.percentile(v, [25, 75])
+            got = [b.median[name], b.mean[name], b.iqr[name]]
+            np.testing.assert_array_max_ulp(got, [np.median(v), np.mean(v), q75 - q25], 1)
 
 
 def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):

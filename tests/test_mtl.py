@@ -974,6 +974,16 @@ def test_frequency_grid_validation():
         FrequencyGrid(1e5, 1e5, 1)
 
 
+@pytest.mark.parametrize("n_points", [2.5, 3.0, np.nan, np.inf, "3", None])
+def test_frequency_grid_needs_an_integer_point_count(n_points):
+    # 2.5 built 3 frequencies, and every spectrum on that grid failed later
+    # with "spectrum length does not match its grid"
+    with pytest.raises(ValidationError, match="integer n_points >= 2"):
+        FrequencyGrid(1e5, 1e5, n_points)
+    grid = FrequencyGrid(1e5, 1e5, np.int64(3))
+    assert grid == FrequencyGrid(1e5, 1e5, 3) and grid.frequencies.size == 3
+
+
 @pytest.mark.parametrize("field", ["f_start", "f_step"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_frequency_grid_rejects_non_finite(field, value):

@@ -354,8 +354,9 @@ def test_coupled_path_makes_no_lapack_solve(grid, monkeypatch):
 @pytest.mark.parametrize("n_conductors", [1, 3])
 def test_reduction_makes_one_elimination_per_stepped_branch(grid, monkeypatch,
                                                            n_conductors):
-    # each stepped branch, on the transfer path or off it, is one elimination,
-    # and no load reflection is formed on the way
+    # each stepped branch, on the transfer path or off it, is one line step
+    # and one elimination, and no load reflection is formed on the way; at
+    # L = 1 the step is elementwise and reaches neither kernel
     n = n_conductors
     cab = powerline_cable(n, label=f"pl-{n}c-count")
     net = NetworkTopology(
@@ -368,22 +369,32 @@ def test_reduction_makes_one_elimination_per_stepped_branch(grid, monkeypatch,
                "d": constant_admittance(0.01, n)},
         ports={"p": Port("a", modem(n=n))})
     line_propagation_params(cab, grid)  # decomposed before counting
-    gauss, calls = mtl._gauss, []
+    calls = {}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return gauss(*args, **kwargs)
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
 
     def no_reflection(*args, **kwargs):
         raise AssertionError("a load reflection was formed")
 
-    monkeypatch.setattr(mtl, "_gauss", counted)
+    count(network, "line_responses")
+    count(mtl, "_gauss")
+    count(mtl, "_mul")
     # load_reflection's one route, whatever name it is called by
     monkeypatch.setattr(mtl, "_reflection", no_reflection)
     for rx in (None, "b", "d"):
-        calls.clear()
+        calls.update(line_responses=0, _gauss=0, _mul=0)
         reduce_to_port(net, "p", grid, rx=rx)
-        assert len(calls) == len(net.branches), rx
+        assert calls["line_responses"] == len(net.branches), rx
+        if n == 1:
+            assert calls["_gauss"] == calls["_mul"] == 0, rx
+        else:
+            assert calls["_gauss"] == len(net.branches), rx
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +487,59 @@ def test_line_matches_chain_parameters(cable, length):
 def test_tree_matches_chain_parameters(n_conductors, seed):
     net = random_tree(n_conductors, seed)
     assert_matches_chain_parameters(net, "tx", net.ports["probe"].node)
+
+
+def decoupled_twin(net):
+    """``net`` on two conductors with no coupling: each cable is its
+    powerline model at L = 2 with coupling 0, and each load and source Y is
+    Y I_2."""
+    twins = {}
+
+    def cable(c):
+        if c not in twins:
+            twins[c] = powerline_cable(**dict(c.meta[1], n_conductors=2, coupling=0.0),
+                                       label=f"{c.label}-2c")
+        return twins[c]
+
+    def diagonal(spec):
+        return AdmittanceSpec(2, lambda f: spec.evaluate(f) * np.eye(2), spec.label)
+
+    return NetworkTopology(
+        nodes=net.nodes,
+        branches=tuple(dataclasses.replace(b, cable=cable(b.cable)) for b in net.branches),
+        loads={n: diagonal(y) for n, y in net.loads.items()},
+        ports={name: Port(p.node, diagonal(p.source)) for name, p in net.ports.items()})
+
+
+def sweep_responses(net, fault, grid):
+    """A sweep realization's responses on ``net``: the probe's Y_in and
+    rho_in and the transfer from tx, then each one's normalized delta under
+    ``fault``."""
+    probe = net.ports["probe"].node
+    base, perturbed = ([reduce_to_port(n, "probe", grid).y_in,
+                        network_input_reflection(n, "probe", grid),
+                        end_to_end_ctf(n, "tx", probe, grid)]
+                       for n in (net, apply_anomaly(net, fault, grid)))
+    deltas = [delta_superposition(p, b, normalize=True) for p, b in zip(perturbed, base)]
+    return [s.values for s in base + deltas]
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_scalar_line_matches_decoupled_pair(grid, seed):
+    # the elementwise L = 1 forms against the L >= 2 kernels: two uncoupled
+    # copies of a random L = 1 tree give its responses on the diagonal
+    net = generate_random_network(EnsembleConfig(seed=seed), 0)
+    twin = decoupled_twin(net)
+    rng = np.random.default_rng(seed)
+    branch = net.branches[int(rng.integers(len(net.branches)))]
+    offset, g = branch.length_m * rng.uniform(0.05, 0.95), rng.uniform(1e-3, 1e-1)
+    one = sweep_responses(net, LumpedFault(branch.id, offset, conductance(g, 1)), grid)
+    two = sweep_responses(twin, LumpedFault(branch.id, offset, conductance(g, 2)), grid)
+    for a, b in zip(one, two):
+        assert b.shape == (grid.n_points, 2, 2)
+        for i in range(2):
+            assert rel_err(b[:, i, i], a[:, 0, 0]) < 1e-12
+        assert np.max(np.abs(b[:, [0, 1], [1, 0]])) < 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("cable", [powerline_cable(2), powerline_cable(3), FLAT_3C],
