@@ -174,8 +174,8 @@ def _fault_distance(net: NetworkTopology, origin: str, branch: Branch,
 
 def band_mean_magnitude(values: np.ndarray) -> float:
     """Mean over the band (and matrix entries) of |X(f)|, summed in entry-column
-    order whatever the memory layout of ``values``."""
-    return float(np.mean(np.abs(_cols(values))))
+    order whatever the memory layout of ``values``, as ``np.mean`` does it."""
+    return float(np.add.reduce(a := np.abs(_cols(values)), axis=None) / a.size)
 
 
 def band_mean_db(values: np.ndarray) -> float:
@@ -284,6 +284,22 @@ def _quantile(s: list[float], q: float) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
+def _nanmedian(x: list[float]) -> float:
+    """``np.nanmedian`` on Python floats, bit for bit; NaN, with no warning, if all are."""
+    s = sorted(v for v in x if v == v)
+    h = len(s) // 2
+    return float("nan") if not s else s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
+def _bin_means(u: list[float], x: list[float], n_bins: int) -> list[float]:
+    """``np.mean``'s sum and divide of the x, in order, per equal u bin on [0, 1 + 1e-9)."""
+    edges = np.linspace(0.0, 1.0 + 1e-9, n_bins + 1)
+    bins: list[list[float]] = [[] for _ in range(n_bins + 2)]  # and below, above
+    for k, v in zip(np.searchsorted(edges, u, side="right").tolist(), x):
+        bins[k].append(v)
+    return [float(np.add.reduce(b) / len(b)) if b else float("nan") for b in bins[1:-1]]
+
+
 def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
     """Per distance bin, the median, mean and IQR of each delta, taken for
     the three deltas at once along the rows of one (3, k) array.  The means
@@ -336,17 +352,17 @@ def _sweep_record(cfg: EnsembleConfig, i: int, grid: FrequencyGrid) -> SweepReco
     d_tx = _fault_distance(net, tx, branch, offset)
 
     net_a = apply_anomaly(net, fault, grid)
-    # the two probe reductions run back to back, then the two tx ones, so
-    # each reuses the subtrees the one before it computed; each pair shrinks
-    # to its band mean before the next is computed
+    # the two probe reductions run back to back, then the two tx ones, the
+    # perturbed first, so each reuses the subtrees the one before it computed;
+    # each pair shrinks to its band mean before the next is computed
     ev = Evaluation(grid)
     y0 = reduce_to_port(net, "probe", grid, ev).y_in
     rho0 = network_input_reflection(net, "probe", grid, ev)
     delta_y = _band_delta(reduce_to_port(net_a, "probe", grid, ev).y_in, y0)
     delta_rho = _band_delta(network_input_reflection(net_a, "probe", grid, ev), rho0)
     del y0, rho0
-    h0 = end_to_end_ctf(net, "tx", probe, grid, ev)
-    delta_h = _band_delta(end_to_end_ctf(net_a, "tx", probe, grid, ev), h0)
+    delta_h = _band_delta(end_to_end_ctf(net_a, "tx", probe, grid, ev),
+                          end_to_end_ctf(net, "tx", probe, grid, ev))
 
     return SweepRecord(
         network_index=i,
@@ -399,18 +415,12 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
         summary["spearman_y_vs_d"] = _spearman(centers, med_y)
         summary["spearman_rho_vs_d"] = _spearman(centers, med_rho)
         rel_iqr = lambda b, q: b.iqr[q] / b.median[q] if b.median[q] > 0 else np.nan
-        summary["rel_iqr_rho"] = float(np.nanmedian([rel_iqr(b, "delta_rho") for b in filled]))
-        summary["rel_iqr_y"] = float(np.nanmedian([rel_iqr(b, "delta_y") for b in filled]))
+        summary["rel_iqr_rho"] = _nanmedian([rel_iqr(b, "delta_rho") for b in filled])
+        summary["rel_iqr_y"] = _nanmedian([rel_iqr(b, "delta_y") for b in filled])
 
     # end-to-end delta versus position along the link, ends vs middle
-    u = np.array([r.link_position for r in records])
-    dh = np.array([r.delta_h for r in records])
-    edges = np.linspace(0.0, 1.0 + 1e-9, n_bins + 1)
-    u_means = []
-    for k in range(n_bins):
-        sel = dh[(u >= edges[k]) & (u < edges[k + 1])]
-        u_means.append(float(np.mean(sel)) if sel.size else float("nan"))
-    summary["h_bin_means"] = u_means
+    summary["h_bin_means"] = u_means = _bin_means(
+        [r.link_position for r in records], [r.delta_h for r in records], n_bins)
     mid = n_bins // 2
     if np.isfinite(u_means[0]) and np.isfinite(u_means[-1]) and np.isfinite(u_means[mid]):
         summary["h_u_shape"] = bool(u_means[0] > u_means[mid]

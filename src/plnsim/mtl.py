@@ -16,10 +16,10 @@ getrf: it raises SingularityError at the first frequency that has one
 At L = 1 every per-frequency matrix is a scalar, and the four entry points
 the reductions call (``line_responses``, ``_reflection``, ``_rdiv`` and
 ``_matmul``) compute the same formulas elementwise on (n_f,) vectors, with no
-entry columns, work arrays or kernel call.  Each tests its divisor for an
-exact zero first and raises the same SingularityError at the first such
-frequency, so no division warns.  There only the decomposition reaches the
-kernels.
+entry columns, work arrays or kernel call; T cancels, so the line step reads
+Y_C and Y_L.  Each tests its divisor for an exact zero first and raises the
+same SingularityError at the first such frequency, so no division warns.
+There only the decomposition reaches the kernels.
 
 The kernels and the functions built on them keep their temporaries in work
 arrays.  They are thread-local, so threads share none.  They are bounded: one
@@ -158,7 +158,7 @@ class PropagationParams:
     with read-only arrays: one cached instance serves every caller.
 
     Besides the decomposition it holds ``t_inv_yc`` = T^-1 Y_C, the product
-    of it that every line function reads.  The modes keep eig's order and
+    of it that the coupled line step reads.  The modes keep eig's order and
     phase at each frequency; no response needs an order."""
 
     grid: FrequencyGrid
@@ -189,7 +189,7 @@ class MatrixSpectrum:
             raise ValidationError(f"unknown spectrum kind {self.kind!r}")
         if self.model is not None and self.model not in DELTA_MODELS:
             raise ValidationError(f"unknown delta model {self.model!r}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             bad = int(np.argwhere(~np.isfinite(self.values))[0, 0])
             raise ValidationError(
                 f"non-finite spectrum entry at f = {self.grid.frequencies[bad]:.6g} Hz")
@@ -548,27 +548,26 @@ def line_responses(params: PropagationParams, e: np.ndarray,
     G = T^-1 y_l.  The system is solved halved, as
     (W - (I - E^2) / 2 (W - G)) H = E W: no term then exceeds |W| + |G|,
     so nothing overflows before G does.  A near-short load makes H small
-    but never forms it as a difference.  At L = 1 every term is a scalar, so
-    the same steps run elementwise on (n_f,) vectors, with no kernel, and
+    but never forms it as a difference.  At L = 1 T cancels, so the same
+    steps run elementwise on (n_f,) vectors with W = Y_C and G = Y_L, and
     H = 1 / (cosh(gamma l) + Z_C Y_L sinh(gamma l)).  Both arrays are fresh.
     """
     f = params.grid.frequencies
     resonance = "reflection resonance: W + G + E^2 (W - G) is singular"
-    if params.gamma.shape[1] == 1:  # the steps below, on scalars
-        w, e = params.t_inv_yc[:, 0, 0], e[0]
-        d = w - params.t_inv[:, 0, 0] * y_l[:, 0, 0]
-        c = np.multiply(e, e)  # W - (1 - E^2) / 2 D
+    if params.gamma.shape[1] == 1:  # the steps below, on scalars; T cancels
+        yc, e = params.yc[:, 0, 0], e[0]
+        d = yc - y_l[:, 0, 0]
+        c = np.multiply(e, e)  # Y_C - (1 - E^2) / 2 D
         np.subtract(1.0, c, out=c)
         c *= 0.5
         c *= d
-        np.subtract(w, c, out=c)
+        np.subtract(yc, c, out=c)
         _check_nonzero(c, f, resonance)
-        h = np.multiply(e, w)
+        h = np.multiply(e, yc)
         h /= c
         np.multiply(e, d, out=d)
         d *= h
-        np.multiply(params.t[:, 0, 0], d, out=d)
-        y_in = np.subtract(params.yc[:, 0, 0], d, out=d)
+        y_in = np.subtract(yc, d, out=d)
         return y_in[:, None, None], h[:, None, None]
     w = _cols(params.t_inv_yc)
     d = np.empty(w.shape, complex)  # D = W - G, which ends as Y_in

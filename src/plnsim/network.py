@@ -90,16 +90,25 @@ class AdmittanceSpec:
     label: str = ""
     meta: tuple[str, Mapping] | None = None
 
+    def evaluated(self, f: np.ndarray, where: str) -> np.ndarray:
+        """``evaluate(f)``; any shape but (n_f, L, L) is an error naming ``where``."""
+        if (y := self.evaluate(f)).shape != (f.size, self.n_conductors, self.n_conductors):
+            raise ValidationError(f"{where} evaluates to shape {y.shape}")
+        return y
+
     def is_passive(self, f: np.ndarray) -> bool:
         """True when the Hermitian part Y / 2 + Y^H / 2 (halved first, so a
         finite Y cannot overflow) is positive semidefinite at every frequency
         to 1e-9 of the largest |Y(f)| entry: no voltage draws power out of Y.
+        At L = 1 that part is Re Y, so the test is its sign.  Otherwise
         ``eigvalsh`` runs only where a Gershgorin disc (centre Re Y_ii, radius
         at most the sum of (|Y_ij| + |Y_ji|) / 2 over j != i, all over that
         scale so no sum overflows) reaches below -1e-9, or holds a NaN."""
-        y = self.evaluate(f)
+        y = self.evaluated(f, f"admittance {self.label!r}")
         a = np.abs(y)
-        scale = float(np.max(a)) + 1e-300
+        scale = float(a.max()) + 1e-300
+        if self.n_conductors == 1:
+            return bool((y.real >= -1e-9 * scale).all())
         a /= scale
         lower = (np.diagonal(y, axis1=-2, axis2=-1).real / scale
                  + np.diagonal(a, axis1=-2, axis2=-1) - 0.5 * (a.sum(-1) + a.sum(-2)))
@@ -110,7 +119,7 @@ class AdmittanceSpec:
 
 def constant_admittance(y_s, n_conductors: int = 1, label: str = "") -> AdmittanceSpec:
     """Frequency-independent admittance.  A scalar y_s means y_s * identity."""
-    if not np.all(np.isfinite(y_s)):
+    if not np.isfinite(y_s).all():
         raise ValidationError("constant admittance y_s must be finite")
     n = n_conductors
     mat = np.array(y_s, dtype=complex)
@@ -121,7 +130,7 @@ def constant_admittance(y_s, n_conductors: int = 1, label: str = "") -> Admittan
     mat.flags.writeable = False
 
     def evaluate(f: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(mat, (f.size, n, n)).copy()
+        return np.full((f.size, n, n), mat)
 
     return AdmittanceSpec(n, evaluate, label or "constant",
                           ("constant", MappingProxyType({"y_s": mat})))
@@ -137,8 +146,8 @@ def parallel_rc_admittance(r_ohm: float, c_farad: float,
     r_ohm, c_farad = float(r_ohm), float(c_farad)
 
     def evaluate(f: np.ndarray) -> np.ndarray:
-        y = 1.0 / r_ohm + 1j * 2.0 * np.pi * f * c_farad
-        return y[:, None, None] * np.eye(n)
+        y = (1.0 / r_ohm + 1j * 2.0 * np.pi * f * c_farad)[:, None, None]
+        return y if n == 1 else y * np.eye(n)
 
     return AdmittanceSpec(n, evaluate, f"rc({r_ohm:g},{c_farad:g})",
                           ("parallel_rc", MappingProxyType({"r_ohm": r_ohm,
@@ -387,13 +396,10 @@ class Evaluation:
         self.last: tuple | None = None
 
     def admittance(self, spec: AdmittanceSpec, where: str) -> np.ndarray:
-        """``spec`` on the grid as entry columns, evaluated on first use; a
-        value of the wrong shape is an error that names ``where``."""
+        """``spec`` on the grid as entry columns, evaluated and checked on first use."""
         if (y := self.admittances.get(spec)) is None:
-            f, n = self.grid.frequencies, spec.n_conductors
-            if (y := spec.evaluate(f)).shape != (f.size, n, n):
-                raise ValidationError(f"{where} evaluates to shape {y.shape}")
-            y = self.admittances[spec] = np.array(y.transpose(1, 2, 0), complex, order="C")
+            y = spec.evaluated(self.grid.frequencies, where).transpose(1, 2, 0)
+            y = self.admittances[spec] = np.array(y, complex, order="C")
             y.flags.writeable = False
         return y
 

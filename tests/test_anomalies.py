@@ -11,7 +11,7 @@ from plnsim.anomalies import (DistributedFault, LoadChange, LumpedFault,
 from plnsim.cables import scaled_cable
 from plnsim.errors import SingularityError, ValidationError
 from plnsim.mtl import FrequencyGrid, MatrixSpectrum
-from plnsim.network import (Branch, conductance, constant_admittance,
+from plnsim.network import (AdmittanceSpec, Branch, conductance, constant_admittance,
                             end_to_end_ctf, network_input_reflection,
                             parallel_rc_admittance, reduce_to_port)
 
@@ -73,6 +73,18 @@ def test_active_fault_needs_flag(base_net, grid):
         apply_anomaly(base_net, LumpedFault("s", 40.0, hot), grid)
     out = apply_anomaly(base_net, LumpedFault("s", 40.0, hot, active=True), grid)
     assert out.report.valid
+
+
+@pytest.mark.parametrize("shape", [(-1,), (-1, 2, 2), (3, 1, 1)], ids=str)
+def test_passivity_check_rejects_a_fault_of_the_wrong_shape(base_net, grid, shape):
+    # the check evaluates the fault through the shape check the reduction
+    # uses, so it is never judged on another matrix, nor fails in numpy
+    n_f = grid.n_points
+    y = np.ones(tuple(n_f if s == -1 else s for s in shape), complex)
+    flat = AdmittanceSpec(1, lambda f: y, "flat")
+    with pytest.raises(ValidationError,
+                       match=rf"^admittance 'flat' evaluates to shape \({y.shape[0]},"):
+        apply_anomaly(base_net, LumpedFault("s", 40.0, flat), grid)
 
 
 def test_reciprocal_fault_that_delivers_power_is_active(coupled_cable, grid):

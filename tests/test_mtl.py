@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from plnsim import mtl
 from plnsim.cables import constant_rlgc_cable, powerline_cable
 from plnsim.errors import DecompositionError, SingularityError, ValidationError
-from plnsim.experiments import default_grid
+from plnsim.experiments import EnsembleConfig, default_grid
 from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationParams,
                         _cols, _eye, _gauss, _matmul, _mul, _rdiv, _right,
                         _singular, _stack, _t, ctf_line, input_admittance_line,
@@ -748,6 +748,28 @@ def test_line_responses_do_not_depend_on_the_modal_basis(length):
     for got, want in zip(line_responses(q, propagator(q, length), y_l),
                          line_responses(p, e, y_l)):
         assert rel_err(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("length", [10.0, 150.0])
+def test_scalar_line_step_does_not_depend_on_the_modal_basis(length):
+    # at L = 1 T is a scalar that cancels, so a non-unit complex T per
+    # frequency, with T^-1 and T^-1 Y_C to match, gives the unit-T responses
+    p, e, y_l = _line_case(powerline_cable(1), length)
+    rng = np.random.default_rng(31)
+    s = (rng.uniform(0.1, 10.0, p.gamma.shape)
+         * np.exp(2j * np.pi * rng.random(p.gamma.shape)))[:, :, None]
+    q = dataclasses.replace(p, t=s, t_inv=1 / s, t_inv_yc=p.yc / s)
+    for got, want in zip(line_responses(q, e, y_l), line_responses(p, e, y_l)):
+        assert rel_err(got, want) < 1e-13
+
+
+def test_scalar_modal_basis_is_exactly_one():
+    # so the line step that reads Y_C and Y_L equals the T ... T^-1
+    # sandwich bit for bit on every cable of the default sweep
+    for cable in EnsembleConfig(n_networks=1).cable_set():
+        p = line_propagation_params(cable, default_grid())
+        assert (p.t == 1).all() and (p.t_inv == 1).all()
+        assert np.array_equal(p.t_inv_yc, p.yc)
 
 
 def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatch):

@@ -1026,6 +1026,19 @@ def test_screened_passivity_equals_eigvalsh(kind, n, n_f, seed):
     assert outcome(spec.is_passive, np.arange(n_f, dtype=float)) == outcome(is_passive, y)
 
 
+@pytest.mark.parametrize("kind", ["near", "active", "nan"])
+@settings(max_examples=25, deadline=None)
+@given(unit=st.sampled_from([1e-6, 1.0, 1e6]), n_f=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_scalar_passivity_equals_eigvalsh(kind, unit, n_f, seed):
+    # at L = 1 the check is the sign of Re Y against 1e-9 of max |Y|; the
+    # near-threshold cases in units of 1e-6 and 1e6 S fail it if the
+    # threshold loses its scale, and the active ones if |Y| replaces Re Y
+    y = unit * passivity_case(np.random.default_rng(seed), kind, n_f, 1)
+    spec = AdmittanceSpec(1, lambda f: y.copy(), "case")
+    assert spec.is_passive(np.arange(n_f, dtype=float)) == is_passive(y)
+
+
 # ---------------------------------------------------------------------------
 # path helpers
 
