@@ -122,8 +122,8 @@ def _split_branch(net: NetworkTopology, branch: Branch,
 def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
                   grid: FrequencyGrid) -> NetworkTopology:
     """Return a new topology with the anomaly inserted.  The input network is
-    left untouched.  Lumped fault admittances are checked for passivity on
-    ``grid`` unless flagged active."""
+    left untouched.  A lumped fault's admittance, unless flagged active, and a
+    replacement load are checked for shape and passivity on ``grid``."""
     if isinstance(anomaly, LumpedFault):
         branch = net.branch(anomaly.branch_id)
         if not 0.0 < anomaly.offset_m < branch.length_m:
@@ -148,6 +148,10 @@ def apply_anomaly(net: NetworkTopology, anomaly: Anomaly,
                 f"node {anomaly.node_id!r} carries no load to change")
         if anomaly.new_load.n_conductors != net.n_conductors:
             raise ValidationError("replacement load conductor count mismatch")
+        if not anomaly.new_load.is_passive(grid.frequencies):
+            raise ValidationError(
+                "replacement load is active: the Hermitian part of its "
+                "admittance has a negative eigenvalue")
         loads = dict(net.loads)
         loads[anomaly.node_id] = anomaly.new_load
         return replace(net, loads=loads)

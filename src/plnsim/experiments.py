@@ -291,42 +291,40 @@ def _nanmedian(x: list[float]) -> float:
     return float("nan") if not s else s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
 
 
-def _bin_means(u: list[float], x: list[float], n_bins: int) -> list[float]:
-    """``np.mean``'s sum and divide of the x, in order, per equal u bin on [0, 1 + 1e-9)."""
-    edges = np.linspace(0.0, 1.0 + 1e-9, n_bins + 1)
-    bins: list[list[float]] = [[] for _ in range(n_bins + 2)]  # and below, above
+def _binned(u: list[float], x: list, edges: np.ndarray) -> list[list]:
+    """The x, in order, per bin [edges[k], edges[k + 1]) that their u falls in."""
+    bins: list[list] = [[] for _ in range(len(edges) + 1)]  # and below, above
     for k, v in zip(np.searchsorted(edges, u, side="right").tolist(), x):
         bins[k].append(v)
-    return [float(np.add.reduce(b) / len(b)) if b else float("nan") for b in bins[1:-1]]
+    return bins[1:-1]
+
+
+def _mean(x: list[float]) -> float:
+    """``np.mean``'s sum (pairwise, in order) and divide."""
+    return float(np.add.reduce(x) / len(x))
 
 
 def _bin_stats(records: list[SweepRecord], n_bins: int) -> list[BinStat]:
-    """Per distance bin, the median, mean and IQR of each delta, taken for
-    the three deltas at once along the rows of one (3, k) array.  The means
-    are ``np.mean``'s along its rows; then the rows are sorted once, and the
-    median (``np.median``'s mean of the middle pair) and the quartiles
-    (``_quantile``) are read from them on Python floats, which for a few
-    values cost far less than numpy's statistics calls."""
+    """Per distance bin, the median, mean and IQR of each delta.  The means
+    are ``np.mean``'s (``_mean``), the median is ``np.median``'s mean of the
+    middle pair and the quartiles ``_quantile``'s, all on Python floats, which
+    for a few values cost far less than numpy's statistics calls."""
     if not records:
         return []
-    d = np.array([r.distance_m for r in records])
-    deltas = np.array([[getattr(r, name) for r in records] for name in _DELTAS])
-    edges = np.linspace(d.min(), d.max() * (1 + 1e-9), n_bins + 1)
-    out = []
-    for k in range(n_bins):
-        lo, hi = float(edges[k]), float(edges[k + 1])
-        # compress keeps the rows contiguous, so each is summed pairwise
-        # as a 1-D array is (boolean indexing would lay them out by column)
-        v = np.compress((lo <= d) & (d < hi), deltas, axis=1)
-        if not v.size:
+    d = [r.distance_m for r in records]
+    edges = np.linspace(min(d), max(d) * (1 + 1e-9), n_bins + 1)
+    e, out = edges.tolist(), []
+    for lo, hi, rows in zip(e, e[1:], _binned(d, records, edges)):
+        if not rows:
             out.append(BinStat(lo, hi, 0, {}, {}, {}))
             continue
-        k, h = v.shape[1], v.shape[1] // 2
-        mean = np.mean(v, axis=1).tolist()
-        v.sort(axis=1)
-        rows = v.tolist()
-        median = [s[h] if k % 2 else (s[h - 1] + s[h]) / 2 for s in rows]
-        iqr = [_quantile(s, 0.75) - _quantile(s, 0.25) for s in rows]
+        k, h = len(rows), len(rows) // 2
+        columns = [[getattr(r, name) for r in rows] for name in _DELTAS]
+        mean = [_mean(c) for c in columns]
+        for c in columns:
+            c.sort()
+        median = [s[h] if k % 2 else (s[h - 1] + s[h]) / 2 for s in columns]
+        iqr = [_quantile(s, 0.75) - _quantile(s, 0.25) for s in columns]
         out.append(BinStat(lo, hi, k, *(dict(zip(_DELTAS, x)) for x in (median, mean, iqr))))
     return out
 
@@ -419,8 +417,9 @@ def run_distance_sweep(cfg: EnsembleConfig, grid: FrequencyGrid | None = None,
         summary["rel_iqr_y"] = _nanmedian([rel_iqr(b, "delta_y") for b in filled])
 
     # end-to-end delta versus position along the link, ends vs middle
-    summary["h_bin_means"] = u_means = _bin_means(
-        [r.link_position for r in records], [r.delta_h for r in records], n_bins)
+    link_bins = _binned([r.link_position for r in records], [r.delta_h for r in records],
+                        np.linspace(0.0, 1.0 + 1e-9, n_bins + 1))
+    summary["h_bin_means"] = u_means = [_mean(b) if b else float("nan") for b in link_bins]
     mid = n_bins // 2
     if np.isfinite(u_means[0]) and np.isfinite(u_means[-1]) and np.isfinite(u_means[mid]):
         summary["h_u_shape"] = bool(u_means[0] > u_means[mid]
@@ -452,7 +451,6 @@ class ScenarioResult:
     new_peaks_s: list[float]
     shifted_pairs_s: list[tuple[float, float]]
     ambiguities: list[str]
-    baseline_trace: TimeTrace
 
 
 def _classify_peak_diff(baseline: TimeTrace, perturbed: TimeTrace,
@@ -525,8 +523,7 @@ def run_scenario_suite(base_net: NetworkTopology, scenarios: list[Scenario],
             name=sc.name, classification=cls, expected=set(sc.expected),
             passed=set(sc.expected) <= cls if sc.expected != {"amplitude-only"}
             else cls == {"amplitude-only"},
-            new_peaks_s=new, shifted_pairs_s=shifted, ambiguities=ambig,
-            baseline_trace=trace0))
+            new_peaks_s=new, shifted_pairs_s=shifted, ambiguities=ambig))
     return results
 
 

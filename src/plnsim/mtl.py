@@ -13,13 +13,13 @@ The pivot is the first candidate of largest |re| + |im|, as LAPACK izamax
 picks it, and only an exactly zero pivot counts as singular, as in LAPACK
 getrf: it raises SingularityError at the first frequency that has one
 (DecompositionError for the one inverse of the modal decomposition, T^-1).
-At L = 1 every per-frequency matrix is a scalar, and the four entry points
-the reductions call (``line_responses``, ``_reflection``, ``_rdiv`` and
-``_matmul``) compute the same formulas elementwise on (n_f,) vectors, with no
-entry columns, work arrays or kernel call; T cancels, so the line step reads
-Y_C and Y_L.  Each tests its divisor for an exact zero first and raises the
-same SingularityError at the first such frequency, so no division warns.
-There only the decomposition reaches the kernels.
+At L = 1 every per-frequency matrix is a scalar, and the three entry points
+the reductions call (``line_responses``, ``_rdiv``, which reflections go
+through, and ``_matmul``) compute the same formulas elementwise on (n_f,)
+vectors, with no entry columns, work arrays or kernel call; T cancels, so
+the line step reads Y_C and Y_L.  Each tests its divisor for an exact zero
+first and raises the same SingularityError at the first such frequency, so
+no division warns.  There only the decomposition reaches the kernels.
 
 The kernels and the functions built on them keep their temporaries in work
 arrays.  They are thread-local, so threads share none.  They are bounded: one
@@ -504,20 +504,10 @@ def _reflection(y: np.ndarray, y_ref: np.ndarray, f: np.ndarray | None,
                 singular: str) -> np.ndarray:
     """Y_ref (Y + Y_ref)^-1 (Y - Y_ref) Y_ref^-1, evaluated as the identical
     I - 2 Y_ref (Y + Y_ref)^-1 (write Y - Y_ref = (Y + Y_ref) - 2 Y_ref): one
-    solve, and Y_ref itself is never inverted.  At L = 1 the same steps are
-    elementwise."""
-    n, L = y.shape[:2]
-    if L == 1:
-        total = y + y_ref
-        _check_nonzero(total, f, singular)
-        x = np.divide(y_ref, total, out=total)
-        np.multiply(2.0, x, out=x)
-        return np.subtract(1.0, x, out=x)
-    total = _work("intermediate", (L, L, n), np.promote_types(y.dtype, y_ref.dtype))
-    np.add(y, y_ref, out=_stack(total))
-    x = _right(_cols(y_ref), total, f, singular)
-    np.multiply(2.0, x, out=x)
-    return _stack(np.subtract(_eye(L), x, out=x))
+    right division, and Y_ref itself is never inverted."""
+    x = _rdiv(y_ref, y + y_ref, f, singular)
+    x *= 2.0
+    return np.subtract(np.eye(y.shape[1]), x, out=x)
 
 
 def load_reflection(y_l: np.ndarray, y_c: np.ndarray,

@@ -129,7 +129,7 @@ class Peak:
 
 @dataclass(eq=False)
 class PeakList:
-    """Per-entry peak lists plus the t ~ 0 launch artifact, reported apart.
+    """Per-entry peak lists.
 
     The first and last ``min_separation`` samples are excluded from peak
     candidacy: the head is the launch artifact of the sensing itself, the
@@ -138,7 +138,6 @@ class PeakList:
 
     t_step: float
     entries: dict[tuple[int, int], list[Peak]]
-    launch_amplitude: dict[tuple[int, int], float]
 
     def merged(self, tol_samples: int = 1) -> list[Peak]:
         """Union of all entries' peaks with tolerance-based merging; clusters
@@ -196,11 +195,9 @@ def detect_peaks(trace: TimeTrace,
     n_t = trace.n_samples
     L = trace.n_conductors
     entries: dict[tuple[int, int], list[Peak]] = {}
-    launch: dict[tuple[int, int], float] = {}
     for r in range(L):
         for c in range(L):
             x = np.abs(trace.samples[:, r, c])
-            launch[(r, c)] = float(x[:min_separation].max())
             gmax = float(x.max())
             if gmax <= 0.0:
                 entries[(r, c)] = []
@@ -209,7 +206,7 @@ def detect_peaks(trace: TimeTrace,
             idx = idx[(idx >= min_separation) & (idx < n_t - min_separation)]
             entries[(r, c)] = [Peak(time_s=float(i * trace.t_step),
                                     amplitude=float(x[i])) for i in idx]
-    return PeakList(t_step=trace.t_step, entries=entries, launch_amplitude=launch)
+    return PeakList(t_step=trace.t_step, entries=entries)
 
 
 @dataclass(frozen=True)

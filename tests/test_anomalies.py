@@ -115,6 +115,17 @@ def test_load_change_requires_existing_load(base_net, grid):
     assert out.loads["b"].label == "g=0.02S"
 
 
+def test_load_change_checks_the_new_load(base_net, grid):
+    # as a fault admittance is, with no flag to skip it: an active load
+    # would make the probe's Re Y_in negative, and a load of the wrong shape
+    # would fail only at reduction
+    with pytest.raises(ValidationError, match="replacement load is active"):
+        apply_anomaly(base_net, LoadChange("b", constant_admittance(-0.01)), grid)
+    flat = AdmittanceSpec(1, lambda f: np.ones(f.size, complex), "flat")
+    with pytest.raises(ValidationError, match=r"^admittance 'flat' evaluates to shape"):
+        apply_anomaly(base_net, LoadChange("b", flat), grid)
+
+
 def test_distributed_fault_splits_three_ways(base_net, grid, std_cable):
     degraded = scaled_cable(std_cable, c_scale=1.3, label="aged")
     out = apply_anomaly(base_net, DistributedFault("s", 30.0, 50.0, degraded), grid)
@@ -148,21 +159,13 @@ def test_distributed_fault_rejects_non_finite_range(base_net, grid, std_cable,
 # ---------------------------------------------------------------------------
 # zero-severity identities (all three variants)
 
-def test_zero_severity_lumped(base_net, grid):
-    out = apply_anomaly(base_net, LumpedFault("s", 40.0, conductance(0.0)), grid)
-    for a, b in zip(responses(out, grid), responses(base_net, grid)):
-        assert rel_err(a.values, b.values) < 1e-12
-
-
-def test_zero_severity_load_change(base_net, grid):
-    out = apply_anomaly(base_net, LoadChange("b", base_net.loads["b"]), grid)
-    for a, b in zip(responses(out, grid), responses(base_net, grid)):
-        assert rel_err(a.values, b.values) < 1e-12
-
-
-def test_zero_severity_distributed(base_net, grid, std_cable):
-    out = apply_anomaly(base_net, DistributedFault("s", 30.0, 50.0, std_cable),
-                        grid)
+@pytest.mark.parametrize("make", [
+    lambda net, cable: LumpedFault("s", 40.0, conductance(0.0)),
+    lambda net, cable: LoadChange("b", net.loads["b"]),
+    lambda net, cable: DistributedFault("s", 30.0, 50.0, cable),
+], ids=["lumped", "load-change", "distributed"])
+def test_zero_severity(base_net, grid, std_cable, make):
+    out = apply_anomaly(base_net, make(base_net, std_cable), grid)
     for a, b in zip(responses(out, grid), responses(base_net, grid)):
         assert rel_err(a.values, b.values) < 1e-12
 
@@ -175,6 +178,7 @@ def test_chain_identity_on_equal_spectra(base_net, grid):
     d = delta_chain(y, y)
     assert np.max(np.abs(d.values - np.eye(1))) < 1e-13
     assert d.model == "chain" and d.kind == "admittance"
+    assert np.max(np.abs(delta_superposition(y, y).values)) == 0.0
 
 
 def test_chain_is_scalar_division(base_net, grid):
@@ -184,18 +188,6 @@ def test_chain_is_scalar_division(base_net, grid):
     d = delta_chain(y1, y0)
     ref = y1.values[:, 0, 0] / y0.values[:, 0, 0]
     assert rel_err(d.values[:, 0, 0], ref) < 1e-12
-
-
-def test_superposition_zero_and_normalized_identity(base_net, grid):
-    y0, _, _ = responses(base_net, grid)
-    out = apply_anomaly(base_net, LumpedFault("s", 40.0, conductance(0.03)), grid)
-    y1, _, _ = responses(out, grid)
-    plain = delta_superposition(y0, y0)
-    assert np.max(np.abs(plain.values)) == 0.0
-    norm = delta_superposition(y1, y0, normalize=True)
-    chain = delta_chain(y1, y0)
-    # the normalized superposition delta is the chain delta minus identity
-    assert np.max(np.abs(norm.values - (chain.values - np.eye(1)))) < 1e-12
 
 
 def test_delta_grid_mismatch(base_net, grid):

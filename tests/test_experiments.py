@@ -202,9 +202,10 @@ def test_scenario_suite_classifications():
     dist = by_name["distributed_fault_30pct"]
     assert {"shifted-peak", "new-peak"} <= dist.classification
     assert dist.passed
-    # distributed fault must actually move an existing reflection
-    assert any(abs(a - b) > dist.baseline_trace.t_step
-               for a, b in dist.shifted_pairs_s)
+    # distributed fault must actually move an existing reflection by more
+    # than one sample, t_step = 1 / (2 f_max)
+    t_step = 0.5 / default_grid().frequencies[-1]
+    assert any(abs(a - b) > t_step for a, b in dist.shifted_pairs_s)
 
 
 BASELINE_PEAKS = {100: 1.0, 300: 0.5}
@@ -302,8 +303,8 @@ POSITIONS = (st.sampled_from([0.0, 0.2, 0.25, 0.5, 1.0, 1.0 + 1e-9, -0.1, NAN])
        st.integers(1, 8))
 def test_summary_statistics_match_numpy(ratios, points, n_bins):
     # the median of the relative IQRs is np.nanmedian's, NaN with no warning
-    # when every one is NaN; each link bin's mean is np.mean's over a boolean
-    # mask, its values in record order, so the pairwise sums are the same
+    # when every one is NaN; each link bin holds the values a boolean mask
+    # selects, in record order, so their mean is np.mean's bit for bit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = experiments._nanmedian(ratios)
@@ -313,11 +314,13 @@ def test_summary_statistics_match_numpy(ratios, points, n_bins):
 
     u, x = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
     edges = np.linspace(0.0, 1.0 + 1e-9, n_bins + 1)
-    means = experiments._bin_means(u.tolist(), x.tolist(), n_bins)
-    assert len(means) == n_bins
-    for k, got in enumerate(means):
+    bins = experiments._binned(u.tolist(), x.tolist(), edges)
+    assert len(bins) == n_bins
+    for k, got in enumerate(bins):
         sel = x[(u >= edges[k]) & (u < edges[k + 1])]
-        assert same_float(got, float(np.mean(sel)) if sel.size else NAN)
+        assert got == sel.tolist()
+        if got:
+            assert same_float(experiments._mean(got), float(np.mean(sel)))
 
 
 def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):

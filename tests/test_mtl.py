@@ -161,7 +161,8 @@ def test_cable_and_cached_params_are_frozen(grid):
 
 
 # ---------------------------------------------------------------------------
-# 1 x 1 kernel: an elementwise division in place of a batched solve
+# 1 x 1 systems: the kernel's one-step elimination and _rdiv's elementwise
+# division, each to 1e-14 of LAPACK
 
 def _complex_stack(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -461,23 +462,10 @@ def test_work_arrays_of_coupled_line_functions_stay_small():
 # ---------------------------------------------------------------------------
 # load reflection
 
-def test_load_reflection_matched(grid, std_cable):
-    p = line_propagation_params(std_cable, grid)
-    rho = load_reflection(p.yc, p.yc)
-    assert np.max(np.abs(rho)) < 1e-12
-
-
 def test_load_reflection_open(grid, coupled_cable):
     p = line_propagation_params(coupled_cable, grid)
     rho = load_reflection(np.zeros_like(p.yc), p.yc)
     assert np.max(np.abs(rho + np.eye(2))) < 1e-12
-
-
-def test_load_reflection_short_limit(grid, std_cable):
-    p = line_propagation_params(std_cable, grid)
-    g = 1e9 * np.max(np.abs(p.yc))
-    rho = load_reflection(spectrum_const(g, grid), p.yc)
-    assert np.max(np.abs(rho - np.eye(1))) < 1e-7
 
 
 def test_load_reflection_degenerate_error(grid, std_cable):
@@ -507,13 +495,6 @@ def modal_frame(t):
     return SimpleNamespace(t=t, t_inv=np.linalg.inv(t))
 
 
-def test_modal_transform_identity(grid, coupled_cable):
-    p = line_propagation_params(coupled_cable, grid)
-    eye = spectrum_const(np.eye(2), grid)
-    out = modal_transform(eye, p)
-    assert rel_err(out, eye) < 1e-12
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_modal_round_trip(seed):
@@ -523,16 +504,6 @@ def test_modal_round_trip(seed):
     t += 3.0 * np.eye(3)  # keep well-conditioned
     back = t @ modal_transform(a, modal_frame(t)) @ np.linalg.inv(t)
     assert rel_err(back, a) < 1e-12
-
-
-def test_modal_transform_diagonalizes(grid):
-    rng = np.random.default_rng(7)
-    d = np.diag(rng.uniform(1.0, 2.0, size=3)).astype(complex)
-    t = rng.normal(size=(3, 3)) + 0.1j * rng.normal(size=(3, 3))
-    a = t @ d @ np.linalg.inv(t)  # T diagonalizes a by construction
-    out = modal_transform(a[None], modal_frame(t[None]))[0]
-    off = out - np.diag(np.diag(out))
-    assert np.max(np.abs(off)) < 1e-12
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -575,30 +546,6 @@ def test_quarter_wave_impedance_transform():
     y_l = spectrum_const(1.0 / 100.0, grid)
     y_in = input_admittance_line(p, propagator(p, length), y_l)
     assert abs(y_in[0, 0, 0] - 0.04) / 0.04 < 1e-9
-
-
-def test_scalar_tanh_oracle(grid):
-    # Z_in = Z_C (Z_L + Z_C tanh(g l)) / (Z_C + Z_L tanh(g l))
-    rng = np.random.default_rng(123)
-    f = grid.frequencies
-    for _ in range(5):
-        r = rng.uniform(0.01, 1.0)
-        l = rng.uniform(1e-7, 1e-6)
-        g = rng.uniform(0.0, 1e-5)
-        c = rng.uniform(2e-11, 3e-10)
-        length = rng.uniform(5.0, 300.0)
-        z_l = complex(rng.uniform(5, 500), rng.uniform(-100, 100))
-        z = r + 1j * TWO_PI * f * l
-        y = g + 1j * TWO_PI * f * c
-        gamma = np.sqrt(z * y)
-        z_c = np.sqrt(z / y)
-        th = np.tanh(gamma * length)
-        z_in_ref = z_c * (z_l + z_c * th) / (z_c + z_l * th)
-
-        cab = constant_rlgc_cable(r, l, g, c)
-        p = line_propagation_params(cab, grid)
-        y_in = input_admittance_line(p, propagator(p, length), spectrum_const(1 / z_l, grid))
-        assert rel_err(1.0 / y_in[:, 0, 0], z_in_ref) < 1e-9
 
 
 def test_resonance_singularity_error(grid, std_cable):
@@ -867,24 +814,6 @@ def test_ctf_open_lossless_sech(grid):
     h = ctf_line(p, propagator(p, length), np.zeros((grid.n_points, 1, 1), complex))
     ref = 1.0 / np.cosh(p.gamma[:, 0] * length)
     assert rel_err(h[:, 0, 0], ref) < 1e-9
-
-
-@pytest.mark.parametrize("L", [1, 2, 3])
-def test_ctf_matches_paper_form(grid, L):
-    # the paper's form through the load's reflection, solved by Y_C
-    rng = np.random.default_rng(20 + L)
-    p = line_propagation_params(random_spd_cable(rng, L), grid)
-    y_l = spectrum_const(random_passive_matrix(rng, L), grid, L)
-    rho = load_reflection(y_l, p.yc)
-    length = 35.0
-    e = np.exp(-p.gamma * length)
-    rho_m = np.linalg.solve(p.t, rho @ p.t)
-    i = np.eye(L)
-    inner = np.linalg.solve(np.swapaxes(i - (e * e)[:, :, None] * rho_m, 1, 2),
-                            np.swapaxes(i - rho_m, 1, 2))  # (I - rho)(I - E^2 rho)^-1
-    want = np.linalg.solve(p.yc, p.t @ np.swapaxes(inner, 1, 2) @ (e[:, :, None] * p.t_inv)
-                           @ p.yc)
-    assert rel_err(ctf_line(p, propagator(p, length), y_l), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -45,37 +45,34 @@ def test_valid_two_node(std_cable):
     assert str(report) == "valid"
 
 
-def test_cycle_is_not_a_tree(std_cable):
+# (branches as (id, node_a, node_b, conductors, length), loaded nodes and their
+# conductor counts, the problems the report names)
+INVALID_TOPOLOGIES = {
+    "cycle": ([("1", "a", "b", 1, 10.0), ("2", "b", "c", 1, 10.0), ("3", "c", "a", 1, 10.0)],
+              {}, ["not a tree"]),
+    "dangling-leaf": ([("1", "a", "b", 1, 10.0)], {}, ["dangling leaf"]),
+    "mixed-conductors": ([("1", "a", "b", 1, 10.0), ("2", "b", "c", 2, 10.0)], {"c": 2},
+                         ["conductor"]),
+    "negative-length": ([("1", "a", "b", 1, -5.0)], {"b": 1, "zz": 1},
+                        ["length", "unknown node"]),
+    # json reads the literal 1e400 as inf
+    "infinite-length": ([("1", "a", "b", 1, np.inf)], {"b": 1, "zz": 1},
+                        ["length", "unknown node"]),
+}
+
+
+@pytest.mark.parametrize("branches,loads,problems", INVALID_TOPOLOGIES.values(),
+                         ids=INVALID_TOPOLOGIES)
+def test_invalid_topology_is_reported(std_cable, coupled_cable, branches, loads, problems):
+    cables = {1: std_cable, 2: coupled_cable}
     net = NetworkTopology(
-        nodes=("a", "b", "c"),
-        branches=(Branch("1", "a", "b", std_cable, 10.0),
-                  Branch("2", "b", "c", std_cable, 10.0),
-                  Branch("3", "c", "a", std_cable, 10.0)),
-        loads={}, ports={"p": Port("a", modem())})
-    report = net.report
-    assert not report.valid
-    assert any("not a tree" in p for p in report.problems)
-
-
-def test_dangling_leaf(std_cable):
-    net = NetworkTopology(
-        nodes=("a", "b"),
-        branches=(Branch("1", "a", "b", std_cable, 10.0),),
-        loads={}, ports={"p": Port("a", modem())})
-    report = net.report
-    assert not report.valid
-    assert any("dangling leaf" in p for p in report.problems)
-
-
-def test_mixed_conductor_counts(std_cable, coupled_cable):
-    net = NetworkTopology(
-        nodes=("a", "b", "c"),
-        branches=(Branch("1", "a", "b", std_cable, 10.0),
-                  Branch("2", "b", "c", coupled_cable, 10.0)),
-        loads={"c": open_circuit(2)}, ports={"p": Port("a", modem())})
-    report = net.report
-    assert not report.valid
-    assert any("conductor" in p for p in report.problems)
+        nodes=tuple(dict.fromkeys(n for b in branches for n in b[1:3])),
+        branches=tuple(Branch(i, a, b, cables[n], length) for i, a, b, n, length in branches),
+        loads={node: open_circuit(n) for node, n in loads.items()},
+        ports={"p": Port("a", modem())})
+    assert not net.report.valid
+    for problem in problems:
+        assert any(problem in p for p in net.report.problems)
 
 
 def test_report_and_adjacency_are_computed_once(grid, std_cable):
@@ -95,39 +92,23 @@ def test_report_and_adjacency_are_computed_once(grid, std_cable):
         assert problem in str(info.value)
 
 
-def test_bad_lengths_and_references(std_cable):
-    for length in (-5.0, np.inf):  # json reads the literal 1e400 as inf
-        net = NetworkTopology(
-            nodes=("a", "b"),
-            branches=(Branch("1", "a", "b", std_cable, length),),
-            loads={"b": modem(), "zz": modem()},
-            ports={"p": Port("a", modem())})
-        report = net.report
-        assert any("length" in p for p in report.problems)
-        assert any("unknown node" in p for p in report.problems)
-
-
 # ---------------------------------------------------------------------------
 # reduction
 
-def test_single_branch_matched(grid, std_cable):
-    net = single_line_net(std_cable, 120.0, matched_load(std_cable, grid))
-    red = reduce_to_port(net, "p", grid)
-    p = line_propagation_params(std_cable, grid)
-    assert rel_err(red.y_in.values, p.yc) < 1e-12
-
-
-def test_star_of_matched_branches(grid, std_cable):
+@pytest.mark.parametrize("lengths", [(120.0,), (50.0, 80.0)], ids=["single", "star"])
+def test_matched_branches_add_their_characteristic_admittances(grid, std_cable, lengths):
+    # a single matched branch, or a star of them, at the port
+    ends = ("b", "c")[:len(lengths)]
     ml = matched_load(std_cable, grid)
     net = NetworkTopology(
-        nodes=("a", "b", "c"),
-        branches=(Branch("1", "a", "b", std_cable, 50.0),
-                  Branch("2", "a", "c", std_cable, 80.0),),
-        loads={"b": ml, "c": ml},
+        nodes=("a",) + ends,
+        branches=tuple(Branch(str(k), "a", n, std_cable, length)
+                       for k, (n, length) in enumerate(zip(ends, lengths))),
+        loads={n: ml for n in ends},
         ports={"p": Port("a", modem())})
     red = reduce_to_port(net, "p", grid)
     p = line_propagation_params(std_cable, grid)
-    assert rel_err(red.y_in.values, 2.0 * p.yc) < 1e-12
+    assert rel_err(red.y_in.values, len(lengths) * p.yc) < 1e-12
 
 
 def test_junction_additivity(grid, std_cable, lib):
@@ -224,23 +205,15 @@ def test_reduce_invalid_topology_rejected(grid, std_cable):
 # ---------------------------------------------------------------------------
 # input reflection at a port
 
-def test_reflection_zero_when_source_tracks_input(grid, std_cable):
-    net = single_line_net(std_cable, 75.0, parallel_rc_admittance(90.0, 3e-9))
-    red = reduce_to_port(net, "p", grid)
-    y_in = red.y_in.values
-    tracking = table_admittance(grid.frequencies, y_in[:, 0, 0])
-    net2 = NetworkTopology(nodes=net.nodes, branches=net.branches,
-                           loads=net.loads, ports={"p": Port("a", tracking)})
-    rho = network_input_reflection(net2, "p", grid)
-    assert np.max(np.abs(rho.values)) < 1e-12
-
-
-def test_reflection_matched_branch(grid, std_cable):
+@pytest.mark.parametrize("matched", [False, True], ids=["tracking", "matched"])
+def test_reflection_zero_when_source_equals_input_admittance(grid, std_cable, matched):
+    # a source that tracks a loaded line's reduced Y_in, or Y_C at a matched one
     p = line_propagation_params(std_cable, grid)
-    net = single_line_net(std_cable, 75.0, matched_load(std_cable, grid))
-    src = table_admittance(grid.frequencies, p.yc[:, 0, 0])
-    net = NetworkTopology(nodes=net.nodes, branches=net.branches,
-                          loads=net.loads, ports={"p": Port("a", src)})
+    load = matched_load(std_cable, grid) if matched else parallel_rc_admittance(90.0, 3e-9)
+    net = single_line_net(std_cable, 75.0, load)
+    y_src = p.yc if matched else reduce_to_port(net, "p", grid).y_in.values
+    src = table_admittance(grid.frequencies, y_src[:, 0, 0])
+    net = dataclasses.replace(net, ports={"p": Port("a", src)})
     rho = network_input_reflection(net, "p", grid)
     assert np.max(np.abs(rho.values)) < 1e-12
 
@@ -269,23 +242,6 @@ def test_ctf_usage_errors(grid, std_cable):
         end_to_end_ctf(net, "p", "a", grid)  # port node carries no load here
     with pytest.raises(UsageError, match="port"):
         end_to_end_ctf(net, "nosuch", "b", grid)
-
-
-def test_reciprocity_equal_terminations(grid, std_cable, lib):
-    # mirror-symmetric network with all four terminations equal: the two
-    # directions must agree elementwise
-    both = constant_admittance(1 / 75)
-    lateral = parallel_rc_admittance(300.0, 5e-9)
-    net = NetworkTopology(
-        nodes=("A", "J", "B", "L"),
-        branches=(Branch("ba", "A", "J", std_cable, 80.0),
-                  Branch("bb", "J", "B", std_cable, 80.0),
-                  Branch("bl", "J", "L", lib["pl-lowloss"], 45.0)),
-        loads={"A": both, "B": both, "L": lateral},
-        ports={"pa": Port("A", both), "pb": Port("B", both)})
-    h_ab = end_to_end_ctf(net, "pa", "B", grid)
-    h_ba = end_to_end_ctf(net, "pb", "A", grid)
-    assert rel_err(h_ab.values, h_ba.values) < 1e-9
 
 
 def test_reciprocity_breaks_with_unequal_loads(grid, std_cable, lib):
@@ -426,28 +382,6 @@ def test_two_section_zero_second_length(grid, std_cable, lib):
     single = single_line_net(std_cable, 90.0, load)
     red = reduce_to_port(single, "p", grid)
     assert rel_err(osc.y_in.values, red.y_in.values) < 1e-9
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_two_section_matches_recursion(seed):
-    from plnsim.mtl import FrequencyGrid
-    grid = FrequencyGrid(1e5, 4e5, 50)
-    rng = np.random.default_rng(seed)
-    c1 = powerline_cable(r0_ohm_per_m=rng.uniform(0.02, 0.3),
-                         l_h_per_m=rng.uniform(2e-7, 8e-7),
-                         c_f_per_m=rng.uniform(4e-11, 2e-10), label="c1")
-    c2 = powerline_cable(r0_ohm_per_m=rng.uniform(0.02, 0.3),
-                         l_h_per_m=rng.uniform(2e-7, 8e-7),
-                         c_f_per_m=rng.uniform(4e-11, 2e-10), label="c2")
-    l1, l2 = rng.uniform(10, 200, size=2)
-    load = parallel_rc_admittance(rng.uniform(20, 800), rng.uniform(1e-9, 5e-8))
-    osc = two_section_oracle(c1, l1, c2, l2, load, modem(), grid)
-    net = two_section_chain(c1, l1, c2, l2, load)
-    red = reduce_to_port(net, "p", grid)
-    rho = network_input_reflection(net, "p", grid)
-    assert rel_err(osc.y_in.values, red.y_in.values) < 1e-9
-    assert rel_err(osc.rho_in.values, rho.values) < 1e-9
 
 
 # ---------------------------------------------------------------------------
