@@ -348,11 +348,10 @@ def _gauss(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str,
     return x
 
 
-def _right(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str,
-           out: np.ndarray | None = None) -> np.ndarray:
+def _right(a: np.ndarray, b: np.ndarray, f: np.ndarray | None, context: str) -> np.ndarray:
     """a b^-1 for entry columns: the solve b^T X^T = a^T, with transposes
     taken by swapping indices."""
-    return _t(_gauss(_t(b), _t(a), f, context, None if out is None else _t(out)))
+    return _t(_gauss(_t(b), _t(a), f, context))
 
 
 # the kernels on (n_f, L, M) stacks, for the decomposition and other modules;

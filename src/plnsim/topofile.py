@@ -288,13 +288,9 @@ def write_json(path: str | Path, payload: dict, timestamp: bool = True) -> None:
 # ---------------------------------------------------------------------------
 # anomaly files
 
-def read_anomaly(source: str | Path | dict, net: NetworkTopology) -> Anomaly:
-    if isinstance(source, (str, Path)):
-        context = str(Path(source))
-        data = _read_json(Path(context))
-    else:
-        data = source
-        context = "anomaly"
+def read_anomaly(path: str | Path, net: NetworkTopology) -> Anomaly:
+    data = _read_json(Path(path))
+    context = str(Path(path))
     if not isinstance(data, dict) or "type" not in data:
         raise _fail(context, "expected an object with a 'type' field")
     kind = data["type"]

@@ -1,5 +1,9 @@
-"""Shared fixtures and network builders for the test suite."""
+"""Shared fixtures and network builders for the test suite, and
+``recorded``, which observes calls to package functions without rebinding
+any name."""
 
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +55,32 @@ FLAT_3C = constant_rlgc_cable(
 def rel_err(a, b):
     """Largest entry error relative to the largest entry of ``b``."""
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@contextmanager
+def recorded(*functions):
+    """Record every call of ``functions`` that this thread makes while the
+    block runs, whatever name the caller reached it by: yields {name:
+    [(arguments, result), ...]}, the arguments as the call's locals on entry.
+    A profile hook matches each frame's code object, so no name is rebound
+    and no signature is pinned; a C function has no code to match."""
+    calls = {fn.__name__: [] for fn in functions}
+    codes = {fn.__code__: calls[fn.__name__] for fn in functions}
+    running = {}  # frame -> its [arguments, result] entry
+
+    def hook(frame, event, result):
+        if event == "call" and frame.f_code in codes:
+            running[frame] = [dict(frame.f_locals), None]
+            codes[frame.f_code].append(running[frame])
+        elif event == "return" and frame in running:
+            running.pop(frame)[1] = result
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
 
 
 def lossless_cable(l=5e-7, c=1e-10, label="lossless"):

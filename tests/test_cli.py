@@ -500,23 +500,6 @@ def test_write_json_nonfinite_as_null(tmp_path):
         "err": None, "means": [1.5, None]}
 
 
-def test_byte_identical_reruns(two_node, tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["tdr", str(two_node), "--out", str(out),
-                     "--no-timestamp"]) == 0
-        assert main(["sweep", "--n-networks", "4", "--seed", "11",
-                     "--grid", "1e5,4e5,80", "--bins", "2",
-                     "--out", str(out / "sw"), "--no-timestamp"]) == 0
-        outs.append(out)
-    for rel in ("trace.csv", "peaks.csv", "sw/records.csv", "sw/bins.csv",
-                "sw/summary.json"):
-        a = (outs[0] / rel).read_bytes()
-        b = (outs[1] / rel).read_bytes()
-        assert a == b, rel
-
-
 def test_timestamp_header_present_by_default(two_node, tmp_path):
     out = tmp_path / "ts"
     assert main(["tdr", str(two_node), "--out", str(out)]) == 0

@@ -24,7 +24,7 @@ from plnsim.mtl import FrequencyGrid, line_propagation_params
 from plnsim.network import reduce_to_port
 from plnsim.topofile import topology_to_dict
 
-from conftest import FLAT_3C, SPIKE_T_STEP, spike_trace
+from conftest import FLAT_3C, SPIKE_T_STEP, recorded, spike_trace
 from oracles import chain_responses, rdiv
 
 NAN = float("nan")
@@ -119,19 +119,14 @@ def test_sweep_results_are_slotted_with_float_edges():
 
 @pytest.mark.parametrize("cables", [(), (powerline_cable(3),), (FLAT_3C,)],
                          ids=["L1", "pl3", "flat3"])
-def test_sweep_deltas_match_chain_parameters(monkeypatch, cables):
+def test_sweep_deltas_match_chain_parameters(cables):
     # each realization's three band-mean deltas, recomputed from the chain
     # parameters on plain numpy: no modal code, no kernel and no evaluation
     # context is shared with the sweep, only the networks it builds
-    pairs, apply = [], experiments.apply_anomaly
-
-    def recording(net, anomaly, grid):
-        pairs.append((net, apply(net, anomaly, grid)))
-        return pairs[-1][1]
-
-    monkeypatch.setattr(experiments, "apply_anomaly", recording)
     grid = FrequencyGrid(1e5, 1e6, 80)
-    res = run_distance_sweep(EnsembleConfig(n_networks=4, cables=cables, seed=17), grid)
+    with recorded(experiments.apply_anomaly) as calls:
+        res = run_distance_sweep(EnsembleConfig(n_networks=4, cables=cables, seed=17), grid)
+    pairs = [(args["net"], net_a) for args, net_a in calls["apply_anomaly"]]
     assert len(res.records) == len(pairs) == 4
 
     def band_delta(perturbed, baseline):
@@ -323,7 +318,7 @@ def test_summary_statistics_match_numpy(ratios, points, n_bins):
             assert same_float(experiments._mean(got), float(np.mean(sel)))
 
 
-def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
+def test_sweep_branch_steps_stay_within_recorded_counts():
     # a realization reduces the probe port twice on the baseline and the
     # perturbed network, then the tx port on the perturbed one and the
     # baseline; their evaluation keeps each branch's carry-back, so a
@@ -332,18 +327,10 @@ def test_sweep_branch_steps_stay_within_recorded_counts(monkeypatch):
     # reduction first, 166 when a reduction ignores what it holds, 249 when
     # a repeat is reduced again too); a tx reduction steps each path
     # branch's admittance and segment transfer together
-    steps = 0
-    step = network._branch_step
-
-    def counting(*args):
-        nonlocal steps
-        steps += 1
-        return step(*args)
-
-    monkeypatch.setattr(network, "_branch_step", counting)
-    result = run_distance_sweep(EnsembleConfig(n_networks=5, seed=1000), default_grid())
+    with recorded(network._branch_step) as calls:
+        result = run_distance_sweep(EnsembleConfig(n_networks=5, seed=1000), default_grid())
     assert len(result.records) == 5
-    assert steps == 96
+    assert len(calls["_branch_step"]) == 96
 
 
 def test_sweep_frees_each_realization_before_the_next(monkeypatch):

@@ -21,8 +21,8 @@ from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationPar
                         input_reflection, line_propagation_params, line_responses,
                         load_reflection, modal_transform, propagator)
 
-from conftest import (FLAT_3C, lossless_cable, random_passive_matrix, rel_err,
-                      spectrum_const)
+from conftest import (FLAT_3C, lossless_cable, random_passive_matrix, recorded,
+                      rel_err, spectrum_const)
 from oracles import input_reflection_modal, reflection, series_truncated_responses
 
 TWO_PI = 2.0 * np.pi
@@ -719,28 +719,17 @@ def test_scalar_modal_basis_is_exactly_one():
         assert np.array_equal(p.t_inv_yc, p.yc)
 
 
-def test_coupled_line_functions_make_one_elimination_and_few_products(monkeypatch):
+def test_coupled_line_functions_make_one_elimination_and_few_products():
     # on an L = 3 cable: G = T^-1 Y_L takes one product, and Y_in two more,
     # T E (W - G) H; H is the solve's own unknown
     grid = FrequencyGrid(1e5, 1e5, 16)
     p = line_propagation_params(powerline_cable(3), grid)
     y = spectrum_const(random_passive_matrix(np.random.default_rng(3), 3), grid)
     e = propagator(p, 40.0)
-    calls = {"_mul": 0, "_gauss": 0}
-
-    def counted(name):
-        kernel = getattr(mtl, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return kernel(*args, **kwargs)
-        return wrapper
-    for name in calls:
-        monkeypatch.setattr(mtl, name, counted(name))
     for line in (input_admittance_line, ctf_line, line_responses):
-        calls.update(_mul=0, _gauss=0)
-        line(p, e, y)
-        assert calls == {"_mul": 3, "_gauss": 1}, line.__name__
+        with recorded(mtl._mul, mtl._gauss) as calls:
+            line(p, e, y)
+        assert {k: len(c) for k, c in calls.items()} == {"_mul": 3, "_gauss": 1}, line.__name__
 
 
 def test_identity_is_one_read_only_array_per_size():
