@@ -632,50 +632,69 @@ def test_values_hold_only_their_fields_after_reductions(grid):
             assert vars(value).keys() == fields | cached
 
 
+def lateral_tree(n):
+    """tx at 't', probe at 'p' on the path 1-2-3; laterals 'x' and 'y' hang
+    from the path nodes 'j' and 'k', 'z' from a lateral: their carry-backs
+    are the same seen from either port."""
+    cab = powerline_cable(n, label=f"pl-{n}c-path")
+    return NetworkTopology(
+        nodes=("t", "j", "k", "p", "x", "y", "z"),
+        branches=(Branch("1", "t", "j", cab, 40.0),
+                  Branch("2", "j", "k", cab, 55.0),
+                  Branch("3", "k", "p", cab, 30.0),
+                  Branch("4", "j", "x", cab, 25.0),
+                  Branch("5", "k", "y", cab, 70.0),
+                  Branch("6", "y", "z", cab, 15.0)),
+        loads={"t": modem(n=n), "p": modem(n=n),
+               "x": parallel_rc_admittance(100.0, 1e-9, n),
+               "z": constant_admittance(1 / 50, n)},
+        ports={"tx": Port("t", modem(n=n)), "probe": Port("p", modem(n=n))})
+
+
 def test_tx_reduction_after_probe_steps_only_the_path(grid):
-    # laterals 'x' and 'y' hang from the path nodes 'j' and 'k', 'z' from a
-    # lateral: their carry-backs are the same seen from either port
     def stepped(call):
         with recorded(network._branch_step) as calls:
             out = call()
         return out, sorted(args["br"].id for args, _ in calls["_branch_step"])
 
     for n in (1, 3):
-        cab = powerline_cable(n, label=f"pl-{n}c-path")
-        net = NetworkTopology(
-            nodes=("t", "j", "k", "p", "x", "y", "z"),
-            branches=(Branch("1", "t", "j", cab, 40.0),
-                      Branch("2", "j", "k", cab, 55.0),
-                      Branch("3", "k", "p", cab, 30.0),
-                      Branch("4", "j", "x", cab, 25.0),
-                      Branch("5", "k", "y", cab, 70.0),
-                      Branch("6", "y", "z", cab, 15.0)),
-            loads={"t": modem(n=n), "p": modem(n=n),
-                   "x": parallel_rc_admittance(100.0, 1e-9, n),
-                   "z": constant_admittance(1 / 50, n)},
-            ports={"tx": Port("t", modem(n=n)), "probe": Port("p", modem(n=n))})
-        path = set(net.branches[:3])
+        net = lateral_tree(n)
         cold = end_to_end_ctf(net, "tx", "p", grid).values
         ev = Evaluation(grid)
         assert stepped(lambda: reduce_to_port(net, "probe", grid, ev))[1] == list("123456")
-        at_probe = dict(ev.carry_backs)
-        # one admittance per branch, keyed by the branch and its far subtree
-        assert sorted(k[0].id for k in at_probe) == list("123456")
-        assert all(s is None for _, s in at_probe.values())
         h, steps = stepped(lambda: end_to_end_ctf(net, "tx", "p", grid, ev).values)
         assert steps == list("123") and np.array_equal(h, cold)
-        # the off-path carry-backs are kept as they were, and the path ones
-        # replaced by the other direction's, each with its segment
-        assert sorted(k[0].id for k in ev.carry_backs) == list("123456")
-        for k, (_, s) in ev.carry_backs.items():
-            assert (s is not None) == (k[0] in path)
-            assert (at_probe.get(k) is ev.carry_backs[k]) == (k[0] not in path)
         # after a tx reduction without a receiver, only the segments are
         # missing: each path branch is stepped again, giving its segment
         ev = Evaluation(grid)
         reduce_to_port(net, "tx", grid, ev)
         h, steps = stepped(lambda: end_to_end_ctf(net, "tx", "p", grid, ev).values)
         assert steps == list("123") and np.array_equal(h, cold)
+
+
+def test_carry_backs_are_read_only_and_reused(grid):
+    for n in (1, 3):
+        net = lateral_tree(n)
+        path = set(net.branches[:3])
+        ev = Evaluation(grid)
+        reduce_to_port(net, "probe", grid, ev)
+        at_probe = dict(ev.carry_backs)
+        # one admittance per branch, keyed by the branch and its far subtree
+        assert sorted(k[0].id for k in at_probe) == list("123456")
+        assert all(s is None for _, s in at_probe.values())
+        reduce_to_port(net, "probe", grid, ev)
+        assert ev.carry_backs.keys() == at_probe.keys()
+        assert all(ev.carry_backs[k] is c for k, c in at_probe.items())
+        # the off-path carry-backs are kept as they were, and the path ones
+        # replaced by the other direction's, each with its segment
+        end_to_end_ctf(net, "tx", "p", grid, ev)
+        assert sorted(k[0].id for k in ev.carry_backs) == list("123456")
+        for k, (_, s) in ev.carry_backs.items():
+            assert (s is not None) == (k[0] in path)
+            assert (at_probe.get(k) is ev.carry_backs[k]) == (k[0] not in path)
+        for a in (a for c in ev.carry_backs.values() for a in c if a is not None):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
 
 
 @pytest.mark.parametrize("n_conductors", [1, 3])
@@ -790,54 +809,72 @@ def counted(spec, calls):
     return out
 
 
-# (first call, second call, walks the second makes): a call is (topology,
-# port, receiver port or None), or "rho" for the port's input reflection
-# taken twice, which repeats the reduction before it
-REDUCTION_PAIRS = [
-    (("net", "probe", None), ("net", "probe", None), 0),
-    (("net", "tx", "probe"), ("net", "tx", "probe"), 0),
-    (("net", "probe", None), ("net", "probe", "rho"), 0),
-    (("net", "probe", None), ("net", "probe", "tx"), 1),
-    (("net", "probe", None), ("net", "tx", None), 1),
-    (("net", "tx", None), ("copy", "tx", None), 1),
-    (("copy", "tx", None), ("net", "tx", None), 1),
-]
-
-
-@pytest.mark.parametrize("n_conductors", [1, 3])
-def test_only_a_repeated_reduction_does_no_work(grid, n_conductors):
-    evaluated = []  # every load and source evaluation
-    net = random_tree(n_conductors, 41)
+def counting_tree(n_conductors, seed, evaluated):
+    """A random tree whose loads and sources record their evaluations in
+    ``evaluated``, its report already made (the report walks the tree)."""
+    net = random_tree(n_conductors, seed)
     net = dataclasses.replace(
         net, loads={n: counted(ld, evaluated) for n, ld in net.loads.items()},
         ports={k: Port(p.node, counted(p.source, evaluated)) for k, p in net.ports.items()})
-    topos = {"net": net, "copy": dataclasses.replace(net)}
-    assert all(topo.report.valid for topo in topos.values())  # walked once, now
+    assert net.report.valid
+    return net
 
-    def run(call, ev):
-        topo, port, rx = topos[call[0]], call[1], call[2]
-        if rx == "rho":
-            return [network_input_reflection(topo, port, grid, ev).values for _ in range(2)]
-        red = reduce_to_port(topo, port, grid, ev, rx and topo.ports[rx].node)
-        return [red.y_in.values, red.transfer]
 
-    for first, second, walks in REDUCTION_PAIRS:
-        ev = Evaluation(grid)
-        red = reduce_to_port(topos[first[0]], first[1], grid, ev,
-                             first[2] and net.ports[first[2]].node)
-        held = [red.y_in.values, red.transfer]
-        # a repeat returns what ev holds, not what the caller's wrapper holds
-        red.y_in.values, red.transfer = np.zeros_like(held[0]), None
+@pytest.mark.parametrize("n_conductors", [1, 3])
+def test_repeated_reduction_does_no_work(grid, n_conductors):
+    evaluated = []
+    net = counting_tree(n_conductors, 41, evaluated)
+    probe = net.ports["probe"].node
+    ev = Evaluation(grid)
+    for port, rx in (("probe", None), ("tx", probe)):
+        first = reduce_to_port(net, port, grid, ev, rx)
         evaluated.clear()
         with recorded(network._walk, network._branch_step) as calls:
-            got = run(second, ev)
-        assert len(calls["_walk"]) == walks, (first, second)
-        if walks == 0:
-            assert calls["_branch_step"] == [], second
-            rho = second[2] == "rho"
-            assert evaluated == ([net.ports[second[1]].source] if rho else []), second
-            assert rho or all(a is b for a, b in zip(got, held)), second
-        assert_same(got, run(second, None))
+            again = reduce_to_port(net, port, grid, ev, rx)
+        assert calls == {"_walk": [], "_branch_step": []} and evaluated == []
+        cold = reduce_to_port(net, port, grid, rx=rx)
+        assert again.y_in is not first.y_in
+        assert_same([again.y_in.values, again.transfer], [cold.y_in.values, cold.transfer])
+    # the reflection's reduction repeats the one before it: only its source
+    # is evaluated, once
+    reduce_to_port(net, "probe", grid, ev)
+    evaluated.clear()
+    with recorded(network._walk, network._branch_step) as calls:
+        rho = [network_input_reflection(net, "probe", grid, ev).values for _ in range(2)]
+    assert calls == {"_walk": [], "_branch_step": []}
+    assert evaluated == [net.ports["probe"].source]
+    assert_same(rho, [network_input_reflection(net, "probe", grid).values] * 2)
+
+
+def test_repeated_reduction_is_not_altered_through_a_result(grid):
+    net = random_tree(3, 42)
+    probe = net.ports["probe"].node
+    ev = Evaluation(grid)
+    red = reduce_to_port(net, "tx", grid, ev, probe)
+    y, h = red.y_in.values, red.transfer
+    red.y_in.values, red.transfer = np.zeros_like(y), None
+    again = reduce_to_port(net, "tx", grid, ev, probe)
+    assert again.y_in.values is y and again.transfer is h
+    for a in (y, h):
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_another_call_is_reduced_again(grid):
+    net = counting_tree(1, 43, [])
+    tx = net.ports["tx"].node
+    copy = dataclasses.replace(net)
+    assert copy.report.valid
+    ev = Evaluation(grid)
+    reduce_to_port(net, "probe", grid, ev)
+    # another receiver, port or topology object walks the tree again
+    for topo, port, rx in ((net, "probe", tx), (net, "tx", None), (copy, "tx", None),
+                           (net, "tx", None)):
+        with recorded(network._walk) as calls:
+            got = reduce_to_port(topo, port, grid, ev, rx)
+        assert len(calls["_walk"]) == 1, (port, rx)
+        cold = reduce_to_port(topo, port, grid, rx=rx)
+        assert_same([got.y_in.values, got.transfer], [cold.y_in.values, cold.transfer])
 
 
 def test_each_admittance_is_evaluated_once_per_evaluation(grid, std_cable):
