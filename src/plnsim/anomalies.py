@@ -24,8 +24,6 @@ from collections.abc import Container
 from dataclasses import dataclass, replace
 from typing import Union
 
-import numpy as np
-
 from .errors import ValidationError
 from .mtl import CableSpec, FrequencyGrid, MatrixSpectrum, _rdiv
 from .network import AdmittanceSpec, Branch, NetworkTopology

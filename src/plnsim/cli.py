@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, simulate, tdr, ctf, inject, delta, locate, sweep,
-scenarios.  Exit status is 0 on success, 1 on validation/parse failure or
-when memory runs out, 2 on numerical failure (singularities), 64 on usage
-errors.
+scenarios, backbone.  Exit status is 0 on success, 1 on validation/parse
+failure or when memory runs out, 2 on numerical failure (singularities), 64
+on usage errors.
 
 Each subcommand accepts only the flags its handler reads.  A handler
 ``cmd_<name>(args, grid)`` computes and writes nothing: it returns an
@@ -18,6 +18,7 @@ sweeps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -30,7 +31,8 @@ from .cables import builtin_cable_library, cable_velocities
 from .errors import (DecompositionError, ParseError, SingularityError,
                      UsageError, ValidationError)
 from .experiments import (EnsembleConfig, bundled_single_line_scenarios,
-                          run_distance_sweep, run_scenario_suite)
+                          run_backbone_lateral_study, run_distance_sweep,
+                          run_scenario_suite)
 from .mtl import DELTA_MODELS, FrequencyGrid
 from .network import (Evaluation, end_to_end_ctf, network_input_reflection,
                       reduce_to_port)
@@ -275,6 +277,14 @@ def cmd_scenarios(args, grid) -> Output:
                   EXIT_OK if all(r.passed for r in results) else EXIT_INVALID)
 
 
+def cmd_backbone(args, grid) -> Output:
+    res = run_backbone_lateral_study(args.n_networks, args.seed)
+    return Output([("backbone.json", topofile.write_json, dataclasses.asdict(res))],
+                  f"\n{res.n_networks} networks ({res.skipped} draws skipped); "
+                  f"band-mean chain delta: backbone {res.mean_backbone_db:+.2f} dB, "
+                  f"lateral {res.mean_lateral_db:+.2f} dB")
+
+
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
@@ -374,6 +384,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("scenarios", parents=[stamped, peaks],
                        help="bundled anomaly signature scenarios")
     p.set_defaults(func=cmd_scenarios)
+
+    p = sub.add_parser("backbone",
+                       help="chain deltas of backbone vs lateral faults")
+    p.add_argument("--n-networks", type=int, default=50)
+    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--no-timestamp", action="store_true",
+                   help="omit the header timestamp for byte-stable output")
+    p.set_defaults(func=cmd_backbone)
 
     return parser
 

@@ -577,7 +577,7 @@ def run_backbone_lateral_study(n_networks: int = 50, seed: int = 1234,
     lateral faults only perturb secondary echoes, so their band-mean stays
     near 0 dB."""
     grid = grid or default_grid()
-    cfg = EnsembleConfig(seed=seed)
+    cfg = EnsembleConfig(n_networks=n_networks, seed=seed)
     backbone_db: list[float] = []
     lateral_db: list[float] = []
     skipped = 0

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, file formats, exit codes and
 reproducibility."""
 
+import ast
 import json
 import os
 import subprocess
@@ -595,7 +596,7 @@ def test_bundled_topologies_are_valid():
 
 
 NUMPY_ONLY = """
-import contextlib, io, json, os, runpy, sys, traceback
+import contextlib, io, json, os, sys, traceback
 
 class RefuseScipy:
     def find_spec(self, name, path=None, target=None):
@@ -611,12 +612,7 @@ for argv, env in commands:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            if argv[0].endswith(".py"):
-                sys.argv = argv
-                runpy.run_path(argv[0], run_name="__main__")
-                code = 0
-            else:
-                code = plnsim.cli.main(argv)
+            code = plnsim.cli.main(argv)
         except BaseException:
             traceback.print_exc()
             code = 1
@@ -626,13 +622,12 @@ for argv, env in commands:
 with open(report, "w") as f:
     json.dump(results, f)
 """
-SCRIPT = str(Path(__file__).parents[1] / "scripts" / "backbone_vs_lateral.py")
 
 
 def numpy_only_cases(ins):
     """``(argv, env, exit codes)`` of each subcommand that writes files, on
-    the bundled topologies, cable models and edge-case inputs, and of the
-    one script; the input files go to ``ins``."""
+    the bundled topologies, cable models and edge-case inputs; the input
+    files go to ``ins``."""
     def write(name, data):
         # json reads the literal 1e400, written for "1e400", as inf
         (ins / name).write_text(json.dumps(data).replace('"1e400"', "1e400"))
@@ -681,7 +676,9 @@ def numpy_only_cases(ins):
         # finite spectra, or one numerical failure line
         (["simulate", resonant], {}, [0, 2]),
         (["ctf", resonant, "--tx-port", "probe", "--rx-node", "n1"], {}, [0, 2]),
-        ([SCRIPT, "--n-networks", "2"], {}, [0]),
+        (["backbone", "--n-networks", "2"], {}, [0]),
+        (["backbone", "--n-networks", "0"], {}, [1]),
+        (["backbone", "--seed", "-1", "--n-networks", "2"], {}, [1]),
         (["inject", two_node, "--anomaly",
           write("nan-fault.json", {**DIST_FAULT, "start_m": NAN})], {}, [1]),
         (["sweep", "--seed", "-1", "--n-networks", "2"], {}, [1]),
@@ -694,8 +691,6 @@ def numpy_only_cases(ins):
 
 
 def with_out(argv, out):
-    if argv[0] == SCRIPT:
-        return argv
     return [*argv, "--out", str(out)] + ["--no-timestamp"] * (argv[0] != "inject")
 
 
@@ -718,7 +713,7 @@ def test_one_shot_path_imports_no_scipy(tmp_path, monkeypatch):
             with monkeypatch.context() as m:
                 for name, value in env.items():
                     m.setenv(name, value)
-                codes.append(0 if argv[0] == SCRIPT else main(with_out(argv, here / str(i))))
+                codes.append(main(with_out(argv, here / str(i))))
         assert proc.wait(timeout=120) == 0, proc.stderr.read()
     results = json.loads((tmp_path / "child.json").read_text())
     for i, ((argv, _, want), (code, err)) in enumerate(zip(cases, results)):
@@ -735,6 +730,28 @@ def test_one_shot_path_imports_no_scipy(tmp_path, monkeypatch):
                 assert "nan" not in text and "inf" not in text, (argv, name)
             else:
                 json.loads(data, parse_constant=_reject_constant)
+
+
+def test_package_modules_read_every_import():
+    # an import whose name a module never reads, nor lists in __all__
+    unread = []
+    for path in sorted(Path(plnsim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.partition(".")[0]) not in read]
+    assert not unread, unread
 
 
 @pytest.mark.parametrize("section,name,model,field", [

@@ -17,7 +17,8 @@ from plnsim.experiments import (EnsembleConfig, SweepRecord, _bin_stats,
                                 _classify_peak_diff, _spearman,
                                 bundled_single_line_scenarios,
                                 default_grid, generate_random_network,
-                                run_distance_sweep, run_scenario_suite)
+                                run_backbone_lateral_study, run_distance_sweep,
+                                run_scenario_suite)
 from plnsim.cables import powerline_cable
 from plnsim.errors import ValidationError
 from plnsim.mtl import FrequencyGrid, line_propagation_params
@@ -88,6 +89,12 @@ def test_branch_length_range_is_checked(lengths):
 def test_seed_and_severity_range_are_checked(field, value):
     with pytest.raises(ValidationError, match=field):  # not numpy's errors in the sweep
         EnsembleConfig(**{field: value})
+
+
+def test_backbone_study_needs_a_network():
+    # zero networks once gave an empty result with NaN means
+    with pytest.raises(ValidationError, match="n_networks must be >= 1"):
+        run_backbone_lateral_study(n_networks=0)
 
 
 def test_branch_length_range_may_be_one_value():
