@@ -5,7 +5,8 @@ scenarios, backbone.  Exit status is 0 on success, 1 on validation/parse
 failure or when memory runs out, 2 on numerical failure (singularities), 64
 on usage errors.
 
-Each subcommand accepts only the flags its handler reads.  A handler
+Each subcommand accepts only the flags its handler reads, and ``main``
+builds only the parser of the subcommand it runs.  A handler
 ``cmd_<name>(args, grid)`` computes and writes nothing: it returns an
 ``Output``, and only then does ``main`` create the --out directory and write
 the files, so a command that stops on an error leaves no output.  Outputs are
@@ -286,119 +287,101 @@ def cmd_backbone(args, grid) -> Output:
 
 
 # ---------------------------------------------------------------------------
+# the parser: one table of subcommands, each with the flags its handler reads
 
-def build_parser() -> _Parser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_TOPOLOGY = _arg("topology")
+_PORT = _arg("--port", default=None)
+_TX_PORT = _arg("--tx-port", default=None)
+_RX_NODE = _arg("--rx-node", default=None)
+_ANOMALY = _arg("--anomaly", required=True)
+_OUT = _arg("--out", default="out", help="output directory")
+_NO_TIMESTAMP = _arg("--no-timestamp", action="store_true",
+                     help="omit the header timestamp for byte-stable output")
+_RUN = (_arg("--grid", default="1e5,1e5,800", help="f_start,f_step,n (Hz, Hz, count)"),
+        _OUT)
+_STAMPED = (*_RUN, _NO_TIMESTAMP)
+_WINDOW = (_arg("--window", default="hann", choices=["hann", "rect"]),)
+_PEAKS = (*_WINDOW,
+          _arg("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
+               help="relative peak threshold"),
+          _arg("--min-separation", type=int, default=DEFAULT_MIN_SEPARATION,
+               help="minimum peak separation, samples"))
+
+# name: (help, arguments in the order --help lists them); the handler is cmd_<name>
+_COMMANDS = {
+    "validate": ("check a topology file", (_TOPOLOGY,)),
+    "simulate": ("input admittance/reflection spectra (and transfer)",
+                 (*_STAMPED, _TOPOLOGY, _PORT, _TX_PORT, _RX_NODE)),
+    "tdr": ("reflectometric time trace, peaks and distances",
+            (*_STAMPED, *_PEAKS, _TOPOLOGY, _PORT,
+             _arg("--quantity", default="admittance", choices=["admittance", "reflection"]),
+             _arg("--velocity", type=float, default=None,
+                  help="m/s; default from the first branch cable"))),
+    "ctf": ("end-to-end transfer trace, optional symmetry check",
+            (*_STAMPED, *_PEAKS, _TOPOLOGY, _arg("--tx-port", required=True), _RX_NODE,
+             _arg("--rx-port", default=None), _arg("--check-symmetry", action="store_true"))),
+    "inject": ("write the anomaly-perturbed topology",
+               (*_RUN, _TOPOLOGY, _ANOMALY)),
+    "delta": ("chain/superposition anomaly deltas, spectrum and trace",
+              (*_STAMPED, *_WINDOW, _TOPOLOGY, _ANOMALY,
+               _arg("--model", default="superposition", choices=DELTA_MODELS),
+               _arg("--quantity", default="admittance",
+                    choices=["admittance", "reflection", "ctf"]),
+               _PORT, _TX_PORT, _RX_NODE)),
+    "locate": ("anomaly distance from the reflectometric delta",
+               (*_STAMPED, *_PEAKS, _TOPOLOGY, _ANOMALY, _PORT,
+                _arg("--velocity", type=float, default=None))),
+    "sweep": ("random-network distance sweep",
+              (*_STAMPED, _arg("--seed", type=int, default=0),
+               _arg("--n-networks", type=int, default=200),
+               _arg("--n-nodes-min", type=int, default=4),
+               _arg("--n-nodes-max", type=int, default=12),
+               _arg("--severity-min", type=float, default=1e-3),
+               _arg("--severity-max", type=float, default=1e-1),
+               _arg("--bins", type=int, default=5),
+               _arg("--cables", default=None,
+                    help="comma-separated cable names from the library"))),
+    "scenarios": ("bundled anomaly signature scenarios",
+                  (*_STAMPED, *_PEAKS)),
+    "backbone": ("chain deltas of backbone vs lateral faults",
+                 (_arg("--n-networks", type=int, default=50),
+                  _arg("--seed", type=int, default=1234), _OUT, _NO_TIMESTAMP)),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with every subcommand, or with ``command``'s alone.  The
+    one-subcommand parser can still print the top-level usage (for
+    unrecognized arguments), so it names every subcommand in its metavar;
+    the full parser has none, so its missing-command and invalid-choice
+    errors keep calling the argument ``command``."""
     parser = _Parser(prog="plnsim",
                      description="Power-line network propagation and anomaly "
                                  "simulation toolkit")
-    # small parents, so that each subcommand accepts only the flags it reads
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--grid", default="1e5,1e5,800",
-                     help="f_start,f_step,n (Hz, Hz, count)")
-    run.add_argument("--out", default="out", help="output directory")
-    stamped = argparse.ArgumentParser(add_help=False, parents=[run])
-    stamped.add_argument("--no-timestamp", action="store_true",
-                         help="omit the header timestamp for byte-stable output")
-    window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--window", default="hann", choices=["hann", "rect"])
-    peaks = argparse.ArgumentParser(add_help=False, parents=[window])
-    peaks.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
-                       help="relative peak threshold")
-    peaks.add_argument("--min-separation", type=int,
-                       default=DEFAULT_MIN_SEPARATION,
-                       help="minimum peak separation, samples")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a topology file")
-    p.add_argument("topology")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("simulate", parents=[stamped],
-                       help="input admittance/reflection spectra (and transfer)")
-    p.add_argument("topology")
-    p.add_argument("--port", default=None)
-    p.add_argument("--tx-port", default=None)
-    p.add_argument("--rx-node", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("tdr", parents=[stamped, peaks],
-                       help="reflectometric time trace, peaks and distances")
-    p.add_argument("topology")
-    p.add_argument("--port", default=None)
-    p.add_argument("--quantity", default="admittance",
-                   choices=["admittance", "reflection"])
-    p.add_argument("--velocity", type=float, default=None,
-                   help="m/s; default from the first branch cable")
-    p.set_defaults(func=cmd_tdr)
-
-    p = sub.add_parser("ctf", parents=[stamped, peaks],
-                       help="end-to-end transfer trace, optional symmetry check")
-    p.add_argument("topology")
-    p.add_argument("--tx-port", required=True)
-    p.add_argument("--rx-node", default=None)
-    p.add_argument("--rx-port", default=None)
-    p.add_argument("--check-symmetry", action="store_true")
-    p.set_defaults(func=cmd_ctf)
-
-    p = sub.add_parser("inject", parents=[run],
-                       help="write the anomaly-perturbed topology")
-    p.add_argument("topology")
-    p.add_argument("--anomaly", required=True)
-    p.set_defaults(func=cmd_inject)
-
-    p = sub.add_parser("delta", parents=[stamped, window],
-                       help="chain/superposition anomaly deltas, spectrum and trace")
-    p.add_argument("topology")
-    p.add_argument("--anomaly", required=True)
-    p.add_argument("--model", default="superposition",
-                   choices=DELTA_MODELS)
-    p.add_argument("--quantity", default="admittance",
-                   choices=["admittance", "reflection", "ctf"])
-    p.add_argument("--port", default=None)
-    p.add_argument("--tx-port", default=None)
-    p.add_argument("--rx-node", default=None)
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("locate", parents=[stamped, peaks],
-                       help="anomaly distance from the reflectometric delta")
-    p.add_argument("topology")
-    p.add_argument("--anomaly", required=True)
-    p.add_argument("--port", default=None)
-    p.add_argument("--velocity", type=float, default=None)
-    p.set_defaults(func=cmd_locate)
-
-    p = sub.add_parser("sweep", parents=[stamped],
-                       help="random-network distance sweep")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-networks", type=int, default=200)
-    p.add_argument("--n-nodes-min", type=int, default=4)
-    p.add_argument("--n-nodes-max", type=int, default=12)
-    p.add_argument("--severity-min", type=float, default=1e-3)
-    p.add_argument("--severity-max", type=float, default=1e-1)
-    p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--cables", default=None,
-                   help="comma-separated cable names from the library")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("scenarios", parents=[stamped, peaks],
-                       help="bundled anomaly signature scenarios")
-    p.set_defaults(func=cmd_scenarios)
-
-    p = sub.add_parser("backbone",
-                       help="chain deltas of backbone vs lateral faults")
-    p.add_argument("--n-networks", type=int, default=50)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the header timestamp for byte-stable output")
-    p.set_defaults(func=cmd_backbone)
-
+    names = list(_COMMANDS) if command is None else [command]
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in names:
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        # looked up by name at each build, so a handler rebound on the module
+        # (perfbench's tracer wraps every cmd_*) is the one that runs
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run needs only its subcommand's parser; no command, -h or an unknown
+    # name gets the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         grid = _parse_grid(args.grid) if "grid" in args else None

@@ -19,7 +19,8 @@ through, and ``_matmul``) compute the same formulas elementwise on (n_f,)
 vectors, with no entry columns, work arrays or kernel call; T cancels, so
 the line step reads Y_C and Y_L.  Each tests its divisor for an exact zero
 first and raises the same SingularityError at the first such frequency, so
-no division warns.  There only the decomposition reaches the kernels.
+no division warns.  There only the decomposition reaches the kernels, and it
+takes Y Z's one entry as gamma^2 with T = 1, so no LAPACK call runs.
 
 The kernels and the functions built on them keep their temporaries in work
 arrays.  They are thread-local, so threads share none.  They are bounded: one
@@ -418,7 +419,10 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
     T^-1 is the only inverse.
 
     T is eig's own basis, in its order and phase at each frequency: no
-    response needs an order, as each is a T ... T^-1 sandwich.
+    response needs an order, as each is a T ... T^-1 sandwich.  At L = 1,
+    gamma^2 = Y Z (the telegrapher case) and T = 1: the decomposition takes
+    Y Z's one entry as the eigenvalue and a basis of exactly 1, which is what
+    eig returns there, and makes no LAPACK call.
 
     Results are cached per (cable, grid) pair; the returned object is shared
     and its arrays are returned read-only.
@@ -437,7 +441,8 @@ def line_propagation_params(cable: CableSpec, grid: FrequencyGrid) -> Propagatio
         raise DecompositionError(f"cable {cable.label!r}: Y Z overflows",
                                  frequency_hz=float(f[np.argmin(finite)]))
 
-    w, v = np.linalg.eig(a)
+    # one conductor: Y Z is its own eigenvalue, with a basis of exactly 1
+    w, v = (a[:, 0], np.ones_like(a)) if a.shape[1] == 1 else np.linalg.eig(a)
     gamma = np.sqrt(w.astype(complex))
     flip = (gamma.real < 0) | ((gamma.real == 0) & (gamma.imag < 0))
     gamma = np.where(flip, -gamma, gamma)

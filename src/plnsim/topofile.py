@@ -345,21 +345,32 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_table(path: str | Path, lines: list[str], columns: str, rows) -> None:
-    Path(path).write_text("\n".join([*lines, columns, *rows]) + "\n")
+def _write_table(path: str | Path, lines: list[str], columns: str, body: str) -> None:
+    """Header ``lines``, the ``columns`` line, then ``body``: rows that each
+    end in a newline."""
+    Path(path).write_text("\n".join([*lines, columns, body]))
+
+
+def _entry_rows(x: np.ndarray, values: tuple[np.ndarray, ...], row: str) -> str:
+    """One ``row`` per x and entry (r, c) in row-major order, formatted in one
+    pass: ``row`` holds ``{r}`` and ``{c}`` and a ``%.17g`` (the text of
+    ``_fmt``) for x and for each of ``values``, (n, L, L) float stacks."""
+    n, L, _ = values[0].shape
+    flat = np.empty((n, L * L, 1 + len(values)))
+    flat[:, :, 0] = x[:, None]
+    for k, v in enumerate(values, 1):
+        flat[:, :, k] = v.reshape(n, L * L)
+    template = "".join(row.format(r=r, c=c) for r in range(L) for c in range(L))
+    return (template * n) % tuple(flat.ravel().tolist())
 
 
 def write_spectrum_csv(path: str | Path, spec: MatrixSpectrum,
                        timestamp: bool = True) -> None:
     """A delta is headed ``kind=delta``, without its quantity or model."""
-    L = spec.n_conductors
-    entries = [(r, c) for r in range(L) for c in range(L)]
-    rows = spec.values.reshape(spec.grid.n_points, L * L).tolist()
     _write_table(path, _header_lines("delta" if spec.model else spec.kind, timestamp),
                  "f_or_t,entry_row,entry_col,re,im",
-                 (f"{f:.17g},{r},{c},{v.real:.17g},{v.imag:.17g}"
-                  for f, row in zip(spec.grid.frequencies.tolist(), rows)
-                  for (r, c), v in zip(entries, row)))
+                 _entry_rows(spec.grid.frequencies, (spec.values.real, spec.values.imag),
+                             "%.17g,{r},{c},%.17g,%.17g\n"))
 
 
 def write_trace_csv(path: str | Path, trace: TimeTrace,
@@ -367,22 +378,17 @@ def write_trace_csv(path: str | Path, trace: TimeTrace,
     extra = {"quantity": trace.kind}
     if trace.model:
         extra["model"] = trace.model
-    L = trace.n_conductors
-    entries = [(r, c) for r in range(L) for c in range(L)]
-    rows = trace.samples.reshape(trace.n_samples, L * L).tolist()
     _write_table(path, _header_lines("trace", timestamp, extra),
                  "f_or_t,entry_row,entry_col,re,im",
-                 (f"{t:.17g},{r},{c},{v:.17g},0"
-                  for t, row in zip(trace.times.tolist(), rows)
-                  for (r, c), v in zip(entries, row)))
+                 _entry_rows(trace.times, (trace.samples,), "%.17g,{r},{c},%.17g,0\n"))
 
 
 def write_peaks_csv(path: str | Path, peaks: list[LocatedPeak],
                     timestamp: bool = True) -> None:
     _write_table(path, _header_lines("peaks", timestamp),
                  "time_s,distance_m,amplitude,entry",
-                 (f"{_fmt(p.time_s)},{_fmt(p.distance_m)},{_fmt(p.amplitude)},"
-                  f"{p.entry[0]}:{p.entry[1]}" for p in peaks))
+                 "".join(f"{_fmt(p.time_s)},{_fmt(p.distance_m)},{_fmt(p.amplitude)},"
+                         f"{p.entry[0]}:{p.entry[1]}\n" for p in peaks))
 
 
 def write_sweep_records_csv(path: str | Path, records: list,
@@ -391,10 +397,10 @@ def write_sweep_records_csv(path: str | Path, records: list,
     _write_table(path, _header_lines("sweep-records", timestamp),
                  "network_index,distance_m,link_position,delta_y,delta_rho,"
                  "delta_h,anomaly",
-                 (f"{r.network_index},{_fmt(r.distance_m)},"
-                  f"{_fmt(r.link_position)},{_fmt(r.delta_y)},"
-                  f"{_fmt(r.delta_rho)},{_fmt(r.delta_h)},"
-                  f"{r.anomaly['type']}@{r.anomaly['branch']}" for r in records))
+                 "".join(f"{r.network_index},{_fmt(r.distance_m)},"
+                         f"{_fmt(r.link_position)},{_fmt(r.delta_y)},"
+                         f"{_fmt(r.delta_rho)},{_fmt(r.delta_h)},"
+                         f"{r.anomaly['type']}@{r.anomaly['branch']}\n" for r in records))
 
 
 def write_sweep_bins_csv(path: str | Path, bins: list,
@@ -406,7 +412,7 @@ def write_sweep_bins_csv(path: str | Path, bins: list,
         stats = ([b.median[q] for q in qs] + [b.iqr[q] for q in qs]
                  + [b.mean["delta_h"]]) if b.count else []
         cells = [_fmt(v) for v in stats] or [""] * 7
-        rows.append(",".join([_fmt(b.d_lo), _fmt(b.d_hi), str(b.count), *cells]))
+        rows.append(",".join([_fmt(b.d_lo), _fmt(b.d_hi), str(b.count), *cells]) + "\n")
     _write_table(path, _header_lines("sweep-bins", timestamp),
                  "d_lo,d_hi,count,median_y,median_rho,median_h,"
-                 "iqr_y,iqr_rho,iqr_h,mean_h", rows)
+                 "iqr_y,iqr_rho,iqr_h,mean_h", "".join(rows))

@@ -1,7 +1,9 @@
 """Command-line behavior: subcommands, file formats, exit codes and
 reproducibility."""
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -15,15 +17,18 @@ import pytest
 
 import plnsim
 from plnsim.cables import constant_rlgc_cable, powerline_cable, scaled_cable
-from plnsim.cli import main
+from plnsim.cli import build_parser, main
 from plnsim.errors import ValidationError
-from plnsim.mtl import DELTA_MODELS, FrequencyGrid, MatrixSpectrum
+from plnsim.mtl import (DELTA_MODELS, FrequencyGrid, MatrixSpectrum,
+                        line_propagation_params)
 from plnsim.network import (Branch, NetworkTopology, Port, constant_admittance,
                             open_circuit, parallel_rc_admittance, table_admittance)
-from plnsim.topofile import (read_topology, write_json, write_topology,
-                             topology_from_dict, topology_to_dict)
+from plnsim.timedomain import TimeTrace
+from plnsim.topofile import (read_topology, write_json, write_spectrum_csv,
+                             write_topology, write_trace_csv, topology_from_dict,
+                             topology_to_dict)
 
-from conftest import FLAT_3C, single_line_net
+from conftest import FLAT_3C, recorded, single_line_net
 
 BUNDLED = resources.files("plnsim") / "data"
 TWO_NODE = json.loads((BUNDLED / "two_node.json").read_text())
@@ -298,6 +303,43 @@ def test_unknown_flag_is_usage_error(two_node):
     assert exc.value.code == 64
 
 
+COMMANDS = ("validate", "simulate", "tdr", "ctf", "inject", "delta", "locate",
+            "sweep", "scenarios", "backbone")
+
+
+def _outcome(parse, argv, capsys):
+    """(stdout, stderr, exit status) of ``parse(argv)``."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (*capsys.readouterr(), code)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], *([c, "-h"] for c in COMMANDS),
+                                  ["validate", "TOPO", "--frobnicate"],
+                                  ["simulate", "TOPO", "extra"]],
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_match_the_full_parser(argv, capsys):
+    # main builds one subcommand's parser where argv names one; every help and
+    # usage line it prints is the full parser's, the top-level usage after an
+    # unrecognized argument among them
+    want = _outcome(build_parser().parse_args, argv, capsys)
+    assert want[2] in (0, 64) and want[:2] != ("", "")
+    assert _outcome(main, argv, capsys) == want
+
+
+def test_simulate_builds_one_subparser_and_calls_no_eig(two_node, tmp_path):
+    # the topology file's cable is a new object, so it is decomposed here
+    with recorded(argparse.ArgumentParser.__init__, inspect.unwrap(np.linalg.eig),
+                  line_propagation_params.__wrapped__) as calls:
+        assert main(["simulate", str(two_node), "--out", str(tmp_path / "out"),
+                     "--no-timestamp"]) == 0
+    assert len(calls["line_propagation_params"]) == 1 and calls["eig"] == []
+    # the top-level parser, simulate's own, and at most its two parents
+    assert len(calls["__init__"]) <= 4
+
+
 def test_tdr_distance_on_bundled_line(two_node, tmp_path):
     # 100 m line, v = 2e8 m/s: first reflection maps back to 100 m
     out = tmp_path / "out"
@@ -499,6 +541,32 @@ def test_write_json_nonfinite_as_null(tmp_path):
                timestamp=False)
     assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
         "err": None, "means": [1.5, None]}
+
+
+# signed zero, the smallest subnormal, another subnormal, inexact decimals,
+# 17 significant digits and the largest double
+CSV_ENTRIES = (-0.0, 5e-324, 1e-310, 0.1, 1 / 3, 7.123456789012345e-05,
+               1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_spectrum_and_trace_rows_are_17_digit_text(n, tmp_path):
+    grid = FrequencyGrid(1 / 3, 0.1, 4)  # frequencies that need 17 digits
+    values = np.empty((4, n, n), complex)
+    values.real = np.resize(CSV_ENTRIES, values.shape)
+    values.imag = np.resize(CSV_ENTRIES[::-1], values.shape)
+    trace = TimeTrace(1 / 3, values.imag.copy(), "ctf")
+    entries = [(r, c) for r in range(n) for c in range(n)]
+    head = "f_or_t,entry_row,entry_col,re,im\n"
+    write_spectrum_csv(tmp_path / "s.csv", MatrixSpectrum(grid, values, "admittance"),
+                       timestamp=False)
+    assert (tmp_path / "s.csv").read_text() == "# kind=admittance\n" + head + "".join(
+        f"{f:.17g},{r},{c},{v[r][c].real:.17g},{v[r][c].imag:.17g}\n"
+        for f, v in zip(grid.frequencies.tolist(), values.tolist()) for r, c in entries)
+    write_trace_csv(tmp_path / "t.csv", trace, timestamp=False)
+    assert (tmp_path / "t.csv").read_text() == "# kind=trace\n# quantity=ctf\n" + head + "".join(
+        f"{t:.17g},{r},{c},{v[r][c]:.17g},0\n"
+        for t, v in zip(trace.times.tolist(), trace.samples.tolist()) for r, c in entries)
 
 
 def test_timestamp_header_present_by_default(two_node, tmp_path):

@@ -2,8 +2,10 @@
 series forms.  Closed-form oracles are evaluated independently in-test."""
 
 import dataclasses
+import inspect
 import sys
 import threading
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +22,7 @@ from plnsim.mtl import (CableSpec, FrequencyGrid, MatrixSpectrum, PropagationPar
                         _singular, _stack, _t, ctf_line, input_admittance_line,
                         input_reflection, line_propagation_params, line_responses,
                         load_reflection, modal_transform, propagator)
+from plnsim.topofile import read_topology
 
 from conftest import (FLAT_3C, lossless_cable, random_passive_matrix, recorded,
                       rel_err, spectrum_const)
@@ -710,13 +713,66 @@ def test_scalar_line_step_does_not_depend_on_the_modal_basis(length):
         assert rel_err(got, want) < 1e-13
 
 
+def _scalar_cables():
+    """The bundled topologies' cables, the default sweep's, and 20 seeded
+    random single-conductor cables, the lossless quarter-wave cable among them."""
+    bundled = resources.files("plnsim") / "data"
+    cables = [b.cable for name in ("two_node", "star3", "single_line_200m")
+              for b in read_topology(bundled / f"{name}.json").branches]
+    cables += EnsembleConfig(n_networks=1).cable_set()
+    cables.append(constant_rlgc_cable(0, 2.5e-7, 0, 1e-10, label="quarter-wave"))
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        cables.append(powerline_cable(1, r0_ohm_per_m=rng.uniform(0, 1),
+                                      l_h_per_m=rng.uniform(1e-7, 1e-6),
+                                      c_f_per_m=rng.uniform(2e-11, 5e-10),
+                                      g_factor=rng.uniform(0, 1e-2)))
+    for _ in range(9):
+        cables.append(constant_rlgc_cable(rng.uniform(0, 1), rng.uniform(1e-7, 1e-6),
+                                          rng.uniform(0, 1e-4), rng.uniform(2e-11, 5e-10)))
+    return cables
+
+
 def test_scalar_modal_basis_is_exactly_one():
-    # so the line step that reads Y_C and Y_L equals the T ... T^-1
-    # sandwich bit for bit on every cable of the default sweep
-    for cable in EnsembleConfig(n_networks=1).cable_set():
-        p = line_propagation_params(cable, default_grid())
-        assert (p.t == 1).all() and (p.t_inv == 1).all()
-        assert np.array_equal(p.t_inv_yc, p.yc)
+    """At L = 1 eig returns Y Z's own entry and a basis of exactly 1, so the
+    decomposition takes them without a LAPACK call, and the line step that
+    reads Y_C and Y_L equals the T ... T^-1 sandwich bit for bit.  Checked on
+    every cable of ``_scalar_cables`` over the default grid and one whose
+    start is not a multiple of its step.  The premise holds while |Y Z| is
+    inside zgeev's unscaled range, about 1e-138 to 1e138; outside it LAPACK
+    rescales the matrix, and the scalar route keeps the exact entry."""
+    def bits(x):
+        return np.ascontiguousarray(x).tobytes()
+
+    cables = _scalar_cables()
+    for grid in (default_grid(), FrequencyGrid(3.3e4, 1e5, 400)):
+        jw = 1j * TWO_PI * grid.frequencies[:, None, None]
+        for cable in cables:
+            r, l, g, c = cable.rlgc(grid.frequencies)
+            y = g + jw * c
+            a = y * (r + jw * l)
+            w, v = np.linalg.eig(a)
+            assert bits(w) == bits(a[:, 0]) and bits(v) == bits(np.ones_like(a)), cable.label
+            # the generic route's arrays, formed from eig's result
+            gamma = np.sqrt(w)
+            gamma = np.where((gamma.real < 0) | ((gamma.real == 0) & (gamma.imag < 0)),
+                             -gamma, gamma)
+            t_inv = 1 / v
+            t_inv_yc = t_inv / gamma[:, :, None] * y
+            p = line_propagation_params(cable, grid)
+            for got, want in ((p.gamma, gamma), (p.t, v), (p.t_inv, t_inv),
+                              (p.yc, v * t_inv_yc), (p.t_inv_yc, t_inv_yc)):
+                assert not got.flags.writeable
+                assert got.shape == want.shape and bits(got) == bits(want), cable.label
+
+
+def test_only_a_coupled_decomposition_calls_eig():
+    # fresh cable objects, so neither decomposition is a cache hit
+    grid = FrequencyGrid(1e5, 1e5, 16)
+    for n, eig_calls in ((1, 0), (3, 1)):
+        with recorded(inspect.unwrap(np.linalg.eig)) as calls:
+            line_propagation_params(powerline_cable(n), grid)
+        assert len(calls["eig"]) == eig_calls, n
 
 
 def test_coupled_line_functions_make_one_elimination_and_few_products():
